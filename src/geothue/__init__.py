@@ -18,9 +18,9 @@ Words are tuples of letter ids managed by an :class:`Alphabet`.
 from .errors import (AlphabetError, FormatError, GeothueError,
                      PreconditionError, ResourceLimitError, StructureError)
 from .words import EMPTY, Alphabet, Word, lenlex_key
-from .systems import (FiniteRuleSource, Rule, RuleKind, RewriteSystem,
-                      format_system, load_system, parse_rule_pairs,
-                      parse_system, preserving, reducing, save_system)
+from .systems import (Rule, RuleKind, RewriteSystem, format_system,
+                      load_system, parse_rule_pairs, parse_system,
+                      preserving, reducing, save_system)
 from .rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                         reduce_lr, reduce_lr_trace, reduce_random,
                         successors, thue_resolution)

@@ -297,7 +297,7 @@ class RuleProgram:
     and a step budget guards against mistakes.
     """
 
-    __slots__ = ("alphabet", "rules", "_max_lhs")
+    __slots__ = ("alphabet", "rules", "_longest_lhs")
 
     def __init__(self, alphabet: Alphabet, rules: Sequence[Tuple[Word, Word]]):
         checked = []
@@ -312,7 +312,7 @@ class RuleProgram:
             checked.append((lhs, rhs))
         self.alphabet = alphabet
         self.rules = tuple(checked)
-        self._max_lhs = max((len(l) for l, _ in self.rules), default=1)
+        self._longest_lhs = max((len(l) for l, _ in self.rules), default=1)
 
     def matches(self, word: Word) -> List[Tuple[int, int]]:
         """(position, rule index) for every applicable rewrite."""
@@ -341,7 +341,7 @@ class RuleProgram:
                         raise ResourceLimitError(
                             "normal form exceeded the step budget", cap=max_steps)
                     # a new redex can only reach back by one window
-                    i = max(0, i - self._max_lhs + 1)
+                    i = max(0, i - self._longest_lhs + 1)
                     break
             else:
                 i += 1

@@ -16,8 +16,8 @@ finite in general, so both a phase budget and a rule budget apply.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .rewriting import reduce_lr_trace
@@ -131,7 +131,10 @@ class CompletionResult:
 
 
 def _signature(pair: CriticalPair):
-    return (pair.z, pair.rule1.key, pair.rule2.key, pair.pos1, pair.pos2)
+    # rules of different phases' systems are different objects, so they
+    # are named by (lhs, rhs); the kind follows from the lengths
+    r1, r2 = pair.rule1, pair.rule2
+    return (pair.z, r1.lhs, r1.rhs, r2.lhs, r2.rhs, pair.pos1, pair.pos2)
 
 
 def kb_complete(system: RewriteSystem,
@@ -151,18 +154,19 @@ def kb_complete(system: RewriteSystem,
         for p in fresh:
             seen.add(_signature(p))
         added: List[Rule] = []
-        added_keys = {r.key for r in current.rules}
+        added_keys = {(r.lhs, r.rhs) for r in current.rules}
         n_red = n_pres = 0
         for pair in fresh:
             res = resolve_pair(pair, current, max_nodes=max_nodes)
             rule = res.rule
             if rule is None:
                 continue
-            mirror_key = (rule.mirror().key
+            key = (rule.lhs, rule.rhs)
+            mirror_key = ((rule.rhs, rule.lhs)
                           if rule.kind is RuleKind.PRESERVING else None)
-            if rule.key in added_keys or mirror_key in added_keys:
+            if key in added_keys or mirror_key in added_keys:
                 continue
-            added_keys.add(rule.key)
+            added_keys.add(key)
             if mirror_key is not None:
                 added_keys.add(mirror_key)
                 n_pres += 1

@@ -11,6 +11,13 @@ By default a rule overlapping a shifted copy of itself is not treated as
 critical; include_same_rule_overlaps=True switches to the classical
 enumeration where it is.  Distinct rules sharing a left-hand side always
 produce the pair of their right-hand sides.
+
+Descendant closures and preserving classes are the bounded breadth-first
+closures of ``rewriting``: children by left-hand side length, then
+position, then right-hand side in rule order, and a budget of max_nodes
+words for each closure, the start word included, so a closure of N
+words passes at max_nodes=N.  In check_geodesically_perfect every
+reducing-descendant set and every preserving class has its own budget.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import ResourceLimitError
 from .oracle import class_closure
+from .rewriting import _closure, is_irreducible
 from .systems import Rule, RuleKind, RewriteSystem
-from .words import EMPTY, Word, lenlex_key
+from .words import Word, lenlex_key
 
 DEFAULT_MAX_NODES = 10 ** 6
 
@@ -80,8 +87,9 @@ def iter_critical_pairs(system: RewriteSystem,
         rules_of_len.setdefault(len(rule.lhs), []).append(rule)
     seen = set()
 
+    # rules of one system are distinct objects, so identity names them
     def fresh(z, x, y, r1, r2):
-        key = (x, y, z, r1.key, r2.key)
+        key = (x, y, z, id(r1), id(r2))
         if key in seen:
             return False
         seen.add(key)
@@ -96,7 +104,7 @@ def iter_critical_pairs(system: RewriteSystem,
                 l2, rh2 = r2.lhs, r2.rhs
                 L2 = len(l2)
                 pos1, pos2 = 0, L1 - k
-                same = r1.key == r2.key
+                same = r1 is r2
                 if same and (pos1 == pos2 or not include_same_rule_overlaps):
                     continue
                 z = l1 + l2[k:]
@@ -112,7 +120,7 @@ def iter_critical_pairs(system: RewriteSystem,
                 l2, rh2 = r2.lhs, r2.rhs
                 L2 = len(l2)
                 pos1, pos2 = L2 - k, 0
-                same = r1.key == r2.key
+                same = r1 is r2
                 if same and (pos1 == pos2 or not include_same_rule_overlaps):
                     continue
                 z = l2 + l1[k:]
@@ -149,95 +157,38 @@ def iter_critical_pairs(system: RewriteSystem,
 def critical_pairs(system: RewriteSystem,
                    include_same_rule_overlaps: bool = False) -> Tuple[CriticalPair, ...]:
     """All critical pairs, deduplicated, sorted by (|z|, z, rule order)."""
-    rule_index = {r.key: i for i, r in enumerate(system.rules)}
+    rule_index = {id(r): i for i, r in enumerate(system.rules)}
     out = list(iter_critical_pairs(system, include_same_rule_overlaps))
-    out.sort(key=lambda cp: (len(cp.z), cp.z, rule_index[cp.rule1.key],
-                             rule_index[cp.rule2.key], cp.pos1, cp.pos2))
+    out.sort(key=lambda cp: (len(cp.z), cp.z, rule_index[id(cp.rule1)],
+                             rule_index[id(cp.rule2)], cp.pos1, cp.pos2))
     return tuple(out)
-
-
-def _sp_step_map(system: RewriteSystem) -> Dict[Word, Tuple[Word, ...]]:
-    """Undirected preserving steps, also covering symmetrize=False systems."""
-    table: Dict[Word, List[Word]] = {}
-    for rule in system.preserving:
-        table.setdefault(rule.lhs, []).append(rule.rhs)
-        if not system.sp_symmetric:
-            table.setdefault(rule.rhs, []).append(rule.lhs)
-    return {k: tuple(dict.fromkeys(v)) for k, v in table.items()}
-
-
-def _sp_neighbors(word: Word, smap, lengths):
-    n = len(word)
-    for L in lengths:
-        if L > n:
-            break
-        for i in range(n - L + 1):
-            rhss = smap.get(word[i:i + L])
-            if rhss:
-                for rhs in rhss:
-                    yield word[:i] + rhs + word[i + L:]
 
 
 def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
                   max_nodes: Optional[int] = None) -> bool:
-    """Connectivity under preserving rules only; lengths must agree."""
+    """Connectivity under preserving rules only; lengths must agree.
+
+    Preserving rules are used in both directions, also in systems built
+    with symmetrize=False; max_nodes=None searches without a budget.
+    """
     u, v = tuple(u), tuple(v)
+    system._check_symbols(u)
+    system._check_symbols(v)
     if len(u) != len(v):
         return False
-    if u == v:
-        return True
-    smap = _sp_step_map(system)
-    if not smap:
-        return False
-    lengths = sorted({len(k) for k in smap})
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for child in _sp_neighbors(w, smap, lengths):
-                if child == v:
-                    return True
-                if child not in seen:
-                    if max_nodes is not None and len(seen) >= max_nodes:
-                        raise ResourceLimitError(
-                            "sp_equivalent exceeded its node budget", cap=max_nodes)
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return False
+    return v in _closure(u, system._steps.undirected, max_nodes,
+                         "sp_equivalent", target=v)
 
 
 def descendant_closure(word: Word, system: RewriteSystem,
                        kind: Optional[RuleKind] = None,
                        max_nodes: int = DEFAULT_MAX_NODES) -> FrozenSet[Word]:
-    """Everything reachable by forward steps (the word included)."""
-    if kind is RuleKind.REDUCING:
-        pool = system.reducing
-    elif kind is RuleKind.PRESERVING:
-        pool = system.preserving
-    else:
-        pool = system.rules
-    table: Dict[Word, List[Word]] = {}
-    for rule in pool:
-        table.setdefault(rule.lhs, []).append(rule.rhs)
-    smap = {k: tuple(dict.fromkeys(v)) for k, v in table.items()}
-    lengths = sorted({len(k) for k in smap})
+    """Everything reachable by forward steps of the given rule kind
+    (None for every rule), the word included."""
     w = tuple(word)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for child in _sp_neighbors(v, smap, lengths):
-                if child not in seen:
-                    if len(seen) >= max_nodes:
-                        raise ResourceLimitError(
-                            "descendant closure exceeded its node budget", cap=max_nodes)
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return frozenset(seen)
+    system._check_symbols(w)
+    return frozenset(_closure(w, system._steps.forward(kind), max_nodes,
+                              "descendant closure"))
 
 
 @dataclass
@@ -268,73 +219,32 @@ class GpVerdict:
         }
 
 
-class _SpClasses:
-    """Connected components under preserving steps, ids cached globally."""
-
-    def __init__(self, system: RewriteSystem, max_nodes: int):
-        self.smap = _sp_step_map(system)
-        self.lengths = sorted({len(k) for k in self.smap})
-        self.max_nodes = max_nodes
-        self.ids: Dict[Word, int] = {}
-        self.next_id = 0
-
-    def class_id(self, word: Word) -> int:
-        got = self.ids.get(word)
-        if got is not None:
-            return got
-        cid = self.next_id
-        self.next_id += 1
-        self.ids[word] = cid
-        frontier = [word]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for child in _sp_neighbors(w, self.smap, self.lengths):
-                    if child not in self.ids:
-                        if len(self.ids) >= self.max_nodes:
-                            raise ResourceLimitError(
-                                "preserving-class closure exceeded its node budget",
-                                cap=self.max_nodes)
-                        self.ids[child] = cid
-                        nxt.append(child)
-            frontier = nxt
-        return cid
-
-
 def check_geodesically_perfect(system: RewriteSystem,
                                include_same_rule_overlaps: bool = False,
                                max_nodes: int = DEFAULT_MAX_NODES) -> GpVerdict:
     """Decide the critical-pair criterion over full reducing-descendant sets."""
     pairs = iter_critical_pairs(system, include_same_rule_overlaps)
+    steps = system._steps
     rdesc_cache: Dict[Word, FrozenSet[Word]] = {}
-    rmap: Dict[Word, List[Word]] = {}
-    for rule in system.reducing:
-        rmap.setdefault(rule.lhs, []).append(rule.rhs)
-    rmap = {k: tuple(v) for k, v in rmap.items()}
-    rlengths = sorted({len(k) for k in rmap})
-    classes = _SpClasses(system, max_nodes)
+    class_of: Dict[Word, Word] = {}
 
     def rdesc(w: Word) -> FrozenSet[Word]:
         got = rdesc_cache.get(w)
-        if got is not None:
-            return got
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for child in _sp_neighbors(v, rmap, rlengths):
-                    if child not in seen:
-                        if len(seen) >= max_nodes:
-                            raise ResourceLimitError(
-                                "descendant closure exceeded its node budget",
-                                cap=max_nodes)
-                        seen.add(child)
-                        nxt.append(child)
-            frontier = nxt
-        result = frozenset(seen)
-        rdesc_cache[w] = result
-        return result
+        if got is None:
+            got = frozenset(_closure(w, steps.reducing, max_nodes,
+                                     "descendant closure"))
+            rdesc_cache[w] = got
+        return got
+
+    def class_id(w: Word) -> Word:
+        # a preserving class is named by its first member asked about
+        cid = class_of.get(w)
+        if cid is None:
+            cid = w
+            for m in _closure(w, steps.undirected, max_nodes,
+                              "preserving-class closure"):
+                class_of[m] = cid
+        return cid
 
     verdict_cache: Dict[Tuple[Word, Word], bool] = {}
     checked = 0
@@ -356,8 +266,8 @@ def check_geodesically_perfect(system: RewriteSystem,
                 if w in bucket:
                     ok = True
                     break
-                cid = classes.class_id(w)
-                if any(classes.class_id(c) == cid for c in bucket):
+                cid = class_id(w)
+                if any(class_id(c) == cid for c in bucket):
                     ok = True
                     break
             verdict_cache[key] = ok
@@ -414,22 +324,9 @@ def geodesic_bounded_check(system: RewriteSystem, max_len: int,
     bounded class closure: a strictly shorter member refutes geodesy.
     Capped closures downgrade a clean sweep to undecided.
     """
-    rmap = {r.lhs for r in system.reducing}
-    rlengths = sorted({len(l) for l in rmap})
-
-    def irreducible(w: Word) -> bool:
-        n = len(w)
-        for L in rlengths:
-            if L > n:
-                break
-            for i in range(n - L + 1):
-                if w[i:i + L] in rmap:
-                    return False
-        return True
-
     all_complete = True
     for w in system.alphabet.words_upto(max_len):
-        if not irreducible(w):
+        if not is_irreducible(w, system):
             continue
         s = slack if slack is not None else 2 * len(w) + 4
         closure = class_closure(w, system, max_length=len(w) + s, max_nodes=max_nodes)

@@ -76,6 +76,7 @@ def class_closure(word: Word, system: RewriteSystem,
     a truncated closure is reported incomplete.
     """
     seed = tuple(word)
+    system._check_symbols(seed)
     if max_length is None:
         max_length = default_horizon(seed)
     if len(seed) > max_length:
@@ -144,6 +145,8 @@ def oracle_wp(u: Word, v: Word, system: RewriteSystem,
     they stay disjoint there.
     """
     u, v = tuple(u), tuple(v)
+    system._check_symbols(u)
+    system._check_symbols(v)
     if u == v:
         return WpVerdict.EQUAL
     if max_length is None:

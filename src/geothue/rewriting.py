@@ -1,26 +1,32 @@
 """One-step rewriting, the linear left-to-right reducer, Thue resolution,
-and the Dehn-style word problem.
+the Dehn-style word problem, and the bounded closure behind every
+descendant and class search.
 
 reduce_lr is the performance-critical entry point: it runs the
 stack-and-stream algorithm (irreducible prefix as a stack, pending
 letters re-scanned after each contraction), which is linear in |w| for a
 fixed system.  The traced variant recomputes the same reduction naively
 and is meant for short words only.
+
+The closures (dehn_wp here, and the descendant and preserving-class
+searches in ``confluence``) are breadth-first over the system's cached
+step index.  A word's children come by left-hand side length, then
+position, then right-hand side in rule order.  The node budget applies
+to each closure on its own and counts the start word: a closure of N
+words passes at max_nodes=N, and ResourceLimitError(cap=max_nodes) is
+raised when a new word would make N + 1.  A target word is tested
+before the budget, so reaching it never raises.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from .errors import AlphabetError, PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 from .systems import Rule, RuleKind, RewriteSystem, reducing, preserving
 from .words import EMPTY, Alphabet, Word
-
-
-def _check_symbols(word: Word, system: RewriteSystem) -> None:
-    if word and not (0 <= min(word) and max(word) < len(system.alphabet)):
-        raise AlphabetError("word uses symbols outside the system alphabet")
 
 
 def apply_rule(word: Word, pos: int, rule: Rule) -> Word:
@@ -52,14 +58,12 @@ def redexes(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None):
 
 
 def is_irreducible(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = RuleKind.REDUCING) -> bool:
+    word = tuple(word)
+    system._check_symbols(word)
+    rhs_of, lengths = system._steps.forward(kind)
     n = len(word)
-    for rule in _picked_rules(system, kind):
-        lhs = rule.lhs
-        L = len(lhs)
-        for i in range(n - L + 1):
-            if word[i:i + L] == lhs:
-                return False
-    return True
+    return not any(word[i:i + L] in rhs_of
+                   for L in lengths if L <= n for i in range(n - L + 1))
 
 
 def successors(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None) -> Tuple[Word, ...]:
@@ -75,7 +79,7 @@ def successors(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = Non
 def reduce_lr(word: Word, system: RewriteSystem) -> Word:
     """Reduce with S_R only, leftmost reduction point, first rule wins."""
     word = tuple(word)
-    _check_symbols(word, system)
+    system._check_symbols(word)
     by_last = system.reducing_by_last
     if not by_last:
         return word
@@ -128,7 +132,7 @@ def reduce_lr_trace(word: Word, system: RewriteSystem):
     match; ties between rules ending there go to system rule order.
     """
     w = tuple(word)
-    _check_symbols(w, system)
+    system._check_symbols(w)
     steps = []
     rules = system.reducing
     while True:
@@ -152,7 +156,7 @@ def reduce_lr_trace(word: Word, system: RewriteSystem):
 def reduce_random(word: Word, system: RewriteSystem, rng, kind: Optional[RuleKind] = RuleKind.REDUCING) -> Word:
     """Maximal reduction applying a uniformly random redex each step."""
     w = tuple(word)
-    _check_symbols(w, system)
+    system._check_symbols(w)
     while True:
         hits = redexes(w, system, kind)
         if not hits:
@@ -183,24 +187,21 @@ def thue_resolution(alphabet: Alphabet, pairs: Iterable[Tuple[Word, Word]],
                          symmetrize=symmetrize)
 
 
-def dehn_wp(word: Word, system: RewriteSystem, max_nodes: int = 10 ** 6) -> bool:
-    """True iff some S_R reduction sequence reaches the empty word.
+def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
+             target: Optional[Word] = None) -> Set[Word]:
+    """Every word reachable from start by steps, breadth-first.
 
-    Exhaustive search over reducing descendants, so it is a sound word
-    problem test exactly when the system is confluent on the class of
-    the empty word (Dehn systems).  Warns when preserving rules exist,
-    since they are ignored here.
+    steps is a step set of the system's index; the order and the budget
+    (None for none) are as in the module docstring.  With a target the
+    search stops as soon as it reaches it, and the partial closure then
+    contains it.  what names the search in the budget error.
     """
-    if system.preserving:
-        warnings.warn("dehn_wp ignores the preserving rules of this system",
-                      stacklevel=2)
-    w = tuple(word)
-    if w == EMPTY:
-        return True
-    seen = {w}
-    frontier = [w]
-    rmap = system.reducing_map
-    lengths = sorted({len(l) for l in rmap})
+    rhs_of, lengths = steps
+    limit = math.inf if max_nodes is None else max_nodes
+    seen = {start}
+    if start == target:
+        return seen
+    frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
@@ -209,18 +210,37 @@ def dehn_wp(word: Word, system: RewriteSystem, max_nodes: int = 10 ** 6) -> bool
                 if L > n:
                     break
                 for i in range(n - L + 1):
-                    rhss = rmap.get(v[i:i + L])
-                    if not rhss:
+                    rhss = rhs_of.get(v[i:i + L])
+                    if rhss is None:
                         continue
                     for rhs in rhss:
                         child = v[:i] + rhs + v[i + L:]
-                        if child == EMPTY:
-                            return True
-                        if child not in seen:
-                            if len(seen) >= max_nodes:
-                                raise ResourceLimitError(
-                                    "dehn_wp exceeded its node budget", cap=max_nodes)
+                        if child in seen:
+                            continue
+                        if child == target:
                             seen.add(child)
-                            nxt.append(child)
+                            return seen
+                        if len(seen) >= limit:
+                            raise ResourceLimitError(
+                                f"{what} exceeded its node budget", cap=max_nodes)
+                        seen.add(child)
+                        nxt.append(child)
         frontier = nxt
-    return False
+    return seen
+
+
+def dehn_wp(word: Word, system: RewriteSystem, max_nodes: int = 10 ** 6) -> bool:
+    """True iff some S_R reduction sequence reaches the empty word.
+
+    Exhaustive search over reducing descendants, so it is a sound word
+    problem test exactly when the system is confluent on the class of
+    the empty word (Dehn systems).  Warns when preserving rules exist,
+    since they are ignored here.
+    """
+    w = tuple(word)
+    system._check_symbols(w)
+    if system.preserving:
+        warnings.warn("dehn_wp ignores the preserving rules of this system",
+                      stacklevel=2)
+    return EMPTY in _closure(w, system._steps.reducing, max_nodes, "dehn_wp",
+                             target=EMPTY)

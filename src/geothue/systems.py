@@ -24,10 +24,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import FormatError, StructureError
-from .words import EMPTY, Alphabet, Word, lenlex_key
+from .errors import AlphabetError, FormatError, StructureError
+from .words import EMPTY, Alphabet, Word
 
 
 class RuleKind(enum.Enum):
@@ -55,10 +55,6 @@ class Rule:
             if self.lhs == self.rhs:
                 raise StructureError("preserving rule with lhs = rhs")
 
-    @property
-    def key(self):
-        return (self.lhs, self.rhs, self.kind.value)
-
     def mirror(self) -> "Rule":
         if self.kind is not RuleKind.PRESERVING:
             raise StructureError("only preserving rules have mirrors")
@@ -85,15 +81,17 @@ class RewriteSystem:
         n = len(alphabet)
         red = []
         pres = []
+        # (lhs, rhs) names a rule: its kind follows from the lengths
         seen = set()
 
         def add(rule: Rule):
-            if rule.key in seen:
+            key = (rule.lhs, rule.rhs)
+            if key in seen:
                 return
             for s in rule.lhs + rule.rhs:
                 if not 0 <= s < n:
                     raise StructureError(f"rule symbol {s} outside alphabet")
-            seen.add(rule.key)
+            seen.add(key)
             if rule.kind is RuleKind.REDUCING:
                 red.append(rule)
             else:
@@ -108,8 +106,7 @@ class RewriteSystem:
         self.preserving = tuple(pres)
         self.sp_symmetric = symmetrize
         if symmetrize:
-            keys = {(r.lhs, r.rhs) for r in self.preserving}
-            assert all((r.rhs, r.lhs) in keys for r in self.preserving)
+            assert all((r.rhs, r.lhs) in seen for r in self.preserving)
 
         if inverse_pairing is not None:
             pairing = dict(inverse_pairing)
@@ -148,23 +145,14 @@ class RewriteSystem:
         return {k: tuple(v) for k, v in table.items()}
 
     @cached_property
-    def preserving_map(self):
-        """lhs -> tuple of rhs over the preserving rules as stored."""
-        table: Dict[Word, list] = {}
-        for rule in self.preserving:
-            table.setdefault(rule.lhs, []).append(rule.rhs)
-        return {k: tuple(v) for k, v in table.items()}
+    def _steps(self) -> "_StepIndex":
+        """The one-step rewrites searched by the bounded closures."""
+        return _StepIndex(self)
 
-    @cached_property
-    def reducing_map(self):
-        table: Dict[Word, list] = {}
-        for rule in self.reducing:
-            table.setdefault(rule.lhs, []).append(rule.rhs)
-        return {k: tuple(v) for k, v in table.items()}
-
-    @cached_property
-    def max_lhs(self) -> int:
-        return max((len(r.lhs) for r in self.rules), default=0)
+    def _check_symbols(self, word: Word) -> None:
+        """Reject a word with a symbol outside this system's alphabet."""
+        if word and not (0 <= min(word) and max(word) < len(self.alphabet)):
+            raise AlphabetError("word uses symbols outside the system alphabet")
 
     def with_rules(self, extra: Iterable[Rule]) -> "RewriteSystem":
         return RewriteSystem(
@@ -173,9 +161,6 @@ class RewriteSystem:
             inverse_pairing=self.inverse_pairing,
             symmetrize=self.sp_symmetric,
         )
-
-    def has_rule(self, rule: Rule) -> bool:
-        return rule.key in {r.key for r in self.rules}
 
     def __eq__(self, other) -> bool:
         return (
@@ -192,34 +177,42 @@ class RewriteSystem:
                 f"{len(self.reducing)} reducing, {len(self.preserving)} preserving)")
 
 
-class RuleSource:
-    """Bounded enumerator of rules; the seam for infinite-alphabet systems.
+class _StepSet(NamedTuple):
+    """One-step rewrites indexed by the factor they replace."""
 
-    Implementations yield, for a bound n, every rule with |lhs| <= n in
-    the standard order: length-lexicographic on lhs, ties broken
-    length-lexicographically on rhs.
-    """
-
-    def rules_upto(self, n: int) -> Tuple[Rule, ...]:
-        raise NotImplementedError
+    rhs_of: Dict[Word, Tuple[Word, ...]]  # lhs -> distinct rhs, in rule order
+    lengths: Tuple[int, ...]              # the lhs lengths, ascending
 
 
-class FiniteRuleSource(RuleSource):
+def _step_set(steps: Iterable[Tuple[Word, Word]]) -> _StepSet:
+    table: Dict[Word, list] = {}
+    for lhs, rhs in steps:
+        table.setdefault(lhs, []).append(rhs)
+    return _StepSet({k: tuple(dict.fromkeys(v)) for k, v in table.items()},
+                    tuple(sorted({len(k) for k in table})))
+
+
+class _StepIndex:
+    """Forward steps by rule kind, and the preserving steps taken both
+    ways; the latter are the forward preserving steps themselves when the
+    system is symmetric."""
+
     def __init__(self, system: RewriteSystem):
-        self.system = system
+        self.reducing = _step_set((r.lhs, r.rhs) for r in system.reducing)
+        self.preserving = _step_set((r.lhs, r.rhs) for r in system.preserving)
+        self.all = _step_set((r.lhs, r.rhs) for r in system.rules)
+        if system.sp_symmetric:
+            self.undirected = self.preserving
+        else:
+            self.undirected = _step_set(
+                step for r in system.preserving
+                for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
 
-    def rules_upto(self, n: int) -> Tuple[Rule, ...]:
-        picked = [r for r in self.system.rules if len(r.lhs) <= n]
-        picked.sort(key=lambda r: (lenlex_key(r.lhs), lenlex_key(r.rhs)))
-        return tuple(picked)
-
-    def system_upto(self, n: int) -> RewriteSystem:
-        return RewriteSystem(
-            self.system.alphabet,
-            self.rules_upto(n),
-            inverse_pairing=None,
-            symmetrize=self.system.sp_symmetric,
-        )
+    def forward(self, kind: Optional[RuleKind]) -> _StepSet:
+        """Steps of one rule kind; None means every rule."""
+        if kind is None:
+            return self.all
+        return self.reducing if kind is RuleKind.REDUCING else self.preserving
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +226,28 @@ def _parse_side(tokens, alphabet: Alphabet, line_no: int) -> Word:
     for tok in tokens:
         if tok == ".":
             raise FormatError('"." must stand alone', line_no)
-        try:
-            if tok in alphabet:
-                out.append(alphabet.id(tok))
-            else:
-                if not all(c in alphabet for c in tok):
-                    raise FormatError(f"unknown letter {tok!r}", line_no)
-                out.extend(alphabet.id(c) for c in tok)
-        except FormatError:
-            raise
+        if tok in alphabet:
+            out.append(alphabet.id(tok))
+        else:
+            if not all(c in alphabet for c in tok):
+                raise FormatError(f"unknown letter {tok!r}", line_no)
+            out.extend(alphabet.id(c) for c in tok)
     return tuple(out)
 
 
-def parse_system(text: str) -> RewriteSystem:
+def _read_directives(text: str):
+    """Split a system file into (alphabet, inverse lines, rule lines).
+
+    Inverse lines are (x, y, line_no) name pairs, rule lines are
+    (tokens after "rule", line_no); both are resolved by the caller.
+    """
     names: list = []
     inverse_lines = []
     rule_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
         if head == "alphabet":
             names.extend(tokens[1:])
@@ -265,8 +259,21 @@ def parse_system(text: str) -> RewriteSystem:
             rule_lines.append((tokens[1:], line_no))
         else:
             raise FormatError(f"unknown directive {head!r}", line_no)
+    return Alphabet(names), inverse_lines, rule_lines
 
-    alphabet = Alphabet(names)
+
+def _parse_rule(tokens, alphabet: Alphabet, line_no: int):
+    """(lhs, arrow, rhs) of one rule line; "<->" wins over "->"."""
+    arrow = "<->" if "<->" in tokens else "->"
+    if arrow not in tokens:
+        raise FormatError("rule line without -> or <->", line_no)
+    i = tokens.index(arrow)
+    return (_parse_side(tokens[:i], alphabet, line_no), arrow,
+            _parse_side(tokens[i + 1:], alphabet, line_no))
+
+
+def parse_system(text: str) -> RewriteSystem:
+    alphabet, inverse_lines, rule_lines = _read_directives(text)
     pairing: Dict[int, int] = {}
     for x, y, line_no in inverse_lines:
         if x not in alphabet or y not in alphabet:
@@ -279,16 +286,7 @@ def parse_system(text: str) -> RewriteSystem:
 
     rules = []
     for tokens, line_no in rule_lines:
-        arrow = None
-        for cand in ("<->", "->"):
-            if cand in tokens:
-                arrow = cand
-                break
-        if arrow is None:
-            raise FormatError("rule line without -> or <->", line_no)
-        i = tokens.index(arrow)
-        lhs = _parse_side(tokens[:i], alphabet, line_no)
-        rhs = _parse_side(tokens[i + 1:], alphabet, line_no)
+        lhs, arrow, rhs = _parse_rule(tokens, alphabet, line_no)
         if not lhs:
             raise FormatError("rule with empty lhs", line_no)
         if arrow == "<->":
@@ -343,33 +341,14 @@ def parse_rule_pairs(text: str):
     """Relaxed loader for raw (lhs, rhs) pairs, e.g. for weight search.
 
     Accepts the system file syntax but drops every Thue constraint:
-    length-increasing '->' lines are allowed and '<->' lines contribute
-    both directions.  Returns (alphabet, tuple of (lhs, rhs) pairs).
+    length-increasing '->' lines are allowed, '<->' lines contribute
+    both directions, and inverse lines are checked for shape only.
+    Returns (alphabet, tuple of (lhs, rhs) pairs).
     """
-    names: list = []
-    pair_lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "alphabet":
-            names.extend(tokens[1:])
-        elif tokens[0] == "inverse":
-            continue
-        elif tokens[0] == "rule":
-            pair_lines.append((tokens[1:], line_no))
-        else:
-            raise FormatError(f"unknown directive {tokens[0]!r}", line_no)
-    alphabet = Alphabet(names)
+    alphabet, _, rule_lines = _read_directives(text)
     pairs = []
-    for tokens, line_no in pair_lines:
-        arrow = "<->" if "<->" in tokens else "->"
-        if arrow not in tokens:
-            raise FormatError("rule line without -> or <->", line_no)
-        i = tokens.index(arrow)
-        lhs = _parse_side(tokens[:i], alphabet, line_no)
-        rhs = _parse_side(tokens[i + 1:], alphabet, line_no)
+    for tokens, line_no in rule_lines:
+        lhs, arrow, rhs = _parse_rule(tokens, alphabet, line_no)
         pairs.append((lhs, rhs))
         if arrow == "<->":
             pairs.append((rhs, lhs))

@@ -1,0 +1,146 @@
+"""The bounded closures behind the word problem, geodesics and the
+perfection check: cap boundaries, directed preserving rules, the
+per-closure budget, symbol validation, and agreement with the
+rule-scanning successors."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from geothue import builders
+from geothue.confluence import (check_geodesically_perfect,
+                                descendant_closure, geodesics_of,
+                                preperfect_wp, sp_equivalent)
+from geothue.errors import AlphabetError, ResourceLimitError
+from geothue.oracle import class_closure, oracle_geodesics, oracle_wp
+from geothue.pregroup import universal_system
+from geothue.rewriting import dehn_wp, is_irreducible, successors
+from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
+from geothue.words import Alphabet
+from tests.conftest import fixture_path, words_of
+
+FIXTURES = ("free_ab", "geoper_S", "geoper_T", "gpex", "tits_d3",
+            "z2_graph", "z2z2", "z2z2_group")
+
+
+def _directed_amalgam():
+    d = builders.example_amalgam()
+    return builders.build_amalgam_system(d.A, d.B, d.embA, d.embB,
+                                         symmetrize=False)
+
+
+SYSTEMS = {name: load_system(fixture_path(name + ".rws")) for name in FIXTURES}
+SYSTEMS["directed_amalgam"] = _directed_amalgam()
+
+
+def _passes_at_n_raises_below(run, n):
+    run(n)
+    with pytest.raises(ResourceLimitError) as info:
+        run(n - 1)
+    assert info.value.cap == n - 1
+
+
+def test_descendant_closure_cap_boundary(tits_d3):
+    (w,) = words_of(tits_d3.alphabet, "a b a b")
+    assert len(descendant_closure(w, tits_d3)) == 4
+    _passes_at_n_raises_below(
+        lambda m: descendant_closure(w, tits_d3, max_nodes=m), 4)
+
+
+def test_sp_equivalent_cap_boundary_with_unreachable_target(amalgam_pregroup):
+    S = universal_system(amalgam_pregroup)
+    u, v = words_of(S.alphabet, "1 1", "1 r")  # u's class has 8 words
+    assert not sp_equivalent(u, v, S, max_nodes=8)
+    _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 8)
+
+
+def test_dehn_wp_cap_boundary(free_ab):
+    (w,) = words_of(free_ab.alphabet, "a A b B a")  # 4 reducing descendants
+    assert not dehn_wp(w, free_ab, max_nodes=4)
+    _passes_at_n_raises_below(lambda m: dehn_wp(w, free_ab, max_nodes=m), 4)
+
+
+def test_preperfect_wp_cap_boundary(tits_d3):
+    u, v = words_of(tits_d3.alphabet, "a b a b", "a b")  # closures of 4 and 1
+    assert not preperfect_wp(u, v, tits_d3, max_nodes=4)
+    _passes_at_n_raises_below(
+        lambda m: preperfect_wp(u, v, tits_d3, max_nodes=m), 4)
+
+
+def test_check_gp_descendant_closure_cap_boundary():
+    # no preserving rules, and the largest reducing-descendant set of a
+    # pair side has 3 words
+    ab = Alphabet(["a", "b"])
+    S = RewriteSystem(ab, [reducing(ab.word("a b b"), ab.word("a a")),
+                           reducing(ab.word("a a"), ab.word("a"))])
+    verdict = check_geodesically_perfect(S, max_nodes=3)
+    assert verdict.holds and verdict.pairs_checked == 2
+    _passes_at_n_raises_below(
+        lambda m: check_geodesically_perfect(S, max_nodes=m), 3)
+
+
+def test_check_gp_budget_is_per_preserving_class(amalgam_pregroup):
+    # the largest reducing-descendant set has 5 words, the largest
+    # preserving class 8; the classes do not share one budget
+    S = universal_system(amalgam_pregroup)
+    verdict = check_geodesically_perfect(S, max_nodes=8)
+    assert verdict.holds and verdict.pairs_checked == 3991
+    with pytest.raises(ResourceLimitError) as info:
+        check_geodesically_perfect(S, max_nodes=7)
+    assert info.value.cap == 7
+
+
+def test_directed_preserving_rules_connect_both_ways_only_in_classes():
+    S = SYSTEMS["directed_amalgam"]
+    assert not S.sp_symmetric and len(S.preserving) == 8
+    for rule in S.preserving:
+        assert sp_equivalent(rule.rhs, rule.lhs, S)
+        assert rule.lhs not in descendant_closure(rule.rhs, S,
+                                                  RuleKind.PRESERVING)
+
+
+def _closure_by_successors(word, system, kind):
+    seen = {word}
+    todo = [word]
+    while todo:
+        for child in successors(todo.pop(), system, kind):
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return seen
+
+
+@st.composite
+def _system_and_word(draw):
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    n = len(SYSTEMS[name].alphabet)
+    word = draw(st.lists(st.integers(0, n - 1), max_size=5).map(tuple))
+    return SYSTEMS[name], word
+
+
+@settings(max_examples=80, deadline=None)
+@given(_system_and_word(), st.sampled_from([None, RuleKind.REDUCING,
+                                            RuleKind.PRESERVING]))
+def test_descendant_closure_matches_successor_closure(system_and_word, kind):
+    system, word = system_and_word
+    assert descendant_closure(word, system, kind) == \
+        _closure_by_successors(word, system, kind)
+
+
+OUTSIDE = (99,)
+ENTRY_POINTS = {
+    "sp_equivalent": lambda S: sp_equivalent(OUTSIDE, (98,), S),
+    "descendant_closure": lambda S: descendant_closure(OUTSIDE, S),
+    "preperfect_wp": lambda S: preperfect_wp(OUTSIDE, (98,), S),
+    "geodesics_of": lambda S: geodesics_of(OUTSIDE, S),
+    "dehn_wp": lambda S: dehn_wp(OUTSIDE, S),
+    "is_irreducible": lambda S: is_irreducible(OUTSIDE, S),
+    "class_closure": lambda S: class_closure(OUTSIDE, S),
+    "oracle_wp": lambda S: oracle_wp(OUTSIDE, (98,), S),
+    "oracle_geodesics": lambda S: oracle_geodesics(OUTSIDE, S),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_out_of_alphabet_symbols_are_rejected(entry, free_ab):
+    with pytest.raises(AlphabetError):
+        ENTRY_POINTS[entry](free_ab)

@@ -66,8 +66,8 @@ def test_resolve_actions(geoper_S, geoper_T):
     assert res.rule.kind is RuleKind.PRESERVING
     # same divergence under T: already connected by b <-> c
     pair_t = [p for p in critical_pairs(geoper_T)
-              if p.z == pair.z and p.rule1.key == pair.rule1.key
-              and p.rule2.key == pair.rule2.key][0]
+              if p.z == pair.z and p.rule1 == pair.rule1
+              and p.rule2 == pair.rule2][0]
     res_t = resolve_pair(pair_t, geoper_T)
     assert res_t.action is ResolutionAction.SP_EQUIVALENT
     assert res_t.rule is None

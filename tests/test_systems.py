@@ -90,6 +90,13 @@ def test_parse_rule_pairs_allows_growth():
     assert ((0, 1), (1, 0)) in pairs and ((1, 0), (0, 1)) in pairs
 
 
+def test_both_rule_readers_reject_a_malformed_inverse_line():
+    text = "alphabet a A\ninverse a\nrule a A -> .\n"
+    for parse in (parse_system, parse_rule_pairs):
+        with pytest.raises(FormatError, match="line 2"):
+            parse(text)
+
+
 def test_reducing_by_last_index(z2z2_group):
     by_last = z2z2_group.reducing_by_last
     a, A = 0, 1
