@@ -3,9 +3,10 @@ invocation, so two source trees can be compared byte for byte.
 
 Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, 6-phase completion with certificates, critical pairs,
-and seeded samples of wp, geodesics and dehn-wp queries, all at default
-caps and in JSON.  Each line is the sha256 of exit code, stdout, stderr
-and any file written, followed by the command.
+seeded samples of wp, geodesics, dehn-wp and reduce queries, and one
+long reduce word per fixture, all at default caps and in JSON.  Each
+line is the sha256 of exit code, stdout, stderr and any file written,
+followed by the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -25,6 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 SAMPLES = 4      # words per fixture and query kind
 MAX_LEN = 6
+LONG_LEN = 2000  # letters of the long reduce word
 
 
 def _names(path: pathlib.Path):
@@ -35,8 +37,8 @@ def _names(path: pathlib.Path):
     raise SystemExit(f"{path}: no alphabet line")
 
 
-def _word(rng: random.Random, names) -> str:
-    n = rng.randint(1, MAX_LEN)
+def _word(rng: random.Random, names, n=None) -> str:
+    n = rng.randint(1, MAX_LEN) if n is None else n
     return " ".join(rng.choice(names) for _ in range(n))
 
 
@@ -62,6 +64,8 @@ def invocations(tmp: pathlib.Path, seed: int):
                    "--format", "json"]
             yield ["geodesics", str(path), _word(rng, names), "--format", "json"]
             yield ["dehn-wp", str(path), _word(rng, names), "--format", "json"]
+            yield ["reduce", str(path), _word(rng, names), "--format", "json"]
+        yield ["reduce", str(path), _word(rng, names, LONG_LEN), "--format", "json"]
 
 
 def main(argv=None) -> int:
@@ -85,8 +89,9 @@ def main(argv=None) -> int:
             digest = hashlib.sha256(b"%d\0%s\0%s\0%s" % (
                 done.returncode, done.stdout.replace(here, b"$TMP"),
                 done.stderr.replace(here, b"$TMP"), written))
-            shown = " ".join(c.replace(str(tmp), "$TMP").replace(str(ROOT) + "/", "")
-                             for c in cmd)
+            shown = " ".join(
+                c.replace(str(tmp), "$TMP").replace(str(ROOT) + "/", "")
+                if len(c) <= 80 else f"<{len(c.split())} letters>" for c in cmd)
             print(digest.hexdigest()[:16], done.returncode, shown, flush=True)
     return 0
 

@@ -232,9 +232,11 @@ def _cmd_geodesic_check(args) -> Tuple[dict, int]:
 
 def _cmd_complete(args) -> Tuple[dict, int]:
     system = _load(args.system)
+    caps = _parse_caps(args.caps)
     result = kb_complete(system, max_phases=args.max_phases,
                          max_rules=args.max_rules,
-                         include_same_rule_overlaps=args.same_rule_overlaps)
+                         include_same_rule_overlaps=args.same_rule_overlaps,
+                         max_nodes=caps.get("nodes", 10 ** 6))
     report = result.to_dict()
     if not args.certificates:
         report.pop("certificates")

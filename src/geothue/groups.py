@@ -13,6 +13,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, StructureError
+from .words import _directive_lines
 
 
 class FiniteGroup:
@@ -235,11 +236,7 @@ def parse_group(text: str) -> FiniteGroup:
     elements: Optional[Tuple[str, ...]] = None
     identity: Optional[str] = None
     table: Dict[Tuple[str, str], str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directive_lines(text):
         head = parts[0]
         if head == "group":
             continue
@@ -281,11 +278,7 @@ def format_group(G: FiniteGroup) -> str:
 def parse_map(text: str) -> Dict[str, str]:
     """Lines of the form: map <x> -> <y>."""
     mapping: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directive_lines(text):
         if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
             if mapping.get(parts[1], parts[3]) != parts[3]:
                 raise FormatError(f"conflicting images for {parts[1]!r}", line=lineno)

@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, PreconditionError, ResourceLimitError, StructureError
 from .systems import RewriteSystem, preserving, reducing
-from .words import Alphabet
+from .words import Alphabet, _directive_lines
 
 Seq = Tuple[str, ...]
 
@@ -437,11 +437,7 @@ def parse_pregroup(text: str) -> Pregroup:
     eps: Optional[str] = None
     inv: Dict[str, str] = {}
     mult: Dict[Tuple[str, str], str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directive_lines(text):
         head = parts[0]
         if head == "pregroup":
             continue

@@ -5,8 +5,8 @@ descendant and class search.
 reduce_lr is the performance-critical entry point: it runs the
 stack-and-stream algorithm (irreducible prefix as a stack, pending
 letters re-scanned after each contraction), which is linear in |w| for a
-fixed system.  The traced variant recomputes the same reduction naively
-and is meant for short words only.
+fixed system.  reduce_lr_trace runs the same loop and also records the
+word before each contraction.
 
 The closures (dehn_wp here, and the descendant and preserving-class
 searches in ``confluence``) are breadth-first over the system's cached
@@ -78,6 +78,30 @@ def successors(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = Non
 
 def reduce_lr(word: Word, system: RewriteSystem) -> Word:
     """Reduce with S_R only, leftmost reduction point, first rule wins."""
+    return _reduce_lr(word, system, None)
+
+
+def reduce_lr_trace(word: Word, system: RewriteSystem):
+    """Same reduction as reduce_lr, returning (final, steps).
+
+    Steps are (word_before, pos, rule), one per contraction of reduce_lr's
+    own loop, so the search is linear in |w| as there; copying the word
+    for each step is the only extra cost.  The reduction point is the
+    earliest end position of any reducing match; ties between rules
+    ending there go to system rule order.
+    """
+    steps: list = []
+    return _reduce_lr(word, system, steps), steps
+
+
+def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word:
+    """The stack-and-stream loop behind reduce_lr and reduce_lr_trace.
+
+    u is the irreducible prefix read so far, pending the letters a
+    contraction put back, in reverse; a match can only end at the letter
+    x being pushed, so the first match found ends earliest in the word.
+    With a steps list, each contraction appends (word_before, pos, rule).
+    """
     word = tuple(word)
     system._check_symbols(word)
     by_last = system.reducing_by_last
@@ -114,6 +138,9 @@ def reduce_lr(word: Word, system: RewriteSystem) -> Word:
                     ok = False
                     break
             if ok:
+                if steps is not None:
+                    steps.append((tuple(u) + (x,) + tuple(reversed(pending))
+                                  + word[i:], lu - k, rule))
                 del u[lu - k:]
                 rhs = rule.rhs
                 if rhs:
@@ -122,35 +149,6 @@ def reduce_lr(word: Word, system: RewriteSystem) -> Word:
         else:
             append(x)
     return tuple(u)
-
-
-def reduce_lr_trace(word: Word, system: RewriteSystem):
-    """Same reduction as reduce_lr, returning every intermediate step.
-
-    Steps are (word_before, pos, rule); quadratic, use on short words.
-    The reduction point is the earliest end position of any reducing
-    match; ties between rules ending there go to system rule order.
-    """
-    w = tuple(word)
-    system._check_symbols(w)
-    steps = []
-    rules = system.reducing
-    while True:
-        fired = None
-        n = len(w)
-        for end in range(1, n + 1):
-            for rule in rules:
-                L = len(rule.lhs)
-                if L <= end and w[end - L:end] == rule.lhs:
-                    fired = (end - L, rule)
-                    break
-            if fired:
-                break
-        if fired is None:
-            return w, steps
-        pos, rule = fired
-        steps.append((w, pos, rule))
-        w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
 
 
 def reduce_random(word: Word, system: RewriteSystem, rng, kind: Optional[RuleKind] = RuleKind.REDUCING) -> Word:

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AlphabetError, FormatError, StructureError
-from .words import EMPTY, Alphabet, Word
+from .words import EMPTY, Alphabet, Word, _directive_lines
 
 
 class RuleKind(enum.Enum):
@@ -129,12 +129,6 @@ class RewriteSystem:
     @property
     def is_group_system(self) -> bool:
         return self.inverse_pairing is not None
-
-    def inverse_word(self, word: Word) -> Word:
-        if self.inverse_pairing is None:
-            raise StructureError("system has no inverse pairing")
-        inv = self.inverse_pairing
-        return tuple(inv[s] for s in reversed(word))
 
     @cached_property
     def reducing_by_last(self):
@@ -244,10 +238,7 @@ def _read_directives(text: str):
     names: list = []
     inverse_lines = []
     rule_lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for line_no, tokens in _directive_lines(text):
         head = tokens[0]
         if head == "alphabet":
             names.extend(tokens[1:])

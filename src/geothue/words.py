@@ -9,7 +9,7 @@ single token "." denotes the empty word.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import AlphabetError
 
@@ -105,6 +105,16 @@ class Alphabet:
                     nxt.append(v)
                     yield v
             layer = nxt
+
+
+def _directive_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, tokens) of every non-blank line of a directive file;
+    '#' starts a comment.  Shared by the system, pregroup, group and map
+    file readers."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
 
 
 def lenlex_key(word: Word):

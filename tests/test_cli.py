@@ -59,6 +59,15 @@ def test_complete_phase_limit_exit_code(capsys):
     assert counts == sorted(counts)
 
 
+def test_complete_honours_the_node_cap(capsys):
+    # sp_equivalent needs more than one node on z2_graph's second phase
+    code, out, err = run(capsys, "complete", fixture_path("z2_graph.rws"),
+                         "--max-phases", "2", "--caps", "nodes=1")
+    assert code == 2
+    assert "capped" in err
+    assert out == ""
+
+
 def test_complete_success_with_system(capsys):
     code, out, _ = run_json(capsys, "complete", fixture_path("z2z2_group.rws"),
                             "--emit-system")

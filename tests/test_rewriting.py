@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from geothue.errors import AlphabetError
 from geothue.oracle import class_closure
+from geothue.pregroup import (load_pregroup, universal_system,
+                              universal_system_prime)
 from geothue.rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                                reduce_lr, reduce_lr_trace, reduce_random,
                                successors, thue_resolution)
-from geothue.systems import RuleKind, reducing
+from geothue.systems import RuleKind, load_system, reducing
 from geothue.words import Alphabet
-from tests.conftest import words_of
+from tests.conftest import FIXTURES, words_of
 
 
 def test_apply_rule_at_position():
@@ -53,6 +55,45 @@ def test_reduce_lr_trace_replays(z2z2_group):
     assert cur == final
     assert final == reduce_lr(w, z2z2_group)
     assert is_irreducible(final, z2z2_group)
+
+
+def _trace_systems():
+    """Every .rws fixture, and both systems of every .pg fixture."""
+    systems = {path.name: load_system(path)
+               for path in sorted(FIXTURES.glob("*.rws"))}
+    for path in sorted(FIXTURES.glob("*.pg")):
+        P = load_pregroup(path)
+        systems[path.stem + ".universal"] = universal_system(P)
+        systems[path.stem + ".prime"] = universal_system_prime(P)
+    return systems
+
+
+TRACE_SYSTEMS = _trace_systems()
+
+
+@st.composite
+def _trace_case(draw):
+    S = TRACE_SYSTEMS[draw(st.sampled_from(sorted(TRACE_SYSTEMS)))]
+    n = len(S.alphabet)
+    return S, draw(st.lists(st.integers(0, n - 1), max_size=14).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_case())
+def test_reduce_lr_trace_steps_are_the_earliest_ending_redexes(case):
+    # redexes scans rule by rule, independently of the reducer's stack loop
+    S, w = case
+    final, steps = reduce_lr_trace(w, S)
+    order = {rule: i for i, rule in enumerate(S.reducing)}
+    cur = w
+    for before, pos, rule in steps:
+        assert before == cur
+        hits = redexes(cur, S, RuleKind.REDUCING)
+        assert (pos, rule) == min(
+            hits, key=lambda hit: (hit[0] + len(hit[1].lhs), order[hit[1]]))
+        cur = apply_rule(cur, pos, rule)
+    assert cur == final == reduce_lr(w, S)
+    assert is_irreducible(final, S)
 
 
 def test_reduce_random_is_maximal_and_seeded(z2z2):

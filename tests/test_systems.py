@@ -1,6 +1,8 @@
 import pytest
 
 from geothue.errors import FormatError, StructureError
+from geothue.groups import parse_group, parse_map
+from geothue.pregroup import parse_pregroup
 from geothue.systems import (RewriteSystem, RuleKind, format_system,
                              parse_rule_pairs, parse_system, preserving,
                              reducing)
@@ -95,6 +97,21 @@ def test_both_rule_readers_reject_a_malformed_inverse_line():
     for parse in (parse_system, parse_rule_pairs):
         with pytest.raises(FormatError, match="line 2"):
             parse(text)
+
+
+MALFORMED_SECOND_LINE = {
+    "system": (parse_system, "alphabet a b  # letters\nbogus a\n"),
+    "pregroup": (parse_pregroup, "elements 1 a\ninv a\n"),
+    "group": (parse_group, "group\nidentity\n"),
+    "map": (parse_map, "# images\nmap a b\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_SECOND_LINE))
+def test_directive_readers_name_the_malformed_line(kind):
+    parse, text = MALFORMED_SECOND_LINE[kind]
+    with pytest.raises(FormatError, match="line 2"):
+        parse(text)
 
 
 def test_reducing_by_last_index(z2z2_group):
