@@ -4,9 +4,12 @@ invocation, so two source trees can be compared byte for byte.
 Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, 6-phase completion with certificates, critical pairs,
 seeded samples of wp, geodesics, dehn-wp and reduce queries, and one
-long reduce word per fixture, all at default caps and in JSON.  Each
-line is the sha256 of exit code, stdout, stderr and any file written,
-followed by the command.
+long reduce word per fixture, all at default caps and in JSON; then at
+least one run of every subcommand in JSON and in the human format, the
+build subcommands from the fixture group and map files and from
+--example, malformed input files and caps, a closed stdout, and --help
+for every subcommand.  Each line is the sha256 of exit code, stdout,
+stderr and any file written, followed by the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -42,6 +45,105 @@ def _word(rng: random.Random, names, n=None) -> str:
     return " ".join(rng.choice(names) for _ in range(n))
 
 
+def _fixture(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+# the subcommands, by their words on the command line
+SUBCOMMANDS = (
+    ("reduce",), ("successors",), ("resolve",), ("dehn-wp",), ("weights",),
+    ("critical-pairs",), ("check-gp",), ("wp",), ("geodesics",),
+    ("geodesic-check",), ("complete",), ("pregroup", "check"),
+    ("pregroup", "to-system"), ("pregroup", "to-system-prime"),
+    ("system", "to-pregroup"), ("build", "graph"), ("build", "coxeter"),
+    ("build", "amalgam"), ("build", "amalgam-pregroup"), ("build", "hnn"),
+    ("build", "britton"), ("build", "hnn-pregroup"), ("oracle", "class"),
+    ("oracle", "wp"), ("oracle", "geodesics"), ("oracle", "count"),
+)
+
+AMALGAM_FILES = ["--group-a", _fixture("z4.grp"), "--group-b", _fixture("z6.grp"),
+                 "--subgroup", _fixture("z2h.grp"),
+                 "--map-a", _fixture("amalgam_a.map"),
+                 "--map-b", _fixture("amalgam_b.map")]
+HNN_FILES = ["--group", _fixture("s3.grp"), "--subgroup-a", _fixture("z2h.grp"),
+             "--subgroup-b", _fixture("z2h.grp"),
+             "--map-a", _fixture("hnn_emb.map"), "--map-b", _fixture("hnn_emb.map"),
+             "--iso", _fixture("hnn_phi.map")]
+
+
+def each_subcommand(tmp: pathlib.Path):
+    """At least one run of every subcommand, without --format."""
+    rules = _fixture("z2_convergent.rules")
+    tits, gpex = _fixture("tits_d3.rws"), _fixture("gpex.rws")
+    yield ["reduce", tits, "a b a b"]
+    yield ["successors", tits, "a b a b"]
+    yield ["resolve", rules]
+    yield ["resolve", rules, "--directed", "--out", str(tmp / "resolved.rws")]
+    yield ["dehn-wp", _fixture("z2z2.rws"), "a b b a"]
+    yield ["weights", rules]
+    yield ["critical-pairs", tits, "--limit", "2", "--same-rule-overlaps"]
+    yield ["check-gp", gpex, "--same-rule-overlaps"]
+    yield ["wp", gpex, "d f c", "f d c"]
+    yield ["geodesics", tits, "a b a b"]
+    yield ["geodesic-check", _fixture("geoper_T.rws"), "--max-len", "4"]
+    yield ["geodesic-check", _fixture("z2_graph.rws"), "--max-len", "3",
+           "--caps", "nodes=3"]
+    yield ["complete", _fixture("z2z2_group.rws"), "--emit-system"]
+    yield ["complete", _fixture("z2_graph.rws"), "--max-phases", "2",
+           "--caps", "nodes=1"]
+    for pg in sorted(FIXTURES.glob("*.pg")):
+        yield ["pregroup", "check", str(pg)]
+    yield ["pregroup", "to-system", _fixture("amalgam_z4z6.pg")]
+    yield ["pregroup", "to-system-prime", _fixture("amalgam_z4z6.pg")]
+    prime = str(tmp / "amalgam_z4z6.to-system-prime.rws")
+    yield ["system", "to-pregroup", prime, "--reducing-part"]
+    yield ["system", "to-pregroup", prime]
+    yield ["system", "to-pregroup", _fixture("z2z2.rws")]
+    yield ["build", "graph", "--vertices", "a", "b", "c", "--edges", "a-b", "b-c"]
+    yield ["build", "coxeter", "--matrix", "1,3;3,1"]
+    yield ["build", "coxeter", "--matrix", "1,2;2,1", "--names", "x", "y"]
+    for name in ("amalgam", "amalgam-pregroup"):
+        yield ["build", name, *AMALGAM_FILES]
+        yield ["build", name, "--example"]
+    yield ["build", "amalgam", *AMALGAM_FILES, "--directed"]
+    yield ["build", "amalgam", "--example", "--directed",
+           "--out", str(tmp / "amalgam.rws")]
+    for name in ("hnn", "britton", "hnn-pregroup"):
+        yield ["build", name, *HNN_FILES]
+        yield ["build", name, "--example"]
+    yield ["oracle", "class", tits, "a b"]
+    yield ["oracle", "wp", gpex, "d f c", "f d c"]
+    yield ["oracle", "geodesics", tits, "a b a b"]
+    yield ["oracle", "count", tits, "--max-word-length", "5"]
+
+
+MALFORMED = "# the second line is not a directive\nbogus directive\n"
+
+
+def error_cases(tmp: pathlib.Path):
+    """Malformed input files and unusable caps."""
+    bad = {}
+    for suffix in ("pg", "grp", "map", "rules", "rws"):
+        bad[suffix] = tmp / f"bad.{suffix}"
+        bad[suffix].write_text(MALFORMED, encoding="utf-8")
+    yield ["check-gp", str(bad["rws"])]
+    yield ["pregroup", "check", str(bad["pg"])]
+    yield ["weights", str(bad["rules"])]
+    yield ["resolve", str(bad["rules"])]
+    files = list(AMALGAM_FILES)
+    files[files.index("--group-b") + 1] = str(bad["grp"])
+    yield ["build", "amalgam", *files]
+    files = list(AMALGAM_FILES)
+    files[files.index("--map-b") + 1] = str(bad["map"])
+    yield ["build", "amalgam", *files]
+    free = _fixture("free_ab.rws")
+    yield ["check-gp", free, "--caps", "nodes=0"]
+    yield ["wp", free, "a", "a", "--caps", "nodes=-3"]
+    yield ["oracle", "class", free, "a", "--caps", "len=-1"]
+    yield ["reduce", free, "a", "--caps", "bogus=3"]
+    yield ["build", "amalgam", "--group-a", _fixture("z4.grp")]
+
+
 def invocations(tmp: pathlib.Path, seed: int):
     rws = sorted(FIXTURES.glob("*.rws"))
     systems = list(rws)
@@ -66,6 +168,32 @@ def invocations(tmp: pathlib.Path, seed: int):
             yield ["dehn-wp", str(path), _word(rng, names), "--format", "json"]
             yield ["reduce", str(path), _word(rng, names), "--format", "json"]
         yield ["reduce", str(path), _word(rng, names, LONG_LEN), "--format", "json"]
+    for cmd in each_subcommand(tmp):
+        yield cmd
+        if "--out" not in cmd:
+            yield cmd + ["--format", "json"]
+    yield from error_cases(tmp)
+    yield ["--help"]
+    for words in sorted({words[:1] for words in SUBCOMMANDS if len(words) == 2}):
+        yield [*words, "--help"]
+    for words in SUBCOMMANDS:
+        yield [*words, "--help"]
+
+
+def run(cmd, env, closed_stdout=False):
+    """(exit code, stdout, stderr) of one CLI run."""
+    argv = [sys.executable, "-c",
+            "import sys; from geothue.cli import main; sys.exit(main())", *cmd]
+    if not closed_stdout:
+        done = subprocess.run(argv, env=env, capture_output=True)
+        return done.returncode, done.stdout, done.stderr
+    # the reader is gone before the CLI writes its first byte
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), b"", err
 
 
 def main(argv=None) -> int:
@@ -74,25 +202,27 @@ def main(argv=None) -> int:
                         help="source tree whose geothue package is run")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    # help text wraps at the terminal width
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), COLUMNS="80")
+    closed = ["critical-pairs", _fixture("z2_graph.rws"), "--format", "json"]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        for cmd in invocations(tmp, args.seed):
-            done = subprocess.run(
-                [sys.executable, "-c", "import sys; from geothue.cli import main; "
-                 "sys.exit(main())", *cmd],
-                env=env, capture_output=True)
+        runs = [(cmd, False) for cmd in invocations(tmp, args.seed)]
+        for cmd, closed_stdout in runs + [(closed, True)]:
+            code, out, err = run(cmd, env, closed_stdout)
             written = b""
-            if "--out" in cmd:
+            if "--out" in cmd and code == 0:
                 written = pathlib.Path(cmd[cmd.index("--out") + 1]).read_bytes()
             here = str(tmp).encode()
             digest = hashlib.sha256(b"%d\0%s\0%s\0%s" % (
-                done.returncode, done.stdout.replace(here, b"$TMP"),
-                done.stderr.replace(here, b"$TMP"), written))
+                code, out.replace(here, b"$TMP"), err.replace(here, b"$TMP"),
+                written))
             shown = " ".join(
                 c.replace(str(tmp), "$TMP").replace(str(ROOT) + "/", "")
                 if len(c) <= 80 else f"<{len(c.split())} letters>" for c in cmd)
-            print(digest.hexdigest()[:16], done.returncode, shown, flush=True)
+            if closed_stdout:
+                shown += " | <closed>"
+            print(digest.hexdigest()[:16], code, shown, flush=True)
     return 0
 
 

@@ -7,10 +7,13 @@ against the system as it stood when the phase began, and the rules
 gathered during the phase only take effect in the next one.  This makes
 the trace independent of pair enumeration order.
 
-A pair already seen in an earlier phase (same superposition, same rules,
-same positions) is never resolved twice.  The run stops successfully the
-first time a phase contributes nothing new; the result need not be
-finite in general, so both a phase budget and a rule budget apply.
+A phase resolves only the critical pairs that use at least one rule
+absent from the system one phase earlier (at the first phase, every
+pair): rules are only ever appended, so a pair of two older rules was
+enumerated, identically, and resolved in the phase before.  The run
+stops successfully the first time a phase contributes nothing new; the
+result need not be finite in general, so both a phase budget and a rule
+budget apply.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
+from .errors import DEFAULT_MAX_NODES
 from .rewriting import reduce_lr_trace
 from .systems import Rule, RuleKind, RewriteSystem, preserving, reducing
 from .words import Word
@@ -130,31 +134,26 @@ class CompletionResult:
         }
 
 
-def _signature(pair: CriticalPair):
-    # rules of different phases' systems are different objects, so they
-    # are named by (lhs, rhs); the kind follows from the lengths
-    r1, r2 = pair.rule1, pair.rule2
-    return (pair.z, r1.lhs, r1.rhs, r2.lhs, r2.rhs, pair.pos1, pair.pos2)
-
-
 def kb_complete(system: RewriteSystem,
                 max_phases: int = DEFAULT_MAX_PHASES,
                 max_rules: int = DEFAULT_MAX_RULES,
                 include_same_rule_overlaps: bool = False,
-                max_nodes: Optional[int] = 10 ** 6) -> CompletionResult:
+                max_nodes: Optional[int] = DEFAULT_MAX_NODES) -> CompletionResult:
     """Run phases until one adds nothing, or a budget is hit."""
     current = system
-    seen: Set[Tuple] = set()
+    # the rules of the previous phase's system, named by (lhs, rhs)
+    # because each phase's system has its own rule objects
+    previous: Set[Tuple[Word, Word]] = set()
     phases: List[PhaseStats] = []
     certificates: List[Resolution] = []
 
     for index in range(1, max_phases + 1):
         fresh = [p for p in critical_pairs(current, include_same_rule_overlaps)
-                 if _signature(p) not in seen]
-        for p in fresh:
-            seen.add(_signature(p))
+                 if (p.rule1.lhs, p.rule1.rhs) not in previous
+                 or (p.rule2.lhs, p.rule2.rhs) not in previous]
+        previous = {(r.lhs, r.rhs) for r in current.rules}
         added: List[Rule] = []
-        added_keys = {(r.lhs, r.rhs) for r in current.rules}
+        added_keys = set(previous)
         n_red = n_pres = 0
         for pair in fresh:
             res = resolve_pair(pair, current, max_nodes=max_nodes)

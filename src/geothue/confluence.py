@@ -26,12 +26,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .errors import DEFAULT_MAX_NODES
 from .oracle import class_closure
 from .rewriting import _closure, is_irreducible
 from .systems import Rule, RuleKind, RewriteSystem
 from .words import Word, lenlex_key
-
-DEFAULT_MAX_NODES = 10 ** 6
 
 
 class OverlapKind(enum.Enum):
@@ -222,7 +221,14 @@ class GpVerdict:
 def check_geodesically_perfect(system: RewriteSystem,
                                include_same_rule_overlaps: bool = False,
                                max_nodes: int = DEFAULT_MAX_NODES) -> GpVerdict:
-    """Decide the critical-pair criterion over full reducing-descendant sets."""
+    """Decide the critical-pair criterion over full reducing-descendant sets.
+
+    By default a rule's overlaps with its own shifts are skipped, so a
+    verdict that holds does not license preperfect_wp: fixtures/gpex.rws
+    holds, yet preperfect_wp calls d f c and f d c distinct although
+    d f c = d d d c = f d c.  include_same_rule_overlaps=True gives the
+    classical check, which fails there on the pair of d d d.
+    """
     pairs = iter_critical_pairs(system, include_same_rule_overlaps)
     steps = system._steps
     rdesc_cache: Dict[Word, FrozenSet[Word]] = {}
@@ -280,7 +286,13 @@ def check_geodesically_perfect(system: RewriteSystem,
 def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
                   max_nodes: int = DEFAULT_MAX_NODES) -> bool:
     """Joinability of full descendant closures; sound word problem test
-    for preperfect (and geodesically perfect) systems."""
+    for preperfect (and geodesically perfect) systems.
+
+    A system is only known to qualify when check_geodesically_perfect
+    holds with include_same_rule_overlaps=True; the default check skips
+    self-overlaps and holds on fixtures/gpex.rws, where this test calls
+    the equal words d f c and f d c distinct.
+    """
     du = descendant_closure(u, system, None, max_nodes)
     dv = descendant_closure(v, system, None, max_nodes)
     return not du.isdisjoint(dv)

@@ -34,6 +34,9 @@ class StructureError(GeothueError):
     """A structure (group table, pregroup, matrix) violates its axioms."""
 
 
+DEFAULT_MAX_NODES = 10 ** 6  # node budget of every bounded search
+
+
 class ResourceLimitError(GeothueError):
     """A search hit an explicit node or step cap before deciding."""
 

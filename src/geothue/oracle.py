@@ -14,11 +14,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import PreconditionError
+from .errors import DEFAULT_MAX_NODES, PreconditionError
 from .systems import RewriteSystem
 from .words import EMPTY, Word, lenlex_key
-
-DEFAULT_MAX_NODES = 10 ** 6
 
 
 def default_horizon(*words: Word) -> int:

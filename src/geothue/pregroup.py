@@ -16,7 +16,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import FormatError, PreconditionError, ResourceLimitError, StructureError
+from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
+                     ResourceLimitError, StructureError)
 from .systems import RewriteSystem, preserving, reducing
 from .words import Alphabet, _directive_lines
 
@@ -308,7 +309,7 @@ def _slide_neighbors(seq: Seq, P: Pregroup):
 
 
 def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,
-                          max_nodes: int = 10 ** 6) -> bool:
+                          max_nodes: int = DEFAULT_MAX_NODES) -> bool:
     """Connectivity of two reduced sequences under mediator slides."""
     u, v = tuple(u), tuple(v)
     if not is_reduced(u, P) or not is_reduced(v, P):
@@ -342,7 +343,7 @@ def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,
 
 
 def up_wp(u: Sequence[str], v: Sequence[str], P: Pregroup,
-          max_nodes: int = 10 ** 6) -> bool:
+          max_nodes: int = DEFAULT_MAX_NODES) -> bool:
     """Word problem of the universal group on arbitrary element sequences."""
     ru = p_reduce(u, P)
     rv = p_reduce(v, P)

@@ -24,7 +24,7 @@ import math
 import warnings
 from typing import Iterable, List, Optional, Set, Tuple
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import DEFAULT_MAX_NODES, PreconditionError, ResourceLimitError
 from .systems import Rule, RuleKind, RewriteSystem, reducing, preserving
 from .words import EMPTY, Alphabet, Word
 
@@ -227,7 +227,8 @@ def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
     return seen
 
 
-def dehn_wp(word: Word, system: RewriteSystem, max_nodes: int = 10 ** 6) -> bool:
+def dehn_wp(word: Word, system: RewriteSystem,
+            max_nodes: int = DEFAULT_MAX_NODES) -> bool:
     """True iff some S_R reduction sequence reaches the empty word.
 
     Exhaustive search over reducing descendants, so it is a sound word

@@ -205,6 +205,58 @@ def test_bad_caps_string(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-gp", fixture_path("free_ab.rws"), "--caps", "nodes=0"),
+    ("wp", fixture_path("free_ab.rws"), "a", "a", "--caps", "nodes=-3"),
+    ("oracle", "class", fixture_path("free_ab.rws"), "a", "--caps", "len=-1"),
+])
+def test_caps_must_be_usable_budgets(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "geothue: error: cap" in err
+
+
+MALFORMED = "# second line is bad\nbogus directive\n"
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (("pregroup", "check", "{bad}"), "bad.pg"),
+    (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
+      "--group-b", "{bad}", "--subgroup", fixture_path("z2h.grp"),
+      "--map-a", fixture_path("amalgam_a.map"),
+      "--map-b", fixture_path("amalgam_b.map")), "bad.grp"),
+    (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
+      "--group-b", fixture_path("z6.grp"), "--subgroup", fixture_path("z2h.grp"),
+      "--map-a", fixture_path("amalgam_a.map"), "--map-b", "{bad}"), "bad.map"),
+    (("weights", "{bad}"), "bad.rules"),
+    (("resolve", "{bad}"), "bad.rules"),
+])
+def test_format_errors_name_the_file(capsys, tmp_path, argv, bad):
+    path = tmp_path / bad
+    path.write_text(MALFORMED, encoding="utf-8")
+    code, out, err = run(capsys, *(str(a).format(bad=path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"geothue: error: {path}: line 2")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main(["critical-pairs", str(fixture_path("z2_graph.rws")),
+                 "--format", "json"])
+    assert code == 1
+    assert capsys.readouterr().err == "geothue: error: [Errno 32] Broken pipe\n"
+
+
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -80,3 +80,15 @@ def test_geoper_completion_grows_one_equation_per_phase(geoper_S):
     added = {(ab.format(r.lhs), ab.format(r.rhs)) for r in res.system.preserving}
     assert ("a b", "a c") in added
     assert ("a e b", "a e c") in added  # discovered in phase 2
+
+
+def test_phase_pair_profiles(z2_graph, gpex, z2z2_group):
+    # a phase's fresh pairs use at least one rule the system lacked a
+    # phase earlier
+    def profile(system, **kwargs):
+        return [p.new_pairs for p in kb_complete(system, **kwargs).phases]
+
+    assert profile(z2_graph, max_phases=6) == [24, 128, 224, 320, 416, 512]
+    assert profile(gpex, max_phases=6, include_same_rule_overlaps=True) == \
+        [2, 2, 10, 14, 18, 22]
+    assert profile(z2z2_group) == [16, 12, 12]
