@@ -7,7 +7,8 @@ seeded samples of wp, geodesics, dehn-wp and reduce queries, and one
 long reduce word per fixture, all at default caps and in JSON; then at
 least one run of every subcommand in JSON and in the human format, the
 build subcommands from the fixture group and map files and from
---example, malformed input files and caps, a closed stdout, and --help
+--example, malformed input files, unusable and unread caps, --example
+with a file option, a closed stdout, and --help
 for every subcommand.  Each line is the sha256 of exit code, stdout,
 stderr and any file written, followed by the command.
 
@@ -121,7 +122,8 @@ MALFORMED = "# the second line is not a directive\nbogus directive\n"
 
 
 def error_cases(tmp: pathlib.Path):
-    """Malformed input files and unusable caps."""
+    """Malformed input files, unusable or unread caps, and --example
+    together with a file option."""
     bad = {}
     for suffix in ("pg", "grp", "map", "rules", "rws"):
         bad[suffix] = tmp / f"bad.{suffix}"
@@ -141,7 +143,11 @@ def error_cases(tmp: pathlib.Path):
     yield ["wp", free, "a", "a", "--caps", "nodes=-3"]
     yield ["oracle", "class", free, "a", "--caps", "len=-1"]
     yield ["reduce", free, "a", "--caps", "bogus=3"]
+    yield ["wp", free, "a b", "a b", "--caps", "len=0"]
+    yield ["oracle", "geodesics", free, "a", "--caps", "len=2"]
     yield ["build", "amalgam", "--group-a", _fixture("z4.grp")]
+    yield ["build", "amalgam", "--example", "--group-a", _fixture("z4.grp")]
+    yield ["build", "hnn", "--example", "--iso", _fixture("hnn_phi.map")]
 
 
 def invocations(tmp: pathlib.Path, seed: int):

@@ -1,9 +1,11 @@
 """Benchmark the leftmost reducer on random words of growing length.
 
 Reports wall time and nanoseconds per input letter for each size, so a
-linear implementation shows a flat right-hand column.
+linear implementation shows a flat right-hand column.  The system is a
+.rws file, or a .pg pregroup file whose universal system is used.
 
     python scripts/reduce_bench.py --sizes 250000 500000 1000000 2000000
+    python scripts/reduce_bench.py --system fixtures/hnn_s3.pg
 """
 
 import argparse
@@ -16,6 +18,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from geothue.pregroup import load_pregroup, universal_system
 from geothue.rewriting import reduce_lr
 from geothue.systems import load_system
 
@@ -32,7 +35,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    system = load_system(args.system)
+    if args.system.suffix == ".pg":
+        system = universal_system(load_pregroup(args.system))
+    else:
+        system = load_system(args.system)
     rng = random.Random(args.seed)
     n_letters = len(system.alphabet)
 

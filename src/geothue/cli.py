@@ -289,16 +289,22 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _need(args, dests):
-    if any(getattr(args, dest) is None for dest in dests):
+def _use_example(args, dests) -> bool:
+    """True for --example, False when every file option in dests is given."""
+    given = [dest for dest in dests if getattr(args, dest) is not None]
+    if args.example:
+        if given:
+            raise FormatError(f"--example conflicts with {_flag(given[0])}")
+        return True
+    if len(given) < len(dests):
         flags = " ".join(_flag(dest) for dest in dests)
         raise FormatError(f"need {flags} (or --example)")
+    return False
 
 
 def _amalgam_data(args) -> builders.AmalgamData:
-    if args.example:
+    if _use_example(args, _AMALGAM_FILES):
         return builders.example_amalgam()
-    _need(args, _AMALGAM_FILES)
     A, B, H = args.group_a, args.group_b, args.subgroup
     embA = SubgroupEmbedding(H, A, args.map_a)
     embB = SubgroupEmbedding(H, B, args.map_b)
@@ -319,9 +325,8 @@ def _cmd_build_amalgam_pregroup(args, caps) -> Tuple[str, int]:
 
 
 def _hnn_data(args) -> builders.HnnData:
-    if args.example:
+    if _use_example(args, _HNN_FILES):
         return builders.example_hnn()
-    _need(args, _HNN_FILES)
     G, HA, HB = args.group, args.subgroup_a, args.subgroup_b
     embA = SubgroupEmbedding(HA, G, args.map_a)
     embB = SubgroupEmbedding(HB, G, args.map_b)
@@ -408,11 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # a subcommand that runs a handler; the options every subcommand
     # shares are attached below, after its own
-    def leaf(group, name, handler, *positionals, writes_file=False, help):
+    def leaf(group, name, handler, *positionals, writes_file=False,
+             reads_len=False, help):
         p = group.add_parser(name, help=help)
         for dest in positionals:
             p.add_argument(dest)
-        leaves.append((p, handler, writes_file))
+        leaves.append((p, handler, writes_file, reads_len))
         return p
 
     p = leaf(sub, "reduce", _cmd_reduce, "system", "word",
@@ -522,24 +528,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="bounded brute-force searches")
     osub = p.add_subparsers(dest="subcommand", required=True)
-    leaf(osub, "class", _cmd_oracle_class, "system", "word",
+    leaf(osub, "class", _cmd_oracle_class, "system", "word", reads_len=True,
          help="bounded equivalence class closure")
-    leaf(osub, "wp", _cmd_oracle_wp, "system", "u", "v",
+    leaf(osub, "wp", _cmd_oracle_wp, "system", "u", "v", reads_len=True,
          help="word problem by class closure")
     q = leaf(osub, "geodesics", _cmd_oracle_geodesics, "system", "word",
              help="minimal closure members")
     q.add_argument("--slack", type=int, default=None)
-    q = leaf(osub, "count", _cmd_oracle_count, "system",
+    q = leaf(osub, "count", _cmd_oracle_count, "system", reads_len=True,
              help="count short-word classes")
     q.add_argument("--max-word-length", type=int, required=True)
 
-    for p, handler, writes_file in leaves:
+    for p, handler, writes_file, reads_len in leaves:
         if writes_file:
             p.add_argument("--out", "-o", default=None)
         p.add_argument("--format", choices=("human", "json"), default="human")
         p.add_argument("--caps", metavar="nodes=N,len=L", default=None,
                        help="search caps")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, reads_len=reads_len)
     return parser
 
 
@@ -549,6 +555,9 @@ def main(argv=None) -> int:
     try:
         # caps are validated up front even for commands that ignore them
         caps = _parse_caps(args.caps)
+        if caps["len"] is not None and not args.reads_len:
+            raise FormatError("cap 'len' is not read by this subcommand, "
+                              "only by oracle class, wp and count")
         for dest, parse in _FILE_ARGS.items():
             path = getattr(args, dest, None)
             if path is not None:

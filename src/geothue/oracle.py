@@ -36,14 +36,20 @@ class ClassClosure:
 
 
 def _step_tables(system: RewriteSystem):
-    # indexed by the matched side, so a node costs O(positions), not O(rules)
-    fwd: Dict[Word, List] = {}
-    bwd: Dict[Word, List] = {}
-    for rule in system.rules:
-        fwd.setdefault(rule.lhs, []).append(rule)
-        bwd.setdefault(rule.rhs, []).append(rule)
-    return (fwd, sorted({len(k) for k in fwd}),
-            bwd, sorted({len(k) for k in bwd}))
+    """The oracle's own step tables, built on the first closure of a
+    system and kept on it; the system's rules never change."""
+    tables = vars(system).get("_oracle_tables")
+    if tables is None:
+        # indexed by the matched side, so a node costs O(positions), not
+        # O(rules)
+        fwd: Dict[Word, List] = {}
+        bwd: Dict[Word, List] = {}
+        for rule in system.rules:
+            fwd.setdefault(rule.lhs, []).append(rule)
+            bwd.setdefault(rule.rhs, []).append(rule)
+        tables = system._oracle_tables = (fwd, sorted({len(k) for k in fwd}),
+                                          bwd, sorted({len(k) for k in bwd}))
+    return tables
 
 
 def _neighbors(word: Word, tables, max_length: int):

@@ -4,9 +4,14 @@ descendant and class search.
 
 reduce_lr is the performance-critical entry point: it runs the
 stack-and-stream algorithm (irreducible prefix as a stack, pending
-letters re-scanned after each contraction), which is linear in |w| for a
-fixed system.  reduce_lr_trace runs the same loop and also records the
-word before each contraction.
+letters re-scanned after each contraction) over an Aho-Corasick
+automaton of the reducing left-hand sides, cached on the system.  A
+stack of automaton states runs beside the prefix, so each letter read
+is one transition, whatever the number of rules, and a contraction
+pops its states with its letters; the reduction is linear in |w| for a
+fixed system (Book's algorithm for length-reducing systems).
+reduce_lr_trace runs the same loop and also records the word before
+each contraction.
 
 The closures (dehn_wp here, and the descendant and preserving-class
 searches in ``confluence``) are breadth-first over the system's cached
@@ -98,22 +103,27 @@ def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word
     """The stack-and-stream loop behind reduce_lr and reduce_lr_trace.
 
     u is the irreducible prefix read so far, pending the letters a
-    contraction put back, in reverse; a match can only end at the letter
-    x being pushed, so the first match found ends earliest in the word.
-    With a steps list, each contraction appends (word_before, pos, rule).
+    contraction put back, in reverse.  states runs in step with u: its
+    k-th entry is the state of the system's automaton over the reducing
+    left-hand sides after reading u[:k].  Each letter x is one
+    transition; the state reached names the first reducing rule whose
+    lhs ends at x, and since u is irreducible a match can only end at x,
+    so it ends earliest in the word.  A contraction pops |lhs| - 1
+    letters and states and pushes the rhs back onto pending.  With a
+    steps list, each contraction appends (word_before, pos, rule).
     """
     word = tuple(word)
     system._check_symbols(word)
-    by_last = system.reducing_by_last
-    if not by_last:
-        return word
+    delta, first = system._automaton
     u: List[int] = []
     append = u.append
+    states = [0]
+    push = states.append
     pending: List[int] = []
     pop = pending.pop
+    s = 0
     i = 0
     n = len(word)
-    get = by_last.get
     while True:
         if pending:
             x = pop()
@@ -122,32 +132,23 @@ def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word
             i += 1
         else:
             break
-        cands = get(x)
-        if cands is None:
+        s = delta[s][x]
+        rule = first[s]
+        if rule is None:
             append(x)
+            push(s)
             continue
         lu = len(u)
-        for rule in cands:
-            lhs = rule.lhs
-            k = len(lhs) - 1
-            if k > lu:
-                continue
-            ok = True
-            for j in range(1, k + 1):
-                if u[lu - j] != lhs[k - j]:
-                    ok = False
-                    break
-            if ok:
-                if steps is not None:
-                    steps.append((tuple(u) + (x,) + tuple(reversed(pending))
-                                  + word[i:], lu - k, rule))
-                del u[lu - k:]
-                rhs = rule.rhs
-                if rhs:
-                    pending.extend(reversed(rhs))
-                break
-        else:
-            append(x)
+        k = len(rule.lhs) - 1
+        if steps is not None:
+            steps.append((tuple(u) + (x,) + tuple(reversed(pending))
+                          + word[i:], lu - k, rule))
+        del u[lu - k:]
+        del states[lu - k + 1:]
+        s = states[-1]
+        rhs = rule.rhs
+        if rhs:
+            pending.extend(reversed(rhs))
     return tuple(u)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AlphabetError, FormatError, StructureError
 from .words import EMPTY, Alphabet, Word, _directive_lines
@@ -131,17 +131,14 @@ class RewriteSystem:
         return self.inverse_pairing is not None
 
     @cached_property
-    def reducing_by_last(self):
-        """Reducing rules grouped by the last symbol of the lhs, in rule order."""
-        table: Dict[int, list] = {}
-        for rule in self.reducing:
-            table.setdefault(rule.lhs[-1], []).append(rule)
-        return {k: tuple(v) for k, v in table.items()}
-
-    @cached_property
     def _steps(self) -> "_StepIndex":
         """The one-step rewrites searched by the bounded closures."""
         return _StepIndex(self)
+
+    @cached_property
+    def _automaton(self) -> "_Automaton":
+        """The matcher of the reducing left-hand sides behind reduce_lr."""
+        return _lhs_automaton(self.reducing, len(self.alphabet))
 
     def _check_symbols(self, word: Word) -> None:
         """Reject a word with a symbol outside this system's alphabet."""
@@ -207,6 +204,58 @@ class _StepIndex:
         if kind is None:
             return self.all
         return self.reducing if kind is RuleKind.REDUCING else self.preserving
+
+
+class _Automaton(NamedTuple):
+    """Aho-Corasick automaton over the left-hand sides of some rules.
+
+    A state stands for a prefix of some lhs, state 0 for the empty word.
+    Read a text letter by letter from state 0 along delta: the state
+    reached stands for the longest suffix of the text that is such a
+    prefix, and first of that state is the first rule, in the given
+    order, whose lhs is a suffix of the text (None if there is none).
+    Each row of delta is dense, one entry per letter; a state without
+    children shares the row of its failure state, so the index holds
+    (states with children + 1) x letters entries at most.
+    """
+
+    delta: Tuple[List[int], ...]  # delta[state][letter] is the next state
+    first: Tuple[Optional[Rule], ...]
+
+
+def _lhs_automaton(rules: Sequence[Rule], n_letters: int) -> _Automaton:
+    none = len(rules)
+    children: List[Dict[int, int]] = [{}]
+    own = [none]  # the index of the first rule whose lhs a state spells
+    for i, rule in enumerate(rules):
+        s = 0
+        for x in rule.lhs:
+            t = children[s].get(x)
+            if t is None:
+                t = children[s][x] = len(children)
+                children.append({})
+                own.append(none)
+            s = t
+        own[s] = min(own[s], i)
+    # breadth first, so that the failure state of a state (its longest
+    # proper suffix that is a state) has its row and first rule already
+    rows = [[children[0].get(x, 0) for x in range(n_letters)]] * len(children)
+    fail = [0] * len(children)
+    first = own[:]
+    queue = list(children[0].values())
+    for s in queue:
+        f = fail[s]
+        if children[s]:
+            rows[s] = row = rows[f][:]
+            for x, t in children[s].items():
+                row[x] = t
+                fail[t] = rows[f][x]
+                queue.append(t)
+        else:  # a leaf moves as its failure state does; rows never change
+            rows[s] = rows[f]
+        first[s] = min(own[s], first[f])
+    return _Automaton(tuple(rows),
+                      tuple(rules[i] if i < none else None for i in first))
 
 
 # ---------------------------------------------------------------------------

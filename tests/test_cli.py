@@ -217,6 +217,39 @@ def test_caps_must_be_usable_budgets(capsys, argv):
     assert "geothue: error: cap" in err
 
 
+@pytest.mark.parametrize("command, words", [
+    (("wp",), ("a b", "a b")), (("reduce",), ("a",)), (("geodesics",), ("a",)),
+    (("check-gp",), ()), (("complete",), ()), (("oracle", "geodesics"), ("a",)),
+], ids=["wp", "reduce", "geodesics", "check-gp", "complete", "oracle-geodesics"])
+def test_len_cap_is_refused_where_it_is_not_read(capsys, command, words):
+    code, out, err = run(capsys, *command, fixture_path("free_ab.rws"), *words,
+                         "--caps", "len=0")
+    assert code == 1
+    assert out == ""
+    assert "cap 'len' is not read" in err
+
+
+def test_len_cap_bounds_the_oracle_closure(capsys):
+    code, out, _ = run_json(capsys, "oracle", "class",
+                            fixture_path("z2z2.rws"), "a b", "--caps", "len=3")
+    assert code == 0
+    assert out["max_length"] == 3
+    assert all(len(m.split()) <= 3 for m in out["members"])
+
+
+@pytest.mark.parametrize("name", ["amalgam", "amalgam-pregroup", "hnn",
+                                  "britton", "hnn-pregroup"])
+def test_example_conflicts_with_file_options(capsys, name):
+    if name.startswith("amalgam"):
+        option = ("--group-a", fixture_path("z4.grp"))
+    else:
+        option = ("--iso", fixture_path("hnn_phi.map"))
+    code, out, err = run(capsys, "build", name, "--example", *option)
+    assert code == 1
+    assert out == ""
+    assert err == f"geothue: error: --example conflicts with {option[0]}\n"
+
+
 MALFORMED = "# second line is bad\nbogus directive\n"
 
 

@@ -1,11 +1,12 @@
 import pytest
 
 from geothue.errors import PreconditionError
-from geothue.oracle import (WpVerdict, class_closure, class_partition,
-                            enumerate_quotient, oracle_geodesics, oracle_wp,
-                            replay_path)
+from geothue.oracle import (WpVerdict, _step_tables, class_closure,
+                            class_partition, enumerate_quotient,
+                            oracle_geodesics, oracle_wp, replay_path)
 from geothue.rewriting import apply_rule
-from tests.conftest import words_of
+from geothue.systems import load_system
+from tests.conftest import fixture_path, words_of
 
 
 def test_closure_finds_ancestors(z2z2):
@@ -26,6 +27,13 @@ def test_closure_node_budget_marks_incomplete(z2_graph):
     c = class_closure(w, z2_graph, max_length=8, max_nodes=5)
     assert not c.complete
     assert len(c.members) <= 5
+
+
+def test_step_tables_are_built_once_per_system(z2z2):
+    first = _step_tables(z2z2)
+    class_closure((0, 1), z2z2, max_length=4)
+    assert _step_tables(z2z2) is first
+    assert _step_tables(load_system(fixture_path("z2z2.rws"))) is not first
 
 
 def test_closure_seed_longer_than_horizon_rejected(z2z2):

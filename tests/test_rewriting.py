@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geothue.errors import AlphabetError
 from geothue.oracle import class_closure
@@ -10,7 +10,7 @@ from geothue.pregroup import (load_pregroup, universal_system,
 from geothue.rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                                reduce_lr, reduce_lr_trace, reduce_random,
                                successors, thue_resolution)
-from geothue.systems import RuleKind, load_system, reducing
+from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
 from geothue.words import Alphabet
 from tests.conftest import FIXTURES, words_of
 
@@ -72,27 +72,81 @@ TRACE_SYSTEMS = _trace_systems()
 
 
 @st.composite
+def _reducing_system(draw):
+    """A small reducing system whose left-hand sides overlap: a rule's lhs
+    may repeat an earlier lhs (with another rhs), be a factor of one
+    (suffix, infix or prefix), or extend one on either side, so that an
+    earlier lhs is a suffix or infix of a later one.  Single-letter left
+    sides and the empty rule set come up too."""
+    k = draw(st.integers(1, 3))
+
+    def words(lo, hi):
+        return st.lists(st.integers(0, k - 1), min_size=lo, max_size=hi).map(tuple)
+
+    lhss = []
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(("new", "same", "factor", "extend")))
+        base = draw(st.sampled_from(lhss)) if lhss else ()
+        if how == "same" and base:
+            lhs = base
+        elif how == "factor" and base:
+            i = draw(st.integers(0, len(base) - 1))
+            lhs = base[i:draw(st.integers(i + 1, len(base)))]
+        elif how == "extend" and base:
+            lhs = draw(words(0, 2)) + base + draw(words(0, 2))
+        else:
+            lhs = draw(words(1, 4))
+        lhss.append(lhs)
+    rules = [reducing(lhs, draw(words(0, len(lhs) - 1))) for lhs in lhss]
+    return RewriteSystem(Alphabet("abc"[:k]), rules)
+
+
+@st.composite
 def _trace_case(draw):
-    S = TRACE_SYSTEMS[draw(st.sampled_from(sorted(TRACE_SYSTEMS)))]
+    """A fixture system or a generated one, and a word over its alphabet."""
+    S = draw(st.one_of(
+        st.sampled_from(sorted(TRACE_SYSTEMS)).map(TRACE_SYSTEMS.get),
+        _reducing_system()))
     n = len(S.alphabet)
     return S, draw(st.lists(st.integers(0, n - 1), max_size=14).map(tuple))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_trace_case())
-def test_reduce_lr_trace_steps_are_the_earliest_ending_redexes(case):
-    # redexes scans rule by rule, independently of the reducer's stack loop
-    S, w = case
-    final, steps = reduce_lr_trace(w, S)
+def _naive_reduce_lr(w, S):
+    """(final, steps) by applying the earliest-ending match of redexes, ties
+    to the first rule, until there is none."""
     order = {rule: i for i, rule in enumerate(S.reducing)}
-    cur = w
-    for before, pos, rule in steps:
-        assert before == cur
-        hits = redexes(cur, S, RuleKind.REDUCING)
-        assert (pos, rule) == min(
+    steps = []
+    while True:
+        hits = redexes(w, S, RuleKind.REDUCING)
+        if not hits:
+            return w, steps
+        pos, rule = min(
             hits, key=lambda hit: (hit[0] + len(hit[1].lhs), order[hit[1]]))
-        cur = apply_rule(cur, pos, rule)
-    assert cur == final == reduce_lr(w, S)
+        steps.append((w, pos, rule))
+        w = apply_rule(w, pos, rule)
+
+
+AB = Alphabet("ab")
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trace_case())
+# no rules
+@example((RewriteSystem(AB, []), (0, 1, 0)))
+# later suffixes of an earlier lhs, one a single letter, and a repeated lhs
+@example((RewriteSystem(AB, [reducing((0, 1, 1), (0,)), reducing((1, 1), ()),
+                             reducing((1,), ()), reducing((0, 1, 1), (1,))]),
+          (0, 1, 1, 0, 1)))
+# a single-letter lhs inside both later ones, the last a suffix of the second
+@example((RewriteSystem(AB, [reducing((1,), ()), reducing((0, 1, 0), (1,)),
+                             reducing((1, 0), ())]),
+          (0, 0, 1, 0, 1)))
+def test_reduce_lr_trace_steps_are_the_earliest_ending_redexes(case):
+    # redexes scans rule by rule, independently of the reducer's automaton
+    S, w = case
+    final, steps = _naive_reduce_lr(w, S)
+    assert reduce_lr_trace(w, S) == (final, steps)
+    assert reduce_lr(w, S) == final
     assert is_irreducible(final, S)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from geothue.errors import FormatError, StructureError
@@ -114,8 +116,17 @@ def test_directive_readers_name_the_malformed_line(kind):
         parse(text)
 
 
-def test_reducing_by_last_index(z2z2_group):
-    by_last = z2z2_group.reducing_by_last
-    a, A = 0, 1
-    assert any(r.lhs == (a, A) for r in by_last.get(A, ()))
-    assert all(r.lhs[-1] == last for last, rs in by_last.items() for r in rs)
+def test_reduction_automaton_names_the_first_rule_ending_here(z2z2_group):
+    S = z2z2_group
+    delta, first = S._automaton
+    # one state per distinct nonempty lhs prefix, plus the empty word
+    prefixes = {r.lhs[:i] for r in S.reducing for i in range(1, len(r.lhs) + 1)}
+    assert len(delta) == len(first) == len(prefixes) + 1
+    assert all(len(row) == len(S.alphabet) for row in delta)
+    rng = random.Random(5)
+    text, s = (), 0
+    for x in rng.choices(range(len(S.alphabet)), k=200):
+        text += (x,)
+        s = delta[s][x]
+        ending = [r for r in S.reducing if text[len(text) - len(r.lhs):] == r.lhs]
+        assert first[s] == (ending[0] if ending else None)
