@@ -45,8 +45,8 @@ from .triangular import (LetterClasses, TriangularClassification,
                          pregroup_from_system, reducing_part)
 from .groups import (FiniteGroup, GroupIso, Side, SubgroupEmbedding,
                      coset_decompose, cyclic_group, format_group, format_map,
-                     load_group, load_map, parse_group, parse_map, save_group,
-                     symmetric_group, transversal)
+                     parse_group, parse_map, save_group, symmetric_group,
+                     transversal)
 from .builders import (AmalgamData, CommutationGraph, CoxeterMatrix, HnnData,
                        RuleProgram, build_amalgam_pregroup,
                        build_amalgam_system, build_britton_system,

@@ -292,16 +292,6 @@ def format_map(mapping: Dict[str, str]) -> str:
     return "".join(f"map {x} -> {y}\n" for x, y in mapping.items())
 
 
-def load_group(path) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group(fh.read())
-
-
 def save_group(G: FiniteGroup, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_group(G))
-
-
-def load_map(path) -> Dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map(fh.read())

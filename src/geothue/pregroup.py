@@ -6,19 +6,24 @@ systems present the universal group: one over all elements with the
 identity as an ordinary letter, one over the non-identity elements with
 an inverse pairing.  Reduced sequences represent universal-group
 elements; two reduced sequences represent the same element exactly when
-a chain of adjacent-pair interleavings connects them, which gives the
-word problem test at the bottom of this module.
+a chain of mediator slides a b -> (a*c)(c^-1*b) connects them.
+
+Each pregroup tabulates its slides once, at construction: the table
+maps every pair (a, b) to its distinct slides, in element order of the
+mediator c.  The preserving rules of both universal systems are read
+off it, and the word problem test at the bottom of this module searches
+it with the bounded closure of ``rewriting``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
-                     ResourceLimitError, StructureError)
-from .systems import RewriteSystem, preserving, reducing
+                     StructureError)
+from .rewriting import _closure
+from .systems import RewriteSystem, _step_set, preserving, reducing
 from .words import Alphabet, _directive_lines
 
 Seq = Tuple[str, ...]
@@ -28,10 +33,14 @@ class Pregroup:
     """Finite partial multiplication table with identity and involution.
 
     Products implied by the identity and inverse laws are materialized at
-    construction; explicit entries contradicting them are rejected.
+    construction; explicit entries contradicting them are rejected.  So
+    is the slide table, in the step-set shape of the bounded closure:
+    _slides.rhs_of maps each pair (a, b) to the pairs (a*c, c^-1*b) for
+    the mediators c in element order, without repeats or (a, b) itself.
     """
 
-    __slots__ = ("elements", "eps", "inv", "mult", "index", "_right", "_left")
+    __slots__ = ("elements", "eps", "inv", "mult", "index", "_right", "_left",
+                 "_slides")
 
     def __init__(self, elements: Sequence[str], eps: str,
                  inv: Dict[str, str], mult: Dict[Tuple[str, str], str]):
@@ -88,6 +97,20 @@ class Pregroup:
                        for a, bs in right.items()}
         self._left = {b: tuple(sorted(as_, key=order.__getitem__))
                       for b, as_ in left.items()}
+
+        pairs: Dict[Seq, Seq] = {}  # one tuple per distinct slide result
+
+        def slides():
+            for a in elements:
+                via = [(table[(a, c)], inv[c]) for c in self._right[a]]
+                for b in elements:
+                    for ac, c_inv in via:
+                        cb = table.get((c_inv, b))
+                        if cb is not None and (ac, cb) != (a, b):
+                            pair = (ac, cb)
+                            yield (a, b), pairs.setdefault(pair, pair)
+
+        self._slides = _step_set(slides())
 
     def defined(self, a: str, b: str) -> bool:
         return (a, b) in self.mult
@@ -200,29 +223,26 @@ def check_axioms(P: Pregroup) -> AxiomReport:
     return AxiomReport(p1, p2, p3, p4, p5)
 
 
+def _sorted_products(P: Pregroup):
+    """The defined products, by the element order of their factors."""
+    return sorted(P.mult.items(), key=lambda kv: (P.index[kv[0][0]],
+                                                 P.index[kv[0][1]]))
+
+
 def universal_system(P: Pregroup) -> RewriteSystem:
     """Thue system over all elements, the identity kept as a letter.
 
     Reducing rules erase the identity letter and contract every defined
-    product.  Preserving rules interleave adjacent letters through any
-    mediating element.
+    product.  Preserving rules are the slides of the pregroup's table.
     """
-    alphabet = Alphabet(P.elements)
-    w = alphabet.word
-    rules = [reducing(w(P.eps), ())]
-    for (a, b), c in sorted(P.mult.items(), key=lambda kv: (P.index[kv[0][0]],
-                                                            P.index[kv[0][1]])):
-        rules.append(reducing(w(f"{a} {b}"), w(c)))
-    for a in P.elements:
-        for b in P.elements:
-            for c in P.right_factors(a):
-                if not P.defined(P.inv[c], b):
-                    continue
-                lhs = w(f"{a} {b}")
-                rhs = w(f"{P.prod(a, c)} {P.prod(P.inv[c], b)}")
-                if lhs != rhs:
-                    rules.append(preserving(lhs, rhs))
-    return RewriteSystem(alphabet, rules)
+    ids = P.index
+    rules = [reducing((ids[P.eps],), ())]
+    for (a, b), c in _sorted_products(P):
+        rules.append(reducing((ids[a], ids[b]), (ids[c],)))
+    for (a, b), slides in P._slides.rhs_of.items():
+        for x, y in slides:
+            rules.append(preserving((ids[a], ids[b]), (ids[x], ids[y])))
+    return RewriteSystem(Alphabet(P.elements), rules)
 
 
 def universal_system_prime(P: Pregroup) -> RewriteSystem:
@@ -230,35 +250,24 @@ def universal_system_prime(P: Pregroup) -> RewriteSystem:
 
     All rule sides avoid the identity letter, so the system is a group
     presentation system: cancellations, contractions of defined products
-    with non-trivial result, and identity-free interleavings.
+    with non-trivial result, and the slides with no identity on either
+    side.
     """
-    gamma = tuple(a for a in P.elements if a != P.eps)
-    alphabet = Alphabet(gamma)
-    w = alphabet.word
-    pairing = {alphabet.id(a): alphabet.id(P.inv[a]) for a in gamma}
-    rules = []
-    for a in gamma:
-        rules.append(reducing(w(f"{a} {P.inv[a]}"), ()))
-    for (a, b), c in sorted(P.mult.items(), key=lambda kv: (P.index[kv[0][0]],
-                                                            P.index[kv[0][1]])):
-        if a == P.eps or b == P.eps or c == P.eps:
+    eps = P.eps
+    gamma = tuple(a for a in P.elements if a != eps)
+    ids = {a: i for i, a in enumerate(gamma)}
+    rules = [reducing((ids[a], ids[P.inv[a]]), ()) for a in gamma]
+    for (a, b), c in _sorted_products(P):
+        if eps not in (a, b, c):
+            rules.append(reducing((ids[a], ids[b]), (ids[c],)))
+    for (a, b), slides in P._slides.rhs_of.items():
+        if eps in (a, b):
             continue
-        rules.append(reducing(w(f"{a} {b}"), w(c)))
-    for a in gamma:
-        for b in gamma:
-            for c in P.right_factors(a):
-                if c == P.eps or c == P.inv[a] or c == b:
-                    continue
-                if not P.defined(P.inv[c], b):
-                    continue
-                ac, cb = P.prod(a, c), P.prod(P.inv[c], b)
-                if ac == P.eps or cb == P.eps:
-                    continue
-                lhs = w(f"{a} {b}")
-                rhs = w(f"{ac} {cb}")
-                if lhs != rhs:
-                    rules.append(preserving(lhs, rhs))
-    return RewriteSystem(alphabet, rules, inverse_pairing=pairing)
+        for x, y in slides:
+            if eps not in (x, y):
+                rules.append(preserving((ids[a], ids[b]), (ids[x], ids[y])))
+    pairing = {ids[a]: ids[P.inv[a]] for a in gamma}
+    return RewriteSystem(Alphabet(gamma), rules, inverse_pairing=pairing)
 
 
 def p_reduce(seq: Iterable[str], P: Pregroup) -> Seq:
@@ -295,56 +304,33 @@ def reduce_random_seq(seq: Sequence[str], P: Pregroup, rng) -> Seq:
     return tuple(a for a in out if a != P.eps)
 
 
-def _slide_neighbors(seq: Seq, P: Pregroup):
-    # sliding a mediator across a pair keeps the sequence reduced, so no
-    # re-checking is needed here
-    for i in range(len(seq) - 1):
-        a, b = seq[i], seq[i + 1]
-        for c in P.right_factors(a):
-            if c == P.eps:
-                continue
-            if not P.defined(P.inv[c], b):
-                continue
-            yield seq[:i] + (P.prod(a, c), P.prod(P.inv[c], b)) + seq[i + 2:]
-
-
 def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,
                           max_nodes: int = DEFAULT_MAX_NODES) -> bool:
-    """Connectivity of two reduced sequences under mediator slides."""
+    """Connectivity of two reduced sequences under mediator slides.
+
+    A breadth-first closure from u over the slide table, stopped at v,
+    with the node budget of every bounded closure: a slide class of N
+    sequences passes at max_nodes=N, and ResourceLimitError(cap=max_nodes)
+    is raised when the search would take in one more.
+    """
     u, v = tuple(u), tuple(v)
+    for a in u + v:
+        if a not in P.index:
+            raise PreconditionError(f"unknown element {a!r}")
     if not is_reduced(u, P) or not is_reduced(v, P):
         raise PreconditionError("interleave check requires reduced sequences")
     if len(u) != len(v):
         return False
-    if u == v:
-        return True
-    front_u, seen_u = [u], {u}
-    front_v, seen_v = [v], {v}
-    while front_u and front_v:
-        # advance the smaller frontier
-        if len(front_u) > len(front_v):
-            front_u, seen_u, front_v, seen_v = front_v, seen_v, front_u, seen_u
-        nxt = []
-        for w in front_u:
-            for child in _slide_neighbors(w, P):
-                if child in seen_v:
-                    return True
-                if child not in seen_u:
-                    if len(seen_u) + len(seen_v) >= max_nodes:
-                        raise ResourceLimitError(
-                            "interleave search exceeded its node budget",
-                            cap=max_nodes)
-                    seen_u.add(child)
-                    nxt.append(child)
-        front_u = nxt
-        if not nxt:
-            break
-    return False
+    return v in _closure(u, P._slides, max_nodes, "interleave search", target=v)
 
 
 def up_wp(u: Sequence[str], v: Sequence[str], P: Pregroup,
           max_nodes: int = DEFAULT_MAX_NODES) -> bool:
-    """Word problem of the universal group on arbitrary element sequences."""
+    """Word problem of the universal group on arbitrary element sequences.
+
+    Both sequences are reduced with p_reduce, and the results compared
+    with interleave_equivalent under its budget of max_nodes sequences.
+    """
     ru = p_reduce(u, P)
     rv = p_reduce(v, P)
     if len(ru) != len(rv):
@@ -492,8 +478,7 @@ def format_pregroup(P: Pregroup) -> str:
         done.add(a)
         done.add(b)
         lines.append(f"inv {a} {b}")
-    for (a, b), c in sorted(P.mult.items(), key=lambda kv: (P.index[kv[0][0]],
-                                                            P.index[kv[0][1]])):
+    for (a, b), c in _sorted_products(P):
         if a == P.eps or b == P.eps or b == P.inv[a]:
             continue
         lines.append(f"mult {a} {b} = {c}")

@@ -13,14 +13,16 @@ fixed system (Book's algorithm for length-reducing systems).
 reduce_lr_trace runs the same loop and also records the word before
 each contraction.
 
-The closures (dehn_wp here, and the descendant and preserving-class
-searches in ``confluence``) are breadth-first over the system's cached
-step index.  A word's children come by left-hand side length, then
-position, then right-hand side in rule order.  The node budget applies
-to each closure on its own and counts the start word: a closure of N
-words passes at max_nodes=N, and ResourceLimitError(cap=max_nodes) is
-raised when a new word would make N + 1.  A target word is tested
-before the budget, so reaching it never raises.
+The closures (dehn_wp here, the descendant and preserving-class
+searches in ``confluence``, and the interleave search in ``pregroup``)
+are breadth-first over a step set: the system's cached step index, or
+the pregroup's slide table.  A word's children come by left-hand side
+length, then position, then right-hand side in rule order.  The node
+budget applies to each closure on its own and counts the start word: a
+closure of N words passes at max_nodes=N, and
+ResourceLimitError(cap=max_nodes) is raised when a new word would make
+N + 1.  A target word is tested before the budget, so reaching it
+never raises.
 """
 
 from __future__ import annotations
@@ -62,13 +64,18 @@ def redexes(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None):
     return out
 
 
-def is_irreducible(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = RuleKind.REDUCING) -> bool:
+def is_irreducible(word: Word, system: RewriteSystem) -> bool:
+    """True iff no reducing rule matches word: a walk of reduce_lr's
+    automaton that stops at the first state naming a rule."""
     word = tuple(word)
     system._check_symbols(word)
-    rhs_of, lengths = system._steps.forward(kind)
-    n = len(word)
-    return not any(word[i:i + L] in rhs_of
-                   for L in lengths if L <= n for i in range(n - L + 1))
+    delta, first = system._automaton
+    s = 0
+    for x in word:
+        s = delta[s][x]
+        if first[s] is not None:
+            return False
+    return True
 
 
 def successors(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None) -> Tuple[Word, ...]:
@@ -190,10 +197,11 @@ def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
              target: Optional[Word] = None) -> Set[Word]:
     """Every word reachable from start by steps, breadth-first.
 
-    steps is a step set of the system's index; the order and the budget
-    (None for none) are as in the module docstring.  With a target the
-    search stops as soon as it reaches it, and the partial closure then
-    contains it.  what names the search in the budget error.
+    steps is a step set, of a system's index or a pregroup's slide
+    table; the order and the budget (None for none) are as in the module
+    docstring.  With a target the search stops as soon as it reaches it,
+    and the partial closure then contains it.  what names the search in
+    the budget error.
     """
     rhs_of, lengths = steps
     limit = math.inf if max_nodes is None else max_nodes

@@ -79,6 +79,7 @@ class RewriteSystem:
     ):
         self.alphabet = alphabet
         n = len(alphabet)
+        self._symbols = frozenset(range(n))
         red = []
         pres = []
         # (lhs, rhs) names a rule: its kind follows from the lengths
@@ -142,7 +143,7 @@ class RewriteSystem:
 
     def _check_symbols(self, word: Word) -> None:
         """Reject a word with a symbol outside this system's alphabet."""
-        if word and not (0 <= min(word) and max(word) < len(self.alphabet)):
+        if not self._symbols.issuperset(word):
             raise AlphabetError("word uses symbols outside the system alphabet")
 
     def with_rules(self, extra: Iterable[Rule]) -> "RewriteSystem":

@@ -12,7 +12,7 @@ from geothue.confluence import (check_geodesically_perfect,
                                 preperfect_wp, sp_equivalent)
 from geothue.errors import AlphabetError, ResourceLimitError
 from geothue.oracle import class_closure, oracle_geodesics, oracle_wp
-from geothue.pregroup import universal_system
+from geothue.pregroup import interleave_equivalent, universal_system
 from geothue.rewriting import dehn_wp, is_irreducible, successors
 from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
 from geothue.words import Alphabet
@@ -51,6 +51,15 @@ def test_sp_equivalent_cap_boundary_with_unreachable_target(amalgam_pregroup):
     u, v = words_of(S.alphabet, "1 1", "1 r")  # u's class has 8 words
     assert not sp_equivalent(u, v, S, max_nodes=8)
     _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 8)
+
+
+def test_interleave_equivalent_cap_boundary_with_unreachable_target(
+        amalgam_pregroup):
+    P = amalgam_pregroup
+    u, v = ("r", "s", "r"), ("r", "s2", "r")  # u's slide class has 4 members
+    assert not interleave_equivalent(u, v, P, max_nodes=4)
+    _passes_at_n_raises_below(
+        lambda m: interleave_equivalent(u, v, P, max_nodes=m), 4)
 
 
 def test_dehn_wp_cap_boundary(free_ab):

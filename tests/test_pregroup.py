@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+from geothue import builders
 from geothue.errors import FormatError, PreconditionError, StructureError
+from geothue.groups import SubgroupEmbedding, cyclic_group
 from geothue.pregroup import (Pregroup, check_axioms, format_pregroup,
-                              interleave_equivalent, is_reduced, p_reduce,
-                              parse_pregroup, reduce_random_seq,
+                              interleave_equivalent, is_reduced, load_pregroup,
+                              p_reduce, parse_pregroup, reduce_random_seq,
                               table_isomorphic, universal_system,
                               universal_system_prime, up_wp)
+from geothue.systems import RewriteSystem, preserving
+from tests.conftest import fixture_path
 
 Z4_TEXT = """
 elements 1 a a2 a3
@@ -158,6 +162,65 @@ def test_interleave_equivalent_basic(amalgam_pregroup):
 def test_interleave_requires_reduced(amalgam_pregroup):
     with pytest.raises(PreconditionError):
         interleave_equivalent(("r", "r"), ("r2",), amalgam_pregroup)
+
+
+@pytest.mark.parametrize("u, v", [(("zz",), ("zz",)),
+                                  (("zz", "r"), ("r", "zz")),
+                                  (("r",), ("zz",))])
+def test_interleave_rejects_unknown_elements(amalgam_pregroup, u, v):
+    with pytest.raises(PreconditionError, match="unknown element 'zz'"):
+        interleave_equivalent(u, v, amalgam_pregroup)
+
+
+def _amalgam(d):
+    return builders.build_amalgam_pregroup(d.A, d.B, d.embA, d.embB)
+
+
+def _hnn(d):
+    return builders.build_hnn_pregroup(d.G, d.embA, d.embB, d.phi)
+
+
+def _cyclic_amalgam(m, n, k):
+    """Z/m *_{Z/k} Z/n, for k dividing m and n."""
+    A, B, H = cyclic_group(m, "r"), cyclic_group(n, "s"), cyclic_group(k, "h")
+
+    def emb(G, step):
+        return SubgroupEmbedding(H, G, {h: G.elements[i * step]
+                                        for i, h in enumerate(H.elements)})
+
+    return builders.build_amalgam_pregroup(A, B, emb(A, m // k), emb(B, n // k))
+
+
+PREGROUPS = {
+    "amalgam_z4z6.pg": lambda: load_pregroup(fixture_path("amalgam_z4z6.pg")),
+    "hnn_s3.pg": lambda: load_pregroup(fixture_path("hnn_s3.pg")),
+    "example_amalgam": lambda: _amalgam(builders.example_amalgam()),
+    "example_hnn": lambda: _hnn(builders.example_hnn()),
+    "z6_z3_z9": lambda: _cyclic_amalgam(6, 9, 3),
+    "z2_1_z3": lambda: _cyclic_amalgam(2, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREGROUPS))
+def test_universal_preserving_rules_are_the_mediator_slides(name):
+    # a b <-> (a*c)(c^-1*b) for every mediator c, by the naive triple loop
+    P = PREGROUPS[name]()
+    for build, prime in ((universal_system, False), (universal_system_prime, True)):
+        S = build(P)
+        letters = [a for a in P.elements if not (prime and a == P.eps)]
+        rules = []
+        for a in letters:
+            for b in letters:
+                for c in P.elements:
+                    ac = P.mult.get((a, c))
+                    cb = P.mult.get((P.inv[c], b))
+                    if ac is None or cb is None or (ac, cb) == (a, b):
+                        continue
+                    if prime and P.eps in (ac, cb):
+                        continue
+                    rules.append(preserving(S.alphabet.word(f"{a} {b}"),
+                                            S.alphabet.word(f"{ac} {cb}")))
+        assert S.preserving == RewriteSystem(S.alphabet, rules).preserving
 
 
 def test_up_wp_accepts_unreduced_inputs(amalgam_pregroup):

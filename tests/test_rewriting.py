@@ -150,6 +150,13 @@ def test_reduce_lr_trace_steps_are_the_earliest_ending_redexes(case):
     assert is_irreducible(final, S)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_trace_case())
+def test_is_irreducible_iff_no_reducing_redex(case):
+    S, w = case
+    assert is_irreducible(w, S) == (not redexes(w, S, RuleKind.REDUCING))
+
+
 def test_reduce_random_is_maximal_and_seeded(z2z2):
     w = words_of(z2z2.alphabet, "a a a b b a")[0]
     rng = random.Random(11)
