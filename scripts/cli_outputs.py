@@ -2,13 +2,15 @@
 invocation, so two source trees can be compared byte for byte.
 
 Covers check-gp on every .rws fixture and on the universal systems of
-both .pg fixtures, 6-phase completion with certificates, critical pairs,
-seeded samples of wp, geodesics, dehn-wp and reduce queries, and one
-long reduce word per fixture, all at default caps and in JSON; then at
-least one run of every subcommand in JSON and in the human format, the
-build subcommands from the fixture group and map files and from
---example, malformed input files, unusable and unread caps, --example
-with a file option, a closed stdout, and --help
+both .pg fixtures, check-gp with --same-rule-overlaps on every .rws
+fixture and on the universal systems of amalgam_z4z6.pg, 6-phase
+completion with certificates, critical pairs with and without
+--same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp and
+reduce queries, and one long reduce word per fixture, all at default
+caps and in JSON; then at least one run of every subcommand in JSON and
+in the human format, the build subcommands from the fixture group and
+map files and from --example, malformed input files, unusable and
+unread caps, --example with a file option, a closed stdout, and --help
 for every subcommand.  Each line is the sha256 of exit code, stdout,
 stderr and any file written, followed by the command.
 
@@ -160,10 +162,14 @@ def invocations(tmp: pathlib.Path, seed: int):
             systems.append(out)
     for path in systems:
         yield ["check-gp", str(path), "--format", "json"]
+    # the classical enumeration; hnn_s3's systems take about 12 s
+    for path in rws + [s for s in systems if s.name.startswith("amalgam_z4z6.")]:
+        yield ["check-gp", str(path), "--same-rule-overlaps", "--format", "json"]
     for path in rws:
         yield ["complete", str(path), "--certificates", "--format", "json",
                "--max-phases", "6"]
         yield ["critical-pairs", str(path), "--format", "json"]
+        yield ["critical-pairs", str(path), "--same-rule-overlaps", "--format", "json"]
     rng = random.Random(seed)
     for path in rws:
         names = _names(path)

@@ -12,6 +12,10 @@ critical; include_same_rule_overlaps=True switches to the classical
 enumeration where it is.  Distinct rules sharing a left-hand side always
 produce the pair of their right-hand sides.
 
+Index lookups list placements (rule2, pos1, pos2), the starts of both
+spans in z, and one routine builds each placement's pair.  Distinct
+placements can give the same pair, so each rule1 keeps a seen set.
+
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
 position, then right-hand side in rule order, and a budget of max_nodes
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import DEFAULT_MAX_NODES
 from .oracle import class_closure
@@ -39,8 +43,7 @@ class OverlapKind(enum.Enum):
     INCLUSION = "inclusion"
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     z: Word
     x: Word
     y: Word
@@ -67,90 +70,73 @@ def iter_critical_pairs(system: RewriteSystem,
                         include_same_rule_overlaps: bool = False):
     """Deduplicated critical pairs in a deterministic enumeration order.
 
-    Rules are indexed by their left-hand side prefixes and suffixes so
-    only genuinely overlapping rule pairs are visited.
+    For each reducing rule1, four index lookups list the placements
+    (rule2, pos1, pos2): rule2 over rule1's end, over its start, strictly
+    inside it, and around it.  One routine builds each placement's pair.
+    Distinct placements can give the same pair: with a a a -> b and
+    a -> ., deleting any letter of a a a gives a a, so six placements
+    give two pairs.  A seen set per rule1 keeps the first placement.
     """
-    rules = system.rules
     by_prefix: Dict[Word, List[Rule]] = {}
     by_suffix: Dict[Word, List[Rule]] = {}
     by_lhs: Dict[Word, List[Rule]] = {}
-    for rule in rules:
+    rules_of_len: Dict[int, List[Rule]] = {}
+    for rule in system.rules:
         lhs = rule.lhs
         by_lhs.setdefault(lhs, []).append(rule)
+        rules_of_len.setdefault(len(lhs), []).append(rule)
         for k in range(1, len(lhs) + 1):
             by_prefix.setdefault(lhs[:k], []).append(rule)
             by_suffix.setdefault(lhs[len(lhs) - k:], []).append(rule)
-    lhs_lengths = sorted({len(l) for l in by_lhs})
-    rules_of_len: Dict[int, List[Rule]] = {}
-    for rule in rules:
-        rules_of_len.setdefault(len(rule.lhs), []).append(rule)
-    seen = set()
+    lhs_lengths = sorted(rules_of_len)
 
-    # rules of one system are distinct objects, so identity names them
-    def fresh(z, x, y, r1, r2):
-        key = (x, y, z, id(r1), id(r2))
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
-
-    for r1 in system.reducing:
-        l1, rh1 = r1.lhs, r1.rhs
+    def placements(l1):
         L1 = len(l1)
         # rule1 span starts at 0, rule2 span ends at |z|
         for k in range(1, L1 + 1):
             for r2 in by_prefix.get(l1[L1 - k:], ()):
-                l2, rh2 = r2.lhs, r2.rhs
-                L2 = len(l2)
-                pos1, pos2 = 0, L1 - k
-                same = r1 is r2
-                if same and (pos1 == pos2 or not include_same_rule_overlaps):
-                    continue
-                z = l1 + l2[k:]
-                x = rh1 + l2[k:]
-                y = z[:pos2] + rh2 + z[pos2 + L2:]
-                kind = OverlapKind.INCLUSION if k == L1 or k == L2 \
-                    else OverlapKind.LEFT_OVERLAP
-                if fresh(z, x, y, r1, r2):
-                    yield CriticalPair(z, x, y, r1, r2, pos1, pos2, kind)
+                yield r2, 0, L1 - k
         # rule2 span starts at 0, rule1 span ends at |z|
         for k in range(1, L1 + 1):
             for r2 in by_suffix.get(l1[:k], ()):
-                l2, rh2 = r2.lhs, r2.rhs
-                L2 = len(l2)
-                pos1, pos2 = L2 - k, 0
-                same = r1 is r2
-                if same and (pos1 == pos2 or not include_same_rule_overlaps):
-                    continue
-                z = l2 + l1[k:]
-                y = rh2 + l1[k:]
-                x = z[:pos1] + rh1 + z[pos1 + L1:]
-                kind = OverlapKind.INCLUSION if k == L1 or k == L2 \
-                    else OverlapKind.RIGHT_OVERLAP
-                if fresh(z, x, y, r1, r2):
-                    yield CriticalPair(z, x, y, r1, r2, pos1, pos2, kind)
+                yield r2, len(r2.lhs) - k, 0
         # rule2 strictly inside rule1
         for p in range(1, L1 - 1):
             for L2 in lhs_lengths:
                 if p + L2 >= L1:
                     break
                 for r2 in by_lhs.get(l1[p:p + L2], ()):
-                    y = l1[:p] + r2.rhs + l1[p + L2:]
-                    if fresh(l1, rh1, y, r1, r2):
-                        yield CriticalPair(l1, rh1, y, r1, r2, 0, p,
-                                           OverlapKind.INCLUSION)
+                    yield r2, 0, p
         # rule1 strictly inside rule2
         for L2 in lhs_lengths:
             if L2 < L1 + 2:
                 continue
             for r2 in rules_of_len[L2]:
-                l2, rh2 = r2.lhs, r2.rhs
                 for p in range(1, L2 - L1):
-                    if l2[p:p + L1] == l1:
-                        x = l2[:p] + rh1 + l2[p + L1:]
-                        if fresh(l2, x, rh2, r1, r2):
-                            yield CriticalPair(l2, x, rh2, r1, r2, p, 0,
-                                               OverlapKind.INCLUSION)
+                    if r2.lhs[p:p + L1] == l1:
+                        yield r2, p, 0
+
+    for r1 in system.reducing:
+        l1, rh1 = r1.lhs, r1.rhs
+        L1 = len(l1)
+        seen = set()  # rules of one system are distinct objects
+        for r2, pos1, pos2 in placements(l1):
+            if r2 is r1 and (pos1 == pos2 or not include_same_rule_overlaps):
+                continue
+            l2 = r2.lhs
+            L2 = len(l2)
+            z = l1 + l2[L1 - pos2:] if pos1 == 0 else l2 + l1[L2 - pos1:]
+            x = z[:pos1] + rh1 + z[pos1 + L1:]
+            y = z[:pos2] + r2.rhs + z[pos2 + L2:]
+            key = (x, y, z, id(r2))
+            if key in seen:
+                continue
+            seen.add(key)
+            # one span starts z and the other ends it
+            kind = (OverlapKind.INCLUSION if len(z) in (L1, L2)
+                    else OverlapKind.LEFT_OVERLAP if pos1 == 0
+                    else OverlapKind.RIGHT_OVERLAP)
+            yield CriticalPair(z, x, y, r1, r2, pos1, pos2, kind)
 
 
 def critical_pairs(system: RewriteSystem,

@@ -270,6 +270,12 @@ def universal_system_prime(P: Pregroup) -> RewriteSystem:
     return RewriteSystem(Alphabet(gamma), rules, inverse_pairing=pairing)
 
 
+def _check_elements(seq: Iterable[str], P: Pregroup) -> None:
+    for a in seq:
+        if a not in P.index:
+            raise PreconditionError(f"unknown element {a!r}")
+
+
 def p_reduce(seq: Iterable[str], P: Pregroup) -> Seq:
     """Contract adjacent defined products left to right, drop identities."""
     out: List[str] = []
@@ -287,6 +293,7 @@ def p_reduce(seq: Iterable[str], P: Pregroup) -> Seq:
 
 
 def is_reduced(seq: Sequence[str], P: Pregroup) -> bool:
+    _check_elements(seq, P)
     if any(a == P.eps for a in seq):
         return False
     return all(not P.defined(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
@@ -294,7 +301,8 @@ def is_reduced(seq: Sequence[str], P: Pregroup) -> bool:
 
 def reduce_random_seq(seq: Sequence[str], P: Pregroup, rng) -> Seq:
     """Contract random defined adjacent pairs until none remain."""
-    out = [a for a in seq]
+    _check_elements(seq, P)
+    out = list(seq)
     while True:
         spots = [i for i in range(len(out) - 1) if P.defined(out[i], out[i + 1])]
         if not spots:
@@ -314,9 +322,6 @@ def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,
     is raised when the search would take in one more.
     """
     u, v = tuple(u), tuple(v)
-    for a in u + v:
-        if a not in P.index:
-            raise PreconditionError(f"unknown element {a!r}")
     if not is_reduced(u, P) or not is_reduced(v, P):
         raise PreconditionError("interleave check requires reduced sequences")
     if len(u) != len(v):

@@ -1,10 +1,12 @@
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from geothue import builders
 from geothue.pregroup import load_pregroup
-from geothue.systems import load_system
+from geothue.systems import RewriteSystem, load_system, preserving, reducing
+from geothue.words import Alphabet
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -16,6 +18,45 @@ def fixture_path(name: str) -> pathlib.Path:
 
 def words_of(alphabet, *texts):
     return tuple(alphabet.word(t) for t in texts)
+
+
+@st.composite
+def overlapping_system(draw, with_preserving=False):
+    """A small system whose left-hand sides overlap: a rule's lhs may
+    repeat an earlier lhs (with another rhs), be a factor of one (suffix,
+    infix or prefix), extend one on either side, so that an earlier lhs
+    is a suffix or infix of a later one, or repeat one periodically, so
+    that it overlaps its own shifts.  Single-letter left sides and the
+    empty rule set come up too.  With with_preserving=True a rule may be
+    length-preserving (a drawn rhs equal to its lhs drops the rule)."""
+    k = draw(st.integers(1, 3))
+
+    def words(lo, hi):
+        return st.lists(st.integers(0, k - 1), min_size=lo, max_size=hi).map(tuple)
+
+    rules = []
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(("new", "same", "factor", "extend", "periodic")))
+        base = draw(st.sampled_from(rules)).lhs if rules else ()
+        if how == "same" and base:
+            lhs = base
+        elif how == "factor" and base:
+            i = draw(st.integers(0, len(base) - 1))
+            lhs = base[i:draw(st.integers(i + 1, len(base)))]
+        elif how == "extend" and base:
+            lhs = draw(words(0, 2)) + base + draw(words(0, 2))
+        elif how == "periodic" and base:
+            lhs = (base * 3)[:draw(st.integers(len(base) + 1, 3 * len(base)))]
+        else:
+            lhs = draw(words(1, 4))
+        rhs = draw(words(0, len(lhs) - 1))
+        if with_preserving and draw(st.booleans()):
+            rhs = draw(words(len(lhs), len(lhs)))
+        if len(rhs) < len(lhs):
+            rules.append(reducing(lhs, rhs))
+        elif rhs != lhs:
+            rules.append(preserving(lhs, rhs))
+    return RewriteSystem(Alphabet("abc"[:k]), rules)
 
 
 @pytest.fixture(scope="session")

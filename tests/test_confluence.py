@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 from geothue.confluence import (OverlapKind, check_geodesically_perfect,
                                 critical_pairs, descendant_closure,
                                 geodesic_bounded_check, geodesics_of,
-                                preperfect_wp, sp_equivalent,
-                                GeodesicCheckStatus)
+                                iter_critical_pairs, preperfect_wp,
+                                sp_equivalent, GeodesicCheckStatus)
 from geothue.oracle import WpVerdict, oracle_wp
 from geothue.rewriting import successors
-from geothue.systems import RuleKind, load_system, parse_system
-from tests.conftest import fixture_path, words_of
+from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
+from geothue.words import Alphabet
+from tests.conftest import fixture_path, overlapping_system, words_of
 
 
 def test_geoper_S_has_exactly_the_shared_lhs_pairs(geoper_S):
@@ -34,6 +35,65 @@ def test_pairs_are_one_step_divergences(z2_graph, tits_d3, geoper_S):
             succ = successors(p.z, sys_)
             assert p.x in succ and p.y in succ
             assert p.rule1.kind is RuleKind.REDUCING
+
+
+def _overlap_keys(S, same_rule):
+    """(z, x, y, rule1, rule2) for every offset of every rule2 against
+    every reducing rule1 at which the two left-hand sides agree."""
+    keys = set()
+    for r1 in S.reducing:
+        l1, L1 = r1.lhs, len(r1.lhs)
+        for r2 in S.rules:
+            l2, L2 = r2.lhs, len(r2.lhs)
+            # d is where rule2's span starts, relative to rule1's
+            for d in range(1 - L2, L1):
+                if r2 is r1 and (d == 0 or not same_rule):
+                    continue
+                pos1, pos2 = max(0, -d), max(0, d)
+                z = [None] * max(pos1 + L1, pos2 + L2)
+                z[pos1:pos1 + L1] = l1
+                if any(z[pos2 + i] not in (None, c) for i, c in enumerate(l2)):
+                    continue
+                z[pos2:pos2 + L2] = l2
+                z = tuple(z)
+                keys.add((z, z[:pos1] + r1.rhs + z[pos1 + L1:],
+                          z[:pos2] + r2.rhs + z[pos2 + L2:], r1, r2))
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_system(with_preserving=True), st.booleans())
+def test_pairs_are_every_overlap_once(S, same_rule):
+    pairs = list(iter_critical_pairs(S, same_rule))
+    keys = [(p.z, p.x, p.y, p.rule1, p.rule2) for p in pairs]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _overlap_keys(S, same_rule)
+    for p in pairs:
+        succ = successors(p.z, S)
+        assert p.x in succ and p.y in succ
+
+
+def test_equal_pairs_keep_their_first_placement():
+    # a -> . at each of the three letters of a a a gives the same pair with
+    # a a a -> b: six placements, two pairs
+    S = RewriteSystem(Alphabet("ab"), [reducing((0, 0, 0), (1,)), reducing((0,), ())])
+    ab = S.alphabet
+
+    def shown(same_rule):
+        return [(ab.format(p.z), ab.format(p.x), ab.format(p.y),
+                 S.rules.index(p.rule1), S.rules.index(p.rule2),
+                 p.pos1, p.pos2, p.kind.value)
+                for p in iter_critical_pairs(S, same_rule)]
+
+    assert shown(False) == [("a a a", "b", "a a", 0, 1, 0, 2, "inclusion"),
+                            ("a a a", "a a", "b", 1, 0, 0, 0, "inclusion")]
+    assert shown(True) == [
+        ("a a a a a", "b a a", "a a b", 0, 0, 0, 2, "left-overlap"),
+        ("a a a", "b", "a a", 0, 1, 0, 2, "inclusion"),
+        ("a a a a", "b a", "a b", 0, 0, 0, 1, "left-overlap"),
+        ("a a a a a", "a a b", "b a a", 0, 0, 2, 0, "right-overlap"),
+        ("a a a a", "a b", "b a", 0, 0, 1, 0, "right-overlap"),
+        ("a a a", "a a", "b", 1, 0, 0, 0, "inclusion")]
 
 
 def test_same_rule_shifted_overlaps_flagged_only(z2z2):

@@ -172,6 +172,14 @@ def test_interleave_rejects_unknown_elements(amalgam_pregroup, u, v):
         interleave_equivalent(u, v, amalgam_pregroup)
 
 
+@pytest.mark.parametrize("check", [is_reduced, lambda seq, P: reduce_random_seq(
+    seq, P, random.Random(0))], ids=["is_reduced", "reduce_random_seq"])
+@pytest.mark.parametrize("seq", [("zz",), ("zz", "r"), ("r", "zz")])
+def test_unknown_elements_are_rejected(amalgam_pregroup, check, seq):
+    with pytest.raises(PreconditionError, match="unknown element 'zz'"):
+        check(seq, amalgam_pregroup)
+
+
 def _amalgam(d):
     return builders.build_amalgam_pregroup(d.A, d.B, d.embA, d.embB)
 

@@ -12,7 +12,7 @@ from geothue.rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                                successors, thue_resolution)
 from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
 from geothue.words import Alphabet
-from tests.conftest import FIXTURES, words_of
+from tests.conftest import FIXTURES, overlapping_system, words_of
 
 
 def test_apply_rule_at_position():
@@ -72,41 +72,11 @@ TRACE_SYSTEMS = _trace_systems()
 
 
 @st.composite
-def _reducing_system(draw):
-    """A small reducing system whose left-hand sides overlap: a rule's lhs
-    may repeat an earlier lhs (with another rhs), be a factor of one
-    (suffix, infix or prefix), or extend one on either side, so that an
-    earlier lhs is a suffix or infix of a later one.  Single-letter left
-    sides and the empty rule set come up too."""
-    k = draw(st.integers(1, 3))
-
-    def words(lo, hi):
-        return st.lists(st.integers(0, k - 1), min_size=lo, max_size=hi).map(tuple)
-
-    lhss = []
-    for _ in range(draw(st.integers(0, 6))):
-        how = draw(st.sampled_from(("new", "same", "factor", "extend")))
-        base = draw(st.sampled_from(lhss)) if lhss else ()
-        if how == "same" and base:
-            lhs = base
-        elif how == "factor" and base:
-            i = draw(st.integers(0, len(base) - 1))
-            lhs = base[i:draw(st.integers(i + 1, len(base)))]
-        elif how == "extend" and base:
-            lhs = draw(words(0, 2)) + base + draw(words(0, 2))
-        else:
-            lhs = draw(words(1, 4))
-        lhss.append(lhs)
-    rules = [reducing(lhs, draw(words(0, len(lhs) - 1))) for lhs in lhss]
-    return RewriteSystem(Alphabet("abc"[:k]), rules)
-
-
-@st.composite
 def _trace_case(draw):
     """A fixture system or a generated one, and a word over its alphabet."""
     S = draw(st.one_of(
         st.sampled_from(sorted(TRACE_SYSTEMS)).map(TRACE_SYSTEMS.get),
-        _reducing_system()))
+        overlapping_system()))
     n = len(S.alphabet)
     return S, draw(st.lists(st.integers(0, n - 1), max_size=14).map(tuple))
 
