@@ -3,8 +3,9 @@ invocation, so two source trees can be compared byte for byte.
 
 Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, check-gp with --same-rule-overlaps on every .rws
-fixture and on the universal systems of amalgam_z4z6.pg, 6-phase
-completion with certificates, critical pairs with and without
+fixture and on the universal systems of amalgam_z4z6.pg, 6- and 12-phase
+completion with certificates, completion under node caps that one
+target search meets and one it exceeds, critical pairs with and without
 --same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp and
 reduce queries, and one long reduce word per fixture, all at default
 caps and in JSON; then at least one run of every subcommand in JSON and
@@ -166,10 +167,16 @@ def invocations(tmp: pathlib.Path, seed: int):
     for path in rws + [s for s in systems if s.name.startswith("amalgam_z4z6.")]:
         yield ["check-gp", str(path), "--same-rule-overlaps", "--format", "json"]
     for path in rws:
-        yield ["complete", str(path), "--certificates", "--format", "json",
-               "--max-phases", "6"]
+        for phases in ("6", "12"):
+            yield ["complete", str(path), "--certificates", "--format", "json",
+                   "--max-phases", phases]
         yield ["critical-pairs", str(path), "--format", "json"]
         yield ["critical-pairs", str(path), "--same-rule-overlaps", "--format", "json"]
+    # each sp_equivalent target of geoper_T is the first word its search
+    # reaches; some search of z2_graph needs a third word
+    for name, nodes in (("geoper_T.rws", "1"), ("z2_graph.rws", "2")):
+        yield ["complete", _fixture(name), "--max-phases", "6", "--caps",
+               f"nodes={nodes}", "--certificates", "--format", "json"]
     rng = random.Random(seed)
     for path in rws:
         names = _names(path)

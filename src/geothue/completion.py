@@ -14,6 +14,12 @@ enumerated, identically, and resolved in the phase before.  The run
 stops successfully the first time a phase contributes nothing new; the
 result need not be finite in general, so both a phase budget and a rule
 budget apply.
+
+A pair is resolved by reducing both sides with reduce_lr and, when the
+normal forms differ but have one length, asking sp_equivalent, which
+reads the system's cached preserving classes.  Only a pair that adds a
+rule is reduced again with reduce_lr_trace, for the certificate chain
+that kb_complete keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .errors import DEFAULT_MAX_NODES
-from .rewriting import reduce_lr_trace
+from .rewriting import reduce_lr, reduce_lr_trace
 from .systems import Rule, RuleKind, RewriteSystem, preserving, reducing
 from .words import Word
 
@@ -43,9 +49,11 @@ class ResolutionAction(enum.Enum):
 class Resolution:
     """Outcome of resolving one critical pair.
 
-    chain lists the words of the derivation certificate: from the normal
-    form of x up through x to the superposition z, then down through y to
-    the normal form of y.  Each adjacent pair is one rewrite step.
+    For a pair that adds a rule, chain lists the words of the derivation
+    certificate: from the normal form of x up through x to the
+    superposition z, then down through y to the normal form of y.  Each
+    adjacent pair is one rewrite step.  A pair that adds nothing (JOINED
+    or SP_EQUIVALENT) has the empty chain.
     """
 
     pair: CriticalPair
@@ -67,33 +75,36 @@ class Resolution:
         }
 
 
-def _trace_words(start: Word, system: RewriteSystem) -> List[Word]:
-    final, steps = reduce_lr_trace(start, system)
-    words = [before for before, _pos, _rule in steps]
-    words.append(final)
-    return words
+def _chain(pair: CriticalPair, system: RewriteSystem) -> Tuple[Word, ...]:
+    """The certificate of a pair: x's reduction reversed, z, y's reduction."""
+    sides = []
+    for side in (pair.x, pair.y):
+        final, steps = reduce_lr_trace(side, system)
+        sides.append(tuple(before for before, _pos, _rule in steps) + (final,))
+    return sides[0][::-1] + (pair.z,) + sides[1]
 
 
 def resolve_pair(pair: CriticalPair, system: RewriteSystem,
                  max_nodes: Optional[int] = None) -> Resolution:
-    """Normalize both sides and classify what, if anything, must be added."""
-    x_seq = _trace_words(pair.x, system)
-    y_seq = _trace_words(pair.y, system)
-    x_hat, y_hat = x_seq[-1], y_seq[-1]
-    chain = tuple(reversed(x_seq)) + (pair.z,) + tuple(y_seq)
+    """Normalize both sides and classify what, if anything, must be added;
+    only a pair that adds a rule is traced again for its chain."""
+    x_hat = reduce_lr(pair.x, system)
+    y_hat = reduce_lr(pair.y, system)
     if x_hat == y_hat:
-        return Resolution(pair, ResolutionAction.JOINED, x_hat, y_hat, None, chain)
+        return Resolution(pair, ResolutionAction.JOINED, x_hat, y_hat, None, ())
     if len(x_hat) == len(y_hat):
         if sp_equivalent(x_hat, y_hat, system, max_nodes=max_nodes):
             return Resolution(pair, ResolutionAction.SP_EQUIVALENT,
-                              x_hat, y_hat, None, chain)
-        return Resolution(pair, ResolutionAction.ADD_PRESERVING, x_hat, y_hat,
-                          preserving(x_hat, y_hat), chain)
-    if len(x_hat) > len(y_hat):
-        rule = reducing(x_hat, y_hat)
+                              x_hat, y_hat, None, ())
+        action = ResolutionAction.ADD_PRESERVING
+        rule = preserving(x_hat, y_hat)
     else:
-        rule = reducing(y_hat, x_hat)
-    return Resolution(pair, ResolutionAction.ADD_REDUCING, x_hat, y_hat, rule, chain)
+        action = ResolutionAction.ADD_REDUCING
+        if len(x_hat) > len(y_hat):
+            rule = reducing(x_hat, y_hat)
+        else:
+            rule = reducing(y_hat, x_hat)
+    return Resolution(pair, action, x_hat, y_hat, rule, _chain(pair, system))
 
 
 class CompletionStatus(enum.Enum):

@@ -22,6 +22,14 @@ position, then right-hand side in rule order, and a budget of max_nodes
 words for each closure, the start word included, so a closure of N
 words passes at max_nodes=N.  In check_geodesically_perfect every
 reducing-descendant set and every preserving class has its own budget.
+
+Preserving classes are computed once per system: _sp_class memoises
+each full class on the system, every member mapped to the same
+frozenset, and check_geodesically_perfect and sp_equivalent (so also
+completion) read them there.  A cached class larger than a later,
+smaller budget raises as its closure would; sp_equivalent then falls
+back to a search that stops at its target, so a target reached within
+the budget is answered.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .errors import DEFAULT_MAX_NODES
+from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .oracle import class_closure
 from .rewriting import _closure, is_irreducible
 from .systems import Rule, RuleKind, RewriteSystem
@@ -96,10 +104,13 @@ def iter_critical_pairs(system: RewriteSystem,
         for k in range(1, L1 + 1):
             for r2 in by_prefix.get(l1[L1 - k:], ()):
                 yield r2, 0, L1 - k
-        # rule2 span starts at 0, rule1 span ends at |z|
+        # rule2 span starts at 0, rule1 span ends at |z|; an equal lhs
+        # (k = |lhs1| = |lhs2|) was listed just above
         for k in range(1, L1 + 1):
             for r2 in by_suffix.get(l1[:k], ()):
-                yield r2, len(r2.lhs) - k, 0
+                L2 = len(r2.lhs)
+                if k < L1 or L2 > k:
+                    yield r2, L2 - k, 0
         # rule2 strictly inside rule1
         for p in range(1, L1 - 1):
             for L2 in lhs_lengths:
@@ -149,20 +160,50 @@ def critical_pairs(system: RewriteSystem,
     return tuple(out)
 
 
+def _sp_class(w: Word, system: RewriteSystem, max_nodes: Optional[int],
+              what: str) -> FrozenSet[Word]:
+    """The preserving class of w, memoised on the system.
+
+    Every member of a class maps to the same frozenset, so two words are
+    S_P-connected iff their classes are identical.  A class is the
+    closure of w under the preserving steps taken both ways, with its
+    budget; a cached class checked against a smaller budget raises the
+    error that the closure would raise.
+    """
+    classes = system._sp_classes
+    got = classes.get(w)
+    if got is None:
+        got = frozenset(_closure(w, system._steps.undirected, max_nodes, what))
+        for m in got:
+            classes[m] = got
+    # a closure raises only when it adds a word, so never at one word
+    elif max_nodes is not None and len(got) > max_nodes and len(got) > 1:
+        raise ResourceLimitError(f"{what} exceeded its node budget",
+                                 cap=max_nodes)
+    return got
+
+
 def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
                   max_nodes: Optional[int] = None) -> bool:
     """Connectivity under preserving rules only; lengths must agree.
 
     Preserving rules are used in both directions, also in systems built
     with symmetrize=False; max_nodes=None searches without a budget.
+    The answer is read off u's class when the class fits the budget
+    (DEFAULT_MAX_NODES for None); otherwise a search from u stops at v,
+    so a target reached within the budget is still answered.
     """
     u, v = tuple(u), tuple(v)
     system._check_symbols(u)
     system._check_symbols(v)
     if len(u) != len(v):
         return False
-    return v in _closure(u, system._steps.undirected, max_nodes,
-                         "sp_equivalent", target=v)
+    budget = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
+    try:
+        return v in _sp_class(u, system, budget, "sp_equivalent")
+    except ResourceLimitError:
+        return v in _closure(u, system._steps.undirected, max_nodes,
+                             "sp_equivalent", target=v)
 
 
 def descendant_closure(word: Word, system: RewriteSystem,
@@ -217,8 +258,8 @@ def check_geodesically_perfect(system: RewriteSystem,
     """
     pairs = iter_critical_pairs(system, include_same_rule_overlaps)
     steps = system._steps
+    what = "preserving-class closure"
     rdesc_cache: Dict[Word, FrozenSet[Word]] = {}
-    class_of: Dict[Word, Word] = {}
 
     def rdesc(w: Word) -> FrozenSet[Word]:
         got = rdesc_cache.get(w)
@@ -227,16 +268,6 @@ def check_geodesically_perfect(system: RewriteSystem,
                                      "descendant closure"))
             rdesc_cache[w] = got
         return got
-
-    def class_id(w: Word) -> Word:
-        # a preserving class is named by its first member asked about
-        cid = class_of.get(w)
-        if cid is None:
-            cid = w
-            for m in _closure(w, steps.undirected, max_nodes,
-                              "preserving-class closure"):
-                class_of[m] = cid
-        return cid
 
     verdict_cache: Dict[Tuple[Word, Word], bool] = {}
     checked = 0
@@ -258,8 +289,9 @@ def check_geodesically_perfect(system: RewriteSystem,
                 if w in bucket:
                     ok = True
                     break
-                cid = class_id(w)
-                if any(class_id(c) == cid for c in bucket):
+                cls = _sp_class(w, system, max_nodes, what)
+                if any(_sp_class(c, system, max_nodes, what) is cls
+                       for c in bucket):
                     ok = True
                     break
             verdict_cache[key] = ok

@@ -24,7 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import AlphabetError, FormatError, StructureError
 from .words import EMPTY, Alphabet, Word, _directive_lines
@@ -140,6 +141,12 @@ class RewriteSystem:
     def _automaton(self) -> "_Automaton":
         """The matcher of the reducing left-hand sides behind reduce_lr."""
         return _lhs_automaton(self.reducing, len(self.alphabet))
+
+    @cached_property
+    def _sp_classes(self) -> Dict[Word, FrozenSet[Word]]:
+        """The preserving classes found so far, each member mapped to its
+        class; filled by confluence._sp_class."""
+        return {}
 
     def _check_symbols(self, word: Word) -> None:
         """Reject a word with a symbol outside this system's alphabet."""

@@ -1,7 +1,7 @@
 """The bounded closures behind the word problem, geodesics and the
 perfection check: cap boundaries, directed preserving rules, the
-per-closure budget, symbol validation, and agreement with the
-rule-scanning successors."""
+per-closure budget, the preserving-class index, symbol validation, and
+agreement with the rule-scanning successors."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +51,19 @@ def test_sp_equivalent_cap_boundary_with_unreachable_target(amalgam_pregroup):
     u, v = words_of(S.alphabet, "1 1", "1 r")  # u's class has 8 words
     assert not sp_equivalent(u, v, S, max_nodes=8)
     _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 8)
+
+
+def test_sp_equivalent_answers_a_near_target_in_a_class_over_budget(
+        amalgam_pregroup):
+    # u's class has 8 words, and a search from u that stops at v passes
+    # at max_nodes=2; on a fresh system, then with u's class cached
+    S = universal_system(amalgam_pregroup)
+    u, v = words_of(S.alphabet, "1 1", "r2 r2")
+    _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 2)
+    assert u not in S._sp_classes
+    assert sp_equivalent(u, v, S, max_nodes=8)
+    assert len(S._sp_classes[u]) == 8
+    _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 2)
 
 
 def test_interleave_equivalent_cap_boundary_with_unreachable_target(
@@ -133,6 +146,43 @@ def test_descendant_closure_matches_successor_closure(system_and_word, kind):
     system, word = system_and_word
     assert descendant_closure(word, system, kind) == \
         _closure_by_successors(word, system, kind)
+
+
+def _naive_sp_class(word, system):
+    """Successor walk over the preserving rules, each taken both ways."""
+    both_ways = RewriteSystem(system.alphabet, system.preserving)
+    return _closure_by_successors(word, both_ways, RuleKind.PRESERVING)
+
+
+@st.composite
+def _equal_length_words(draw, system):
+    # u strings letters and sides of preserving rules together, so that
+    # its class is seldom a single word; v is a word of u's length or a
+    # member of u's class
+    letter = st.integers(0, len(system.alphabet) - 1).map(lambda x: (x,))
+    pieces = [letter]
+    if system.preserving:
+        pieces.append(st.sampled_from(
+            [side for r in system.preserving for side in (r.lhs, r.rhs)]))
+    u = sum(draw(st.lists(st.one_of(pieces), max_size=3)), ())
+    word = st.lists(letter, min_size=len(u), max_size=len(u)).map(
+        lambda xs: sum(xs, ()))
+    v = draw(st.one_of(word, st.sampled_from(sorted(_naive_sp_class(u, system)))))
+    return u, v
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sp_equivalent_matches_a_successor_walk(name, data):
+    # a fresh copy of the system, so the first round computes the
+    # classes and the second reads them from its cache
+    system = SYSTEMS[name].with_rules(())
+    u, v = data.draw(_equal_length_words(SYSTEMS[name]))
+    expected = v in _naive_sp_class(u, system)
+    for _ in range(2):
+        assert sp_equivalent(u, v, system) is expected
+        assert sp_equivalent(v, u, system) is expected
 
 
 OUTSIDE = (99,)

@@ -1,5 +1,5 @@
-from geothue.completion import (CompletionStatus, ResolutionAction,
-                                kb_complete, resolve_pair)
+from geothue.completion import (DEFAULT_MAX_PHASES, CompletionStatus,
+                                ResolutionAction, kb_complete, resolve_pair)
 from geothue.confluence import check_geodesically_perfect, critical_pairs
 from geothue.oracle import class_partition
 from geothue.rewriting import successors
@@ -47,16 +47,18 @@ def test_rule_budget(z2_graph):
     assert res.status is CompletionStatus.RULE_LIMIT
 
 
-def test_certificates_replay(z2z2_group):
-    res = kb_complete(z2z2_group)
-    assert res.certificates
-    for cert in res.certificates:
-        chain = cert.chain
-        assert chain[0] == cert.x_hat and chain[-1] == cert.y_hat
-        assert cert.pair.z in chain
-        for u, v in zip(chain, chain[1:]):
-            assert v in successors(u, res.system) or \
-                u in successors(v, res.system)
+def test_certificates_replay(z2z2_group, z2_graph, geoper_S):
+    for system, phases in ((z2z2_group, DEFAULT_MAX_PHASES), (z2_graph, 6),
+                           (geoper_S, 4)):
+        res = kb_complete(system, max_phases=phases)
+        assert res.certificates
+        for cert in res.certificates:
+            chain = cert.chain
+            assert chain[0] == cert.x_hat and chain[-1] == cert.y_hat
+            assert cert.pair.z in chain
+            for u, v in zip(chain, chain[1:]):
+                assert v in successors(u, res.system) or \
+                    u in successors(v, res.system)
 
 
 def test_resolve_actions(geoper_S, geoper_T):
@@ -71,6 +73,7 @@ def test_resolve_actions(geoper_S, geoper_T):
     res_t = resolve_pair(pair_t, geoper_T)
     assert res_t.action is ResolutionAction.SP_EQUIVALENT
     assert res_t.rule is None
+    assert res_t.chain == ()  # only a pair that adds a rule is traced
 
 
 def test_geoper_completion_grows_one_equation_per_phase(geoper_S):
