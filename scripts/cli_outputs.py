@@ -4,16 +4,17 @@ invocation, so two source trees can be compared byte for byte.
 Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, check-gp with --same-rule-overlaps on every .rws
 fixture and on the universal systems of amalgam_z4z6.pg, 6- and 12-phase
-completion with certificates, completion under node caps that one
-target search meets and one it exceeds, critical pairs with and without
---same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp and
-reduce queries, and one long reduce word per fixture, all at default
-caps and in JSON; then at least one run of every subcommand in JSON and
-in the human format, the build subcommands from the fixture group and
-map files and from --example, malformed input files, unusable and
-unread caps, --example with a file option, a closed stdout, and --help
-for every subcommand.  Each line is the sha256 of exit code, stdout,
-stderr and any file written, followed by the command.
+completion with certificates (and 16-phase on z2_graph and geoper_S),
+completion under node caps that one target search meets and one it
+exceeds, critical pairs with and without --same-rule-overlaps, seeded
+samples of wp, geodesics, dehn-wp and reduce queries, and one long
+reduce word per fixture, all at default caps and in JSON; then at least
+one run of every subcommand in JSON and in the human format, the build
+subcommands from the fixture group and map files and from --example,
+malformed input files, unusable and unread caps, --example with a file
+option, a closed stdout, and --help for every subcommand.  Each line is
+the sha256 of exit code, stdout, stderr and any file written, followed
+by the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -172,6 +173,9 @@ def invocations(tmp: pathlib.Path, seed: int):
                    "--max-phases", phases]
         yield ["critical-pairs", str(path), "--format", "json"]
         yield ["critical-pairs", str(path), "--same-rule-overlaps", "--format", "json"]
+    for name in ("z2_graph.rws", "geoper_S.rws"):
+        yield ["complete", _fixture(name), "--certificates", "--format", "json",
+               "--max-phases", "16"]
     # each sp_equivalent target of geoper_T is the first word its search
     # reaches; some search of z2_graph needs a third word
     for name, nodes in (("geoper_T.rws", "1"), ("z2_graph.rws", "2")):

@@ -2,7 +2,8 @@
 
 Useful for eyeballing whether a system is heading anywhere: a closing
 run shows a zero-add phase at the end, a diverging one keeps climbing
-until the phase cap stops it.
+until the phase cap stops it.  The text output ends with the wall time
+of the kb_complete call.
 
     python scripts/kb_growth.py fixtures/z2_graph.rws --max-phases 8
 """
@@ -11,6 +12,7 @@ import argparse
 import json
 import pathlib
 import sys
+from time import perf_counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -29,9 +31,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     system = load_system(args.system)
+    start = perf_counter()
     result = kb_complete(system, max_phases=args.max_phases,
                          max_rules=args.max_rules,
                          include_same_rule_overlaps=args.classical_overlaps)
+    seconds = perf_counter() - start
     if args.json:
         json.dump(result.to_dict(), sys.stdout, indent=2)
         print()
@@ -47,6 +51,7 @@ def main(argv=None) -> int:
               for a, b in zip(result.phases, result.phases[1:])]
     if deltas:
         print("growth per phase:", " ".join(str(d) for d in deltas))
+    print(f"wall time: {seconds:.3f} s")
     return 0
 
 

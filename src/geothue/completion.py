@@ -7,26 +7,27 @@ against the system as it stood when the phase began, and the rules
 gathered during the phase only take effect in the next one.  This makes
 the trace independent of pair enumeration order.
 
-A phase resolves only the critical pairs that use at least one rule
-absent from the system one phase earlier (at the first phase, every
-pair): rules are only ever appended, so a pair of two older rules was
-enumerated, identically, and resolved in the phase before.  The run
-stops successfully the first time a phase contributes nothing new; the
-result need not be finite in general, so both a phase budget and a rule
-budget apply.
+A phase enumerates, sorts and resolves only the critical pairs that
+use at least one rule absent from the system one phase earlier (at the
+first phase, every pair): a new reducing rule is overlapped with every
+rule, an old one with the new rules alone.  Rules are only ever added,
+so a pair of two older rules was enumerated, identically, and resolved
+in the phase before.  The run stops successfully the first time a phase
+contributes nothing new; the result need not be finite in general, so
+both a phase budget and a rule budget apply.
 
-A pair is resolved by reducing both sides with reduce_lr and, when the
-normal forms differ but have one length, asking sp_equivalent, which
-reads the system's cached preserving classes.  Only a pair that adds a
-rule is reduced again with reduce_lr_trace, for the certificate chain
-that kb_complete keeps.
+A pair is resolved by reducing both sides with reduce_lr, each distinct
+side once per phase, and, when the normal forms differ but have one
+length, asking sp_equivalent, which reads the system's cached
+preserving classes.  Only a pair that adds a rule is reduced again with
+reduce_lr_trace, for the certificate chain that kb_complete keeps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .errors import DEFAULT_MAX_NODES
@@ -84,12 +85,27 @@ def _chain(pair: CriticalPair, system: RewriteSystem) -> Tuple[Word, ...]:
     return sides[0][::-1] + (pair.z,) + sides[1]
 
 
+def _normal_form(w: Word, system: RewriteSystem,
+                 normal_forms: Dict[Word, Word]) -> Word:
+    """reduce_lr(w, system), read from or added to normal_forms."""
+    got = normal_forms.get(w)
+    if got is None:
+        got = normal_forms[w] = reduce_lr(w, system)
+    return got
+
+
 def resolve_pair(pair: CriticalPair, system: RewriteSystem,
-                 max_nodes: Optional[int] = None) -> Resolution:
+                 max_nodes: Optional[int] = None, *,
+                 _normal_forms: Optional[Dict[Word, Word]] = None) -> Resolution:
     """Normalize both sides and classify what, if anything, must be added;
-    only a pair that adds a rule is traced again for its chain."""
-    x_hat = reduce_lr(pair.x, system)
-    y_hat = reduce_lr(pair.y, system)
+    only a pair that adds a rule is traced again for its chain.
+
+    _normal_forms is kb_complete's: the normal forms of one phase's
+    system, shared by the pairs of the phase.
+    """
+    normal_forms = {} if _normal_forms is None else _normal_forms
+    x_hat = _normal_form(pair.x, system, normal_forms)
+    y_hat = _normal_form(pair.y, system, normal_forms)
     if x_hat == y_hat:
         return Resolution(pair, ResolutionAction.JOINED, x_hat, y_hat, None, ())
     if len(x_hat) == len(y_hat):
@@ -159,15 +175,17 @@ def kb_complete(system: RewriteSystem,
     certificates: List[Resolution] = []
 
     for index in range(1, max_phases + 1):
-        fresh = [p for p in critical_pairs(current, include_same_rule_overlaps)
-                 if (p.rule1.lhs, p.rule1.rhs) not in previous
-                 or (p.rule2.lhs, p.rule2.rhs) not in previous]
+        new = ({r for r in current.rules if (r.lhs, r.rhs) not in previous}
+               if index > 1 else None)
+        fresh = critical_pairs(current, include_same_rule_overlaps, _new=new)
         previous = {(r.lhs, r.rhs) for r in current.rules}
         added: List[Rule] = []
         added_keys = set(previous)
+        normal_forms: Dict[Word, Word] = {}
         n_red = n_pres = 0
         for pair in fresh:
-            res = resolve_pair(pair, current, max_nodes=max_nodes)
+            res = resolve_pair(pair, current, max_nodes=max_nodes,
+                               _normal_forms=normal_forms)
             rule = res.rule
             if rule is None:
                 continue

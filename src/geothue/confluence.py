@@ -15,6 +15,9 @@ produce the pair of their right-hand sides.
 Index lookups list placements (rule2, pos1, pos2), the starts of both
 spans in z, and one routine builds each placement's pair.  Distinct
 placements can give the same pair, so each rule1 keeps a seen set.
+Completion enumerates only the pairs that use a new rule: a new rule1
+is looked up in the index of every rule, an old one in the index of
+the new rules alone.
 
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
@@ -27,16 +30,19 @@ Preserving classes are computed once per system: _sp_class memoises
 each full class on the system, every member mapped to the same
 frozenset, and check_geodesically_perfect and sp_equivalent (so also
 completion) read them there.  A cached class larger than a later,
-smaller budget raises as its closure would; sp_equivalent then falls
-back to a search that stops at its target, so a target reached within
-the budget is answered.
+smaller budget raises as its closure would, and so does a word whose
+class already overflowed a budget at least as large: the system also
+remembers, per word, the largest budget its class overflowed.
+sp_equivalent then falls back to a search that stops at its target, so
+a target reached within the budget is answered.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Tuple)
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .oracle import class_closure
@@ -74,64 +80,91 @@ class CriticalPair(NamedTuple):
         }
 
 
-def iter_critical_pairs(system: RewriteSystem,
-                        include_same_rule_overlaps: bool = False):
-    """Deduplicated critical pairs in a deterministic enumeration order.
+class _LhsTables(NamedTuple):
+    """Some rules by a prefix of their lhs, by a suffix, by the whole lhs
+    and by its length, each list in the rules' order."""
 
-    For each reducing rule1, four index lookups list the placements
-    (rule2, pos1, pos2): rule2 over rule1's end, over its start, strictly
-    inside it, and around it.  One routine builds each placement's pair.
-    Distinct placements can give the same pair: with a a a -> b and
-    a -> ., deleting any letter of a a a gives a a, so six placements
-    give two pairs.  A seen set per rule1 keeps the first placement.
-    """
+    by_prefix: Dict[Word, List[Rule]]
+    by_suffix: Dict[Word, List[Rule]]
+    by_lhs: Dict[Word, List[Rule]]
+    rules_of_len: Dict[int, List[Rule]]
+    lhs_lengths: List[int]  # ascending
+
+
+def _lhs_tables(rules: Iterable[Rule]) -> _LhsTables:
     by_prefix: Dict[Word, List[Rule]] = {}
     by_suffix: Dict[Word, List[Rule]] = {}
     by_lhs: Dict[Word, List[Rule]] = {}
     rules_of_len: Dict[int, List[Rule]] = {}
-    for rule in system.rules:
+    for rule in rules:
         lhs = rule.lhs
         by_lhs.setdefault(lhs, []).append(rule)
         rules_of_len.setdefault(len(lhs), []).append(rule)
         for k in range(1, len(lhs) + 1):
             by_prefix.setdefault(lhs[:k], []).append(rule)
             by_suffix.setdefault(lhs[len(lhs) - k:], []).append(rule)
-    lhs_lengths = sorted(rules_of_len)
+    return _LhsTables(by_prefix, by_suffix, by_lhs, rules_of_len,
+                      sorted(rules_of_len))
 
-    def placements(l1):
-        L1 = len(l1)
-        # rule1 span starts at 0, rule2 span ends at |z|
-        for k in range(1, L1 + 1):
-            for r2 in by_prefix.get(l1[L1 - k:], ()):
-                yield r2, 0, L1 - k
-        # rule2 span starts at 0, rule1 span ends at |z|; an equal lhs
-        # (k = |lhs1| = |lhs2|) was listed just above
-        for k in range(1, L1 + 1):
-            for r2 in by_suffix.get(l1[:k], ()):
-                L2 = len(r2.lhs)
-                if k < L1 or L2 > k:
-                    yield r2, L2 - k, 0
-        # rule2 strictly inside rule1
-        for p in range(1, L1 - 1):
-            for L2 in lhs_lengths:
-                if p + L2 >= L1:
-                    break
-                for r2 in by_lhs.get(l1[p:p + L2], ()):
-                    yield r2, 0, p
-        # rule1 strictly inside rule2
+
+def _placements(l1: Word, tables: _LhsTables):
+    """(rule2, pos1, pos2) for every rule2 of the tables whose lhs
+    overlaps l1 with pos1, pos2 the starts of the two spans in z."""
+    by_prefix, by_suffix, by_lhs, rules_of_len, lhs_lengths = tables
+    L1 = len(l1)
+    # rule1 span starts at 0, rule2 span ends at |z|
+    for k in range(1, L1 + 1):
+        for r2 in by_prefix.get(l1[L1 - k:], ()):
+            yield r2, 0, L1 - k
+    # rule2 span starts at 0, rule1 span ends at |z|; an equal lhs
+    # (k = |lhs1| = |lhs2|) was listed just above
+    for k in range(1, L1 + 1):
+        for r2 in by_suffix.get(l1[:k], ()):
+            L2 = len(r2.lhs)
+            if k < L1 or L2 > k:
+                yield r2, L2 - k, 0
+    # rule2 strictly inside rule1
+    for p in range(1, L1 - 1):
         for L2 in lhs_lengths:
-            if L2 < L1 + 2:
-                continue
-            for r2 in rules_of_len[L2]:
-                for p in range(1, L2 - L1):
-                    if r2.lhs[p:p + L1] == l1:
-                        yield r2, p, 0
+            if p + L2 >= L1:
+                break
+            for r2 in by_lhs.get(l1[p:p + L2], ()):
+                yield r2, 0, p
+    # rule1 strictly inside rule2
+    for L2 in lhs_lengths:
+        if L2 < L1 + 2:
+            continue
+        for r2 in rules_of_len[L2]:
+            for p in range(1, L2 - L1):
+                if r2.lhs[p:p + L1] == l1:
+                    yield r2, p, 0
 
+
+def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
+           new: Optional[AbstractSet[Rule]]):
+    """The critical pairs that use a rule of new, or every pair for None.
+
+    For each reducing rule1, four index lookups list the placements
+    (rule2, pos1, pos2): rule2 over rule1's end, over its start, strictly
+    inside it, and around it.  A new rule1 is looked up in the tables of
+    every rule, an old one in the tables of the new rules alone, so no
+    placement of two old rules is listed.  One routine builds each
+    placement's pair.  Distinct placements can give the same pair: with
+    a a a -> b and a -> ., deleting any letter of a a a gives a a, so
+    six placements give two pairs.  A seen set per rule1 and rule2 keeps
+    the first placement; as every table lists its rules in system order,
+    the pairs of new come in the order, and with the placements, that
+    they have among all pairs.
+    """
+    every = _lhs_tables(system.rules)
+    of_new = every if new is None else _lhs_tables(r for r in system.rules
+                                                    if r in new)
     for r1 in system.reducing:
         l1, rh1 = r1.lhs, r1.rhs
         L1 = len(l1)
         seen = set()  # rules of one system are distinct objects
-        for r2, pos1, pos2 in placements(l1):
+        tables = every if new is None or r1 in new else of_new
+        for r2, pos1, pos2 in _placements(l1, tables):
             if r2 is r1 and (pos1 == pos2 or not include_same_rule_overlaps):
                 continue
             l2 = r2.lhs
@@ -150,11 +183,24 @@ def iter_critical_pairs(system: RewriteSystem,
             yield CriticalPair(z, x, y, r1, r2, pos1, pos2, kind)
 
 
+def iter_critical_pairs(system: RewriteSystem,
+                        include_same_rule_overlaps: bool = False):
+    """Every critical pair once, in a deterministic order: by reducing
+    rule1 in rule order, then by placement of rule2 over rule1's end,
+    over its start, strictly inside it and around it."""
+    return _pairs(system, include_same_rule_overlaps, None)
+
+
 def critical_pairs(system: RewriteSystem,
-                   include_same_rule_overlaps: bool = False) -> Tuple[CriticalPair, ...]:
-    """All critical pairs, deduplicated, sorted by (|z|, z, rule order)."""
+                   include_same_rule_overlaps: bool = False, *,
+                   _new: Optional[AbstractSet[Rule]] = None) -> Tuple[CriticalPair, ...]:
+    """All critical pairs, deduplicated, sorted by (|z|, z, rule order).
+
+    _new is completion's: only the pairs that use one of these rules of
+    the system are enumerated and sorted.
+    """
     rule_index = {id(r): i for i, r in enumerate(system.rules)}
-    out = list(iter_critical_pairs(system, include_same_rule_overlaps))
+    out = list(_pairs(system, include_same_rule_overlaps, _new))
     out.sort(key=lambda cp: (len(cp.z), cp.z, rule_index[id(cp.rule1)],
                              rule_index[id(cp.rule2)], cp.pos1, cp.pos2))
     return tuple(out)
@@ -167,13 +213,24 @@ def _sp_class(w: Word, system: RewriteSystem, max_nodes: Optional[int],
     Every member of a class maps to the same frozenset, so two words are
     S_P-connected iff their classes are identical.  A class is the
     closure of w under the preserving steps taken both ways, with its
-    budget; a cached class checked against a smaller budget raises the
-    error that the closure would raise.
+    budget.  A cached class checked against a smaller budget, and a word
+    whose class overflowed a budget at least as large, raise the error
+    that the closure would raise, without running it.
     """
     classes = system._sp_classes
     got = classes.get(w)
     if got is None:
-        got = frozenset(_closure(w, system._steps.undirected, max_nodes, what))
+        overflows = system._sp_overflows
+        # a class that exceeded a budget b has more than b words and more
+        # than one, so its closure raises at every budget up to b
+        if max_nodes is not None and max_nodes <= overflows.get(w, -1):
+            raise ResourceLimitError(f"{what} exceeded its node budget",
+                                     cap=max_nodes)
+        try:
+            got = frozenset(_closure(w, system._steps.undirected, max_nodes, what))
+        except ResourceLimitError:
+            overflows[w] = max_nodes
+            raise
         for m in got:
             classes[m] = got
     # a closure raises only when it adds a word, so never at one word

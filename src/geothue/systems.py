@@ -148,6 +148,12 @@ class RewriteSystem:
         class; filled by confluence._sp_class."""
         return {}
 
+    @cached_property
+    def _sp_overflows(self) -> Dict[Word, int]:
+        """Per word, the largest budget its preserving class was found to
+        exceed; filled by confluence._sp_class."""
+        return {}
+
     def _check_symbols(self, word: Word) -> None:
         """Reject a word with a symbol outside this system's alphabet."""
         if not self._symbols.issuperset(word):

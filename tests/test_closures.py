@@ -6,7 +6,7 @@ agreement with the rule-scanning successors."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geothue import builders
+from geothue import builders, confluence
 from geothue.confluence import (check_geodesically_perfect,
                                 descendant_closure, geodesics_of,
                                 preperfect_wp, sp_equivalent)
@@ -64,6 +64,44 @@ def test_sp_equivalent_answers_a_near_target_in_a_class_over_budget(
     assert sp_equivalent(u, v, S, max_nodes=8)
     assert len(S._sp_classes[u]) == 8
     _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 2)
+
+
+def test_sp_equivalent_skips_the_closure_of_a_class_known_over_budget(
+        amalgam_pregroup, monkeypatch):
+    # u's class has 8 words: once it overflows budget 5, a call at a
+    # budget up to 5 runs only the search that stops at its target, and
+    # every answer is the one a fresh system gives
+    S = universal_system(amalgam_pregroup)
+    u, near, far = words_of(S.alphabet, "1 1", "r2 r2", "1 r")
+    real = confluence._closure
+    targets = []
+
+    def counting(*args, **kwargs):
+        targets.append(kwargs.get("target"))
+        return real(*args, **kwargs)
+
+    def fresh(v, m):
+        return sp_equivalent(u, v, universal_system(amalgam_pregroup), max_nodes=m)
+
+    expected = {m: fresh(near, m) for m in (3, 5, 8)}
+    with pytest.raises(ResourceLimitError):
+        fresh(far, 5)
+    monkeypatch.setattr(confluence, "_closure", counting)
+    assert sp_equivalent(u, near, S, max_nodes=5) is expected[5]
+    assert targets == [None, near]
+    for m in (5, 5, 3):
+        targets.clear()
+        assert sp_equivalent(u, near, S, max_nodes=m) is expected[m]
+        assert targets == [near]
+    targets.clear()
+    with pytest.raises(ResourceLimitError) as info:
+        sp_equivalent(u, far, S, max_nodes=5)
+    assert info.value.cap == 5
+    assert targets == [far]
+    targets.clear()
+    assert sp_equivalent(u, near, S, max_nodes=8) is expected[8]
+    assert targets == [None]
+    assert len(S._sp_classes[u]) == 8
 
 
 def test_interleave_equivalent_cap_boundary_with_unreachable_target(

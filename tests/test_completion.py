@@ -92,6 +92,11 @@ def test_phase_pair_profiles(z2_graph, gpex, z2z2_group):
         return [p.new_pairs for p in kb_complete(system, **kwargs).phases]
 
     assert profile(z2_graph, max_phases=6) == [24, 128, 224, 320, 416, 512]
+    deep = kb_complete(z2_graph, max_phases=12).phases
+    assert [p.new_pairs for p in deep] == \
+        [24, 128, 224, 320, 416, 512, 608, 704, 800, 896, 992, 1088]
+    assert [p.total_rules for p in deep] == \
+        [20, 28, 36, 44, 52, 60, 68, 76, 84, 92, 100, 108]
     assert profile(gpex, max_phases=6, include_same_rule_overlaps=True) == \
         [2, 2, 10, 14, 18, 22]
     assert profile(z2z2_group) == [16, 12, 12]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geothue import confluence
 from geothue.confluence import (OverlapKind, check_geodesically_perfect,
                                 critical_pairs, descendant_closure,
                                 geodesic_bounded_check, geodesics_of,
@@ -71,6 +72,20 @@ def test_pairs_are_every_overlap_once(S, same_rule):
     for p in pairs:
         succ = successors(p.z, S)
         assert p.x in succ and p.y in succ
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_system(with_preserving=True), st.booleans(), st.data())
+def test_pairs_of_new_rules_are_the_pairs_that_use_one(S, same_rule, data):
+    # completion's enumeration: in the order, and with the placements,
+    # of the full enumeration, and sorted as critical_pairs sorts it
+    new = set(data.draw(st.lists(st.sampled_from(S.rules), unique=True))
+              if S.rules else ())
+    using = [p for p in iter_critical_pairs(S, same_rule)
+             if p.rule1 in new or p.rule2 in new]
+    assert list(confluence._pairs(S, same_rule, new)) == using
+    assert list(critical_pairs(S, same_rule, _new=new)) == \
+        [p for p in critical_pairs(S, same_rule) if p.rule1 in new or p.rule2 in new]
 
 
 def test_equal_pairs_keep_their_first_placement():
