@@ -4,7 +4,8 @@ invocation, so two source trees can be compared byte for byte.
 Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, check-gp with --same-rule-overlaps on every .rws
 fixture and on the universal systems of amalgam_z4z6.pg, 6- and 12-phase
-completion with certificates (and 16-phase on z2_graph and geoper_S),
+completion with certificates (and 16-phase on z2_graph and geoper_S, and
+3-phase on the graph groups of a path and a square, built by build graph),
 completion under node caps that one target search meets and one it
 exceeds, critical pairs with and without --same-rule-overlaps, seeded
 samples of wp, geodesics, dehn-wp and reduce queries, and one long
@@ -176,6 +177,14 @@ def invocations(tmp: pathlib.Path, seed: int):
     for name in ("z2_graph.rws", "geoper_S.rws"):
         yield ["complete", _fixture(name), "--certificates", "--format", "json",
                "--max-phases", "16"]
+    # graph groups whose phases add only reducing rules, as z2_graph's do
+    for name, vertices, edges in (("path", "a b c", "a-b b-c"),
+                                  ("square", "a b c d", "a-b b-c c-d d-a")):
+        out = tmp / f"{name}.rws"
+        yield ["build", "graph", "--vertices", *vertices.split(),
+               "--edges", *edges.split(), "--out", str(out)]
+        yield ["complete", str(out), "--certificates", "--format", "json",
+               "--max-phases", "3"]
     # each sp_equivalent target of geoper_T is the first word its search
     # reaches; some search of z2_graph needs a third word
     for name, nodes in (("geoper_T.rws", "1"), ("z2_graph.rws", "2")):

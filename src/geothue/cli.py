@@ -22,7 +22,8 @@ import warnings
 from typing import Dict, Optional, Tuple
 
 from . import builders, oracle
-from .completion import CompletionStatus, kb_complete
+from .completion import (DEFAULT_MAX_PHASES, DEFAULT_MAX_RULES,
+                         CompletionStatus, kb_complete)
 from .confluence import (GeodesicCheckStatus, check_geodesically_perfect,
                          critical_pairs, geodesic_bounded_check, geodesics_of,
                          preperfect_wp)
@@ -465,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "complete", _cmd_complete, "system",
              help="phase-based completion")
-    p.add_argument("--max-phases", type=int, default=32)
-    p.add_argument("--max-rules", type=int, default=10 ** 4)
+    p.add_argument("--max-phases", type=int, default=DEFAULT_MAX_PHASES)
+    p.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
     p.add_argument("--same-rule-overlaps", action="store_true")
     p.add_argument("--certificates", action="store_true",
                    help="include one derivation chain per added rule")

@@ -16,10 +16,11 @@ in the phase before.  The run stops successfully the first time a phase
 contributes nothing new; the result need not be finite in general, so
 both a phase budget and a rule budget apply.
 
-A pair is resolved by reducing both sides with reduce_lr, each distinct
-side once per phase, and, when the normal forms differ but have one
-length, asking sp_equivalent, which reads the system's cached
-preserving classes.  Only a pair that adds a rule is reduced again with
+A pair is resolved by reducing both sides with reduce_lr, memoised on
+the phase's system, and, when the normal forms differ but have one
+length, asking sp_equivalent, which reads the system's preserving
+classes, handed on by with_rules while the preserving rules stay the
+same.  Only a pair that adds a rule is reduced again with
 reduce_lr_trace, for the certificate chain that kb_complete keeps.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .errors import DEFAULT_MAX_NODES
@@ -85,27 +86,24 @@ def _chain(pair: CriticalPair, system: RewriteSystem) -> Tuple[Word, ...]:
     return sides[0][::-1] + (pair.z,) + sides[1]
 
 
-def _normal_form(w: Word, system: RewriteSystem,
-                 normal_forms: Dict[Word, Word]) -> Word:
-    """reduce_lr(w, system), read from or added to normal_forms."""
-    got = normal_forms.get(w)
+def _normal_form(w: Word, system: RewriteSystem) -> Word:
+    """reduce_lr(w, system), read from or added to the system's memo."""
+    memo = system._reduce_lr_memo
+    got = memo.get(w)
     if got is None:
-        got = normal_forms[w] = reduce_lr(w, system)
+        got = memo[w] = reduce_lr(w, system)
     return got
 
 
 def resolve_pair(pair: CriticalPair, system: RewriteSystem,
-                 max_nodes: Optional[int] = None, *,
-                 _normal_forms: Optional[Dict[Word, Word]] = None) -> Resolution:
+                 max_nodes: Optional[int] = None) -> Resolution:
     """Normalize both sides and classify what, if anything, must be added;
-    only a pair that adds a rule is traced again for its chain.
-
-    _normal_forms is kb_complete's: the normal forms of one phase's
-    system, shared by the pairs of the phase.
+    only a pair that adds a rule is traced again for its chain.  The
+    normal forms are memoised on the system, so the pairs of one
+    completion phase share them.
     """
-    normal_forms = {} if _normal_forms is None else _normal_forms
-    x_hat = _normal_form(pair.x, system, normal_forms)
-    y_hat = _normal_form(pair.y, system, normal_forms)
+    x_hat = _normal_form(pair.x, system)
+    y_hat = _normal_form(pair.y, system)
     if x_hat == y_hat:
         return Resolution(pair, ResolutionAction.JOINED, x_hat, y_hat, None, ())
     if len(x_hat) == len(y_hat):
@@ -168,24 +166,21 @@ def kb_complete(system: RewriteSystem,
                 max_nodes: Optional[int] = DEFAULT_MAX_NODES) -> CompletionResult:
     """Run phases until one adds nothing, or a budget is hit."""
     current = system
-    # the rules of the previous phase's system, named by (lhs, rhs)
-    # because each phase's system has its own rule objects
-    previous: Set[Tuple[Word, Word]] = set()
+    # the rules of the current system that the previous phase's lacked;
+    # None at the first phase, where every pair is fresh
+    new: Optional[Set[Rule]] = None
     phases: List[PhaseStats] = []
     certificates: List[Resolution] = []
 
     for index in range(1, max_phases + 1):
-        new = ({r for r in current.rules if (r.lhs, r.rhs) not in previous}
-               if index > 1 else None)
         fresh = critical_pairs(current, include_same_rule_overlaps, _new=new)
-        previous = {(r.lhs, r.rhs) for r in current.rules}
         added: List[Rule] = []
-        added_keys = set(previous)
-        normal_forms: Dict[Word, Word] = {}
+        # resolve_pair returns no rule of the system: a reducing lhs is a
+        # normal form, a preserving rule joins two inequivalent ones
+        added_keys: Set[Tuple[Word, Word]] = set()
         n_red = n_pres = 0
         for pair in fresh:
-            res = resolve_pair(pair, current, max_nodes=max_nodes,
-                               _normal_forms=normal_forms)
+            res = resolve_pair(pair, current, max_nodes=max_nodes)
             rule = res.rule
             if rule is None:
                 continue
@@ -203,7 +198,9 @@ def kb_complete(system: RewriteSystem,
             added.append(rule)
             certificates.append(res)
         if added:
-            current = current.with_rules(added)
+            extended = current.with_rules(added)
+            new = set(extended.rules).difference(current.rules)
+            current = extended
         phases.append(PhaseStats(index, len(fresh), n_red, n_pres,
                                  len(current.rules)))
         if not added:

@@ -26,13 +26,15 @@ words for each closure, the start word included, so a closure of N
 words passes at max_nodes=N.  In check_geodesically_perfect every
 reducing-descendant set and every preserving class has its own budget.
 
-Preserving classes are computed once per system: _sp_class memoises
-each full class on the system, every member mapped to the same
-frozenset, and check_geodesically_perfect and sp_equivalent (so also
-completion) read them there.  A cached class larger than a later,
-smaller budget raises as its closure would, and so does a word whose
-class already overflowed a budget at least as large: the system also
-remembers, per word, the largest budget its class overflowed.
+Preserving classes are computed once per set of preserving rules:
+_sp_class memoises each full class on the system, every member mapped
+to the same frozenset, check_geodesically_perfect and sp_equivalent
+(so also completion) read them there, and RewriteSystem.with_rules
+hands them on while the preserving rules stay the same.  A cached
+class larger than a later, smaller budget raises as its closure would,
+and so does a word whose class already overflowed a budget at least as
+large: the memo also holds, per word, the largest budget its class
+overflowed.
 sp_equivalent then falls back to a search that stops at its target, so
 a target reached within the budget is answered.
 """
@@ -217,10 +219,9 @@ def _sp_class(w: Word, system: RewriteSystem, max_nodes: Optional[int],
     whose class overflowed a budget at least as large, raise the error
     that the closure would raise, without running it.
     """
-    classes = system._sp_classes
+    classes, overflows = system._sp_memo
     got = classes.get(w)
     if got is None:
-        overflows = system._sp_overflows
         # a class that exceeded a budget b has more than b words and more
         # than one, so its closure raises at every budget up to b
         if max_nodes is not None and max_nodes <= overflows.get(w, -1):

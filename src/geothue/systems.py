@@ -143,15 +143,15 @@ class RewriteSystem:
         return _lhs_automaton(self.reducing, len(self.alphabet))
 
     @cached_property
-    def _sp_classes(self) -> Dict[Word, FrozenSet[Word]]:
+    def _sp_memo(self) -> Tuple[Dict[Word, FrozenSet[Word]], Dict[Word, int]]:
         """The preserving classes found so far, each member mapped to its
-        class; filled by confluence._sp_class."""
-        return {}
+        class, and per word the largest budget its class overflowed;
+        filled by confluence._sp_class and handed on by with_rules."""
+        return {}, {}
 
     @cached_property
-    def _sp_overflows(self) -> Dict[Word, int]:
-        """Per word, the largest budget its preserving class was found to
-        exceed; filled by confluence._sp_class."""
+    def _reduce_lr_memo(self) -> Dict[Word, Word]:
+        """Normal forms under reduce_lr; filled by completion._normal_form."""
         return {}
 
     def _check_symbols(self, word: Word) -> None:
@@ -160,12 +160,16 @@ class RewriteSystem:
             raise AlphabetError("word uses symbols outside the system alphabet")
 
     def with_rules(self, extra: Iterable[Rule]) -> "RewriteSystem":
-        return RewriteSystem(
+        new = RewriteSystem(
             self.alphabet,
             self.rules + tuple(extra),
             inverse_pairing=self.inverse_pairing,
             symmetrize=self.sp_symmetric,
         )
+        # the classes depend only on the preserving rules and sp_symmetric
+        if new.preserving == self.preserving:
+            new._sp_memo = self._sp_memo
+        return new
 
     def __eq__(self, other) -> bool:
         return (

@@ -223,14 +223,10 @@ def pregroup_from_system(system: RewriteSystem) -> Pregroup:
 
     report = check_axioms(result)
     if not report.ok:
-        failing = [label for label, check in
-                   (("p1", report.p1), ("p2", report.p2), ("p3", report.p3),
-                    ("p4", report.p4), ("p5", report.p5)) if not check.ok]
-        witness = next(check.counterexample for _, check in
-                       (("p1", report.p1), ("p2", report.p2), ("p3", report.p3),
-                        ("p4", report.p4), ("p5", report.p5))
-                       if not check.ok)
+        # the fields p1..p5 in order, each with its first counterexample
+        failed = [(label, c) for label, c in vars(report).items() if not c.ok]
         raise StructureError(
-            f"derived table violates {', '.join(failing)} at {witness}; "
+            f"derived table violates {', '.join(label for label, _ in failed)} "
+            f"at {failed[0][1].counterexample}; "
             "input cannot be a geodesic triangular system")
     return result

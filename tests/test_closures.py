@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geothue import builders, confluence
+from geothue.completion import kb_complete
 from geothue.confluence import (check_geodesically_perfect,
                                 descendant_closure, geodesics_of,
                                 preperfect_wp, sp_equivalent)
@@ -14,7 +15,8 @@ from geothue.errors import AlphabetError, ResourceLimitError
 from geothue.oracle import class_closure, oracle_geodesics, oracle_wp
 from geothue.pregroup import interleave_equivalent, universal_system
 from geothue.rewriting import dehn_wp, is_irreducible, successors
-from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
+from geothue.systems import (RewriteSystem, RuleKind, load_system, preserving,
+                             reducing)
 from geothue.words import Alphabet
 from tests.conftest import fixture_path, words_of
 
@@ -60,9 +62,10 @@ def test_sp_equivalent_answers_a_near_target_in_a_class_over_budget(
     S = universal_system(amalgam_pregroup)
     u, v = words_of(S.alphabet, "1 1", "r2 r2")
     _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 2)
-    assert u not in S._sp_classes
+    classes, _overflows = S._sp_memo
+    assert u not in classes
     assert sp_equivalent(u, v, S, max_nodes=8)
-    assert len(S._sp_classes[u]) == 8
+    assert len(classes[u]) == 8
     _passes_at_n_raises_below(lambda m: sp_equivalent(u, v, S, max_nodes=m), 2)
 
 
@@ -101,7 +104,41 @@ def test_sp_equivalent_skips_the_closure_of_a_class_known_over_budget(
     targets.clear()
     assert sp_equivalent(u, near, S, max_nodes=8) is expected[8]
     assert targets == [None]
-    assert len(S._sp_classes[u]) == 8
+    assert len(S._sp_memo[0][u]) == 8
+
+
+@pytest.mark.parametrize("name", ["z2z2", "directed_amalgam"])
+def test_with_rules_shares_the_class_memo_while_the_preserving_rules_stay(name):
+    S = SYSTEMS[name]
+    sp_equivalent((0, 1), (1, 0), S)
+    assert S._sp_memo[0]
+    longer = S.with_rules([reducing((0, 1, 0), (1,))])
+    assert longer.reducing != S.reducing
+    assert longer._sp_memo is S._sp_memo
+    wider = S.with_rules([preserving((0, 1, 0), (1, 0, 0))])
+    assert wider._sp_memo is not S._sp_memo
+    assert wider._sp_memo == ({}, {})
+
+
+def test_completion_closes_each_preserving_class_once(monkeypatch):
+    # z2_graph's phases add only reducing rules, so every phase's system
+    # reads and fills the input system's classes
+    S = load_system(fixture_path("z2_graph.rws"))
+    real = confluence._closure
+    closures = []
+
+    def counting(*args, **kwargs):
+        if kwargs.get("target") is None:
+            closures.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(confluence, "_closure", counting)
+    res = kb_complete(S, max_phases=16)
+    assert res.system._sp_memo is S._sp_memo
+    classes, overflows = S._sp_memo
+    assert not overflows
+    distinct = {id(c) for c in classes.values()}
+    assert len(closures) == len(distinct) == 236
 
 
 def test_interleave_equivalent_cap_boundary_with_unreachable_target(
@@ -214,9 +251,12 @@ def _equal_length_words(draw, system):
 @given(data=st.data())
 def test_sp_equivalent_matches_a_successor_walk(name, data):
     # a fresh copy of the system, so the first round computes the
-    # classes and the second reads them from its cache
-    system = SYSTEMS[name].with_rules(())
-    u, v = data.draw(_equal_length_words(SYSTEMS[name]))
+    # classes and the second reads them from its cache; with_rules would
+    # hand on the memo of the shared system
+    S = SYSTEMS[name]
+    system = RewriteSystem(S.alphabet, S.rules, inverse_pairing=S.inverse_pairing,
+                           symmetrize=S.sp_symmetric)
+    u, v = data.draw(_equal_length_words(S))
     expected = v in _naive_sp_class(u, system)
     for _ in range(2):
         assert sp_equivalent(u, v, system) is expected

@@ -123,3 +123,24 @@ def test_pregroup_from_system_rejects_broken_table():
     """)
     with pytest.raises(StructureError):
         pregroup_from_system(sys_)
+
+
+def test_pregroup_from_system_names_every_failed_axiom():
+    # a b = B and b a = A give a well-defined table that breaks p3 and
+    # p4; the witness is the first failed axiom's
+    sys_ = parse_system("""
+    alphabet a A b B
+    inverse a A
+    inverse b B
+    rule a A -> .
+    rule A a -> .
+    rule b B -> .
+    rule B b -> .
+    rule a b -> B
+    rule b a -> A
+    """)
+    with pytest.raises(StructureError) as info:
+        pregroup_from_system(sys_)
+    assert str(info.value) == (
+        "derived table violates p3, p4 at ('a', 'b'); "
+        "input cannot be a geodesic triangular system")
