@@ -12,8 +12,11 @@ samples of wp, geodesics, dehn-wp and reduce queries, and one long
 reduce word per fixture, all at default caps and in JSON; then at least
 one run of every subcommand in JSON and in the human format, the build
 subcommands from the fixture group and map files and from --example,
-malformed input files, unusable and unread caps, --example with a file
-option, a closed stdout, and --help for every subcommand.  Each line is
+malformed input files (an unknown directive in every format; a
+misshapen line and a conflicting entry in every format; a repeated
+letter in a system; a repeated and a missing single line in a pregroup
+and a group), unusable and unread caps, --example with a file option, a
+closed stdout, and --help for every subcommand.  Each line is
 the sha256 of exit code, stdout, stderr and any file written, followed
 by the command.
 
@@ -125,24 +128,53 @@ def each_subcommand(tmp: pathlib.Path):
 
 MALFORMED = "# the second line is not a directive\nbogus directive\n"
 
+# more malformed files, by suffix: a misshapen line and a conflicting
+# entry in every format, a repeated letter in a system, and a repeated
+# and a missing single line in a pregroup and a group
+Z2_GROUP = "elements 1 h\nmult 1 1 = 1\nmult 1 h = h\nmult h 1 = h\nmult h h = 1\n"
+MALFORMED_MORE = {
+    "rws": {"misshapen": "alphabet a A\ninverse a\nrule a A -> .\n",
+            "conflicting": "alphabet a b c\ninverse a b\ninverse a c\n",
+            "repeated-letter": "alphabet a\nalphabet a\nrule a a -> .\n"},
+    "rules": {"misshapen": "alphabet x\ninverse x\nrule x x -> .\n",
+              "conflicting": "alphabet x y\ninverse x x\ninverse x y\n"
+                             "rule x x -> .\n"},
+    "pg": {"misshapen": "elements 1 a\neps 1\ninv a a\nmult a a 1\n",
+           "conflicting": "elements 1 a\neps 1\ninv a a\nmult a a = 1\n"
+                          "mult a a = a\n",
+           "repeated": "elements e a\neps e\neps a\ninv e e\n",
+           "missing": "elements 1 a\ninv a a\n"},
+    "grp": {"misshapen": "identity\n" + Z2_GROUP,
+            "conflicting": "identity 1\n" + Z2_GROUP + "mult h h = h\n",
+            "repeated": "identity 1\nidentity h\n" + Z2_GROUP,
+            "missing": Z2_GROUP},
+    "map": {"misshapen": "map 1 1\n",
+            "conflicting": "map 1 -> 1\nmap 1 -> r2\n"},
+}
+
 
 def error_cases(tmp: pathlib.Path):
     """Malformed input files, unusable or unread caps, and --example
     together with a file option."""
     bad = {}
     for suffix in ("pg", "grp", "map", "rules", "rws"):
-        bad[suffix] = tmp / f"bad.{suffix}"
-        bad[suffix].write_text(MALFORMED, encoding="utf-8")
-    yield ["check-gp", str(bad["rws"])]
-    yield ["pregroup", "check", str(bad["pg"])]
-    yield ["weights", str(bad["rules"])]
-    yield ["resolve", str(bad["rules"])]
-    files = list(AMALGAM_FILES)
-    files[files.index("--group-b") + 1] = str(bad["grp"])
-    yield ["build", "amalgam", *files]
-    files = list(AMALGAM_FILES)
-    files[files.index("--map-b") + 1] = str(bad["map"])
-    yield ["build", "amalgam", *files]
+        bad[suffix] = [tmp / f"bad.{suffix}"]
+        bad[suffix][0].write_text(MALFORMED, encoding="utf-8")
+        for case, text in MALFORMED_MORE[suffix].items():
+            bad[suffix].append(tmp / f"{case}.{suffix}")
+            bad[suffix][-1].write_text(text, encoding="utf-8")
+    for path in bad["rws"]:
+        yield ["check-gp", str(path)]
+    for path in bad["pg"]:
+        yield ["pregroup", "check", str(path)]
+    yield ["weights", str(bad["rules"][0])]
+    for path in bad["rules"]:
+        yield ["resolve", str(path)]
+    for option, suffix in (("--group-b", "grp"), ("--map-b", "map")):
+        for path in bad[suffix]:
+            files = list(AMALGAM_FILES)
+            files[files.index(option) + 1] = str(path)
+            yield ["build", "amalgam", *files]
     free = _fixture("free_ab.rws")
     yield ["check-gp", free, "--caps", "nodes=0"]
     yield ["wp", free, "a", "a", "--caps", "nodes=-3"]

@@ -247,13 +247,16 @@ def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
 
     Preserving rules are used in both directions, also in systems built
     with symmetrize=False; max_nodes=None searches without a budget.
-    The answer is read off u's class when the class fits the budget
+    Equal words are equivalent without a search.  Otherwise the answer
+    is read off u's class when the class fits the budget
     (DEFAULT_MAX_NODES for None); otherwise a search from u stops at v,
     so a target reached within the budget is still answered.
     """
     u, v = tuple(u), tuple(v)
     system._check_symbols(u)
     system._check_symbols(v)
+    if u == v:
+        return True
     if len(u) != len(v):
         return False
     budget = DEFAULT_MAX_NODES if max_nodes is None else max_nodes

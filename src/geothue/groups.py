@@ -4,16 +4,20 @@ These are the base data for the construction of amalgam and extension
 systems.  Everything is verified eagerly: a table that is not a group,
 a map that is not an injective homomorphism, or an iso that is not
 bijective all fail at construction time.
+
+Group and map files are read by the directive reader of ``words``;
+their grammar is under "File formats" in the README.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import FormatError, StructureError
-from .words import _directive_lines
+from .words import (_directive_shapes, _directive_table, _read_directives,
+                    _single_directive)
 
 
 class FiniteGroup:
@@ -232,35 +236,16 @@ def coset_decompose(G: FiniteGroup, emb: SubgroupEmbedding, g: str,
 # ---------------------------------------------------------------------------
 # file formats
 
+_GROUP_LINES = _directive_shapes("group ...", "elements <e>...", "identity <e>",
+                                 "mult <a> <b> = <c>")
+_MAP_LINES = _directive_shapes("map <x> -> <y>")
+
+
 def parse_group(text: str) -> FiniteGroup:
-    elements: Optional[Tuple[str, ...]] = None
-    identity: Optional[str] = None
-    table: Dict[Tuple[str, str], str] = {}
-    for lineno, parts in _directive_lines(text):
-        head = parts[0]
-        if head == "group":
-            continue
-        if head == "elements":
-            if elements is not None:
-                raise FormatError("duplicate elements line", line=lineno)
-            elements = tuple(parts[1:])
-        elif head == "identity":
-            if len(parts) != 2:
-                raise FormatError("identity line needs one name", line=lineno)
-            identity = parts[1]
-        elif head == "mult":
-            if len(parts) != 5 or parts[3] != "=":
-                raise FormatError("expected: mult <a> <b> = <c>", line=lineno)
-            key = (parts[1], parts[2])
-            if table.get(key, parts[4]) != parts[4]:
-                raise FormatError(f"conflicting product for {key}", line=lineno)
-            table[key] = parts[4]
-        else:
-            raise FormatError(f"unknown directive {head!r}", line=lineno)
-    if elements is None:
-        raise FormatError("missing elements line")
-    if identity is None:
-        raise FormatError("missing identity line")
+    lines = _read_directives(text, _GROUP_LINES)
+    elements = _single_directive(lines, "elements")
+    (identity,) = _single_directive(lines, "identity")
+    table = _directive_table(lines["mult"], "product")
     try:
         return FiniteGroup(elements, identity, table)
     except StructureError as exc:
@@ -276,16 +261,7 @@ def format_group(G: FiniteGroup) -> str:
 
 
 def parse_map(text: str) -> Dict[str, str]:
-    """Lines of the form: map <x> -> <y>."""
-    mapping: Dict[str, str] = {}
-    for lineno, parts in _directive_lines(text):
-        if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
-            if mapping.get(parts[1], parts[3]) != parts[3]:
-                raise FormatError(f"conflicting images for {parts[1]!r}", line=lineno)
-            mapping[parts[1]] = parts[3]
-        else:
-            raise FormatError("expected: map <x> -> <y>", line=lineno)
-    return mapping
+    return _directive_table(_read_directives(text, _MAP_LINES)["map"], "images")
 
 
 def format_map(mapping: Dict[str, str]) -> str:

@@ -13,6 +13,9 @@ maps every pair (a, b) to its distinct slides, in element order of the
 mediator c.  The preserving rules of both universal systems are read
 off it, and the word problem test at the bottom of this module searches
 it with the bounded closure of ``rewriting``.
+
+Pregroup files are read by the directive reader of ``words``; their
+grammar is under "File formats" in the README.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
                      StructureError)
 from .rewriting import _closure
 from .systems import RewriteSystem, _step_set, preserving, reducing
-from .words import Alphabet, _directive_lines
+from .words import (Alphabet, _directive_shapes, _directive_table,
+                    _read_directives, _single_directive)
 
 Seq = Tuple[str, ...]
 
@@ -423,48 +427,17 @@ def table_isomorphic(P: Pregroup, Q: Pregroup) -> bool:
 # ---------------------------------------------------------------------------
 # file format
 
+_PREGROUP_LINES = _directive_shapes("pregroup ...", "elements <e>...", "eps <e>",
+                                    "inv <x> <y>", "mult <a> <b> = <c>")
+
+
 def parse_pregroup(text: str) -> Pregroup:
     """Parse the line format: elements, eps, inv, mult directives."""
-    elements: Optional[Tuple[str, ...]] = None
-    eps: Optional[str] = None
-    inv: Dict[str, str] = {}
-    mult: Dict[Tuple[str, str], str] = {}
-    for lineno, parts in _directive_lines(text):
-        head = parts[0]
-        if head == "pregroup":
-            continue
-        if head == "elements":
-            if elements is not None:
-                raise FormatError("duplicate elements line", line=lineno)
-            elements = tuple(parts[1:])
-            if not elements:
-                raise FormatError("elements line needs at least one name", line=lineno)
-        elif head == "eps":
-            if len(parts) != 2:
-                raise FormatError("eps line needs exactly one name", line=lineno)
-            eps = parts[1]
-        elif head == "inv":
-            if len(parts) != 3:
-                raise FormatError("inv line needs two names", line=lineno)
-            a, b = parts[1], parts[2]
-            for x, y in ((a, b), (b, a)):
-                if inv.get(x, y) != y:
-                    raise FormatError(f"conflicting inverse for {x!r}", line=lineno)
-                inv[x] = y
-        elif head == "mult":
-            if len(parts) != 5 or parts[3] != "=":
-                raise FormatError("mult line must read: mult a b = c",
-                                  line=lineno)
-            key = (parts[1], parts[2])
-            if mult.get(key, parts[4]) != parts[4]:
-                raise FormatError(f"conflicting product for {key}", line=lineno)
-            mult[key] = parts[4]
-        else:
-            raise FormatError(f"unknown directive {head!r}", line=lineno)
-    if elements is None:
-        raise FormatError("missing elements line")
-    if eps is None:
-        raise FormatError("missing eps line")
+    lines = _read_directives(text, _PREGROUP_LINES)
+    elements = _single_directive(lines, "elements")
+    (eps,) = _single_directive(lines, "eps")
+    inv = _directive_table(lines["inv"], "inverse", symmetric=True)
+    mult = _directive_table(lines["mult"], "product")
     try:
         return Pregroup(elements, eps, inv, mult)
     except StructureError as exc:

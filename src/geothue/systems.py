@@ -10,13 +10,8 @@ An optional inverse pairing turns the system into a group system; the
 constructor then insists that x x^-1 -> 1 and x^-1 x -> 1 are present
 for every letter.
 
-File format (one directive per line, '#' starts a comment):
-
-    alphabet a b c
-    inverse a A
-    rule a d d -> a b      # reducing, or directed preserving (auto-symmetrized)
-    rule a b <-> b a       # preserving
-    rule a A -> .          # "." denotes the empty word
+The system and rule-list files are read by the directive reader of
+``words``; their grammar is under "File formats" in the README.
 """
 
 from __future__ import annotations
@@ -28,7 +23,8 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .errors import AlphabetError, FormatError, StructureError
-from .words import EMPTY, Alphabet, Word, _directive_lines
+from .words import (EMPTY, Alphabet, Word, _directive_shapes,
+                    _directive_table, _read_directives)
 
 
 class RuleKind(enum.Enum):
@@ -280,71 +276,47 @@ def _lhs_automaton(rules: Sequence[Rule], n_letters: int) -> _Automaton:
 # file format
 
 
-def _parse_side(tokens, alphabet: Alphabet, line_no: int) -> Word:
-    if tokens == ["."]:
-        return EMPTY
-    out = []
-    for tok in tokens:
-        if tok == ".":
-            raise FormatError('"." must stand alone', line_no)
-        if tok in alphabet:
-            out.append(alphabet.id(tok))
-        else:
-            if not all(c in alphabet for c in tok):
-                raise FormatError(f"unknown letter {tok!r}", line_no)
-            out.extend(alphabet.id(c) for c in tok)
-    return tuple(out)
+_SYSTEM_LINES = _directive_shapes("alphabet <letter>...", "inverse <x> <y>",
+                                  "rule ...")
 
 
-def _read_directives(text: str):
-    """Split a system file into (alphabet, inverse lines, rule lines).
-
-    Inverse lines are (x, y, line_no) name pairs, rule lines are
-    (tokens after "rule", line_no); both are resolved by the caller.
-    """
-    names: list = []
-    inverse_lines = []
-    rule_lines = []
-    for line_no, tokens in _directive_lines(text):
-        head = tokens[0]
-        if head == "alphabet":
-            names.extend(tokens[1:])
-        elif head == "inverse":
-            if len(tokens) != 3:
-                raise FormatError("inverse needs exactly two letters", line_no)
-            inverse_lines.append((tokens[1], tokens[2], line_no))
-        elif head == "rule":
-            rule_lines.append((tokens[1:], line_no))
-        else:
-            raise FormatError(f"unknown directive {head!r}", line_no)
-    return Alphabet(names), inverse_lines, rule_lines
-
-
-def _parse_rule(tokens, alphabet: Alphabet, line_no: int):
-    """(lhs, arrow, rhs) of one rule line; "<->" wins over "->"."""
-    arrow = "<->" if "<->" in tokens else "->"
-    if arrow not in tokens:
-        raise FormatError("rule line without -> or <->", line_no)
-    i = tokens.index(arrow)
-    return (_parse_side(tokens[:i], alphabet, line_no), arrow,
-            _parse_side(tokens[i + 1:], alphabet, line_no))
+def _read_system(text: str):
+    """(alphabet, inverse lines, rule lines) of a system or rules file,
+    each rule line as (line number, lhs, arrow, rhs); "<->" wins over
+    "->"."""
+    lines = _read_directives(text, _SYSTEM_LINES)
+    alphabet = None
+    for line_no, names in lines["alphabet"]:
+        try:
+            alphabet = Alphabet(names) if alphabet is None else alphabet.extend(names)
+        except AlphabetError as exc:
+            raise FormatError(str(exc), line_no) from None
+    if alphabet is None:
+        raise FormatError("missing alphabet line")
+    rules = []
+    for line_no, tokens in lines["rule"]:
+        arrow = "<->" if "<->" in tokens else "->"
+        if arrow not in tokens:
+            raise FormatError("rule line without -> or <->", line_no)
+        i = tokens.index(arrow)
+        try:
+            rules.append((line_no, alphabet.word(" ".join(tokens[:i])), arrow,
+                          alphabet.word(" ".join(tokens[i + 1:]))))
+        except AlphabetError as exc:
+            raise FormatError(str(exc), line_no) from None
+    return alphabet, lines["inverse"], rules
 
 
 def parse_system(text: str) -> RewriteSystem:
-    alphabet, inverse_lines, rule_lines = _read_directives(text)
-    pairing: Dict[int, int] = {}
-    for x, y, line_no in inverse_lines:
-        if x not in alphabet or y not in alphabet:
-            raise FormatError(f"inverse uses unknown letter", line_no)
-        a, b = alphabet.id(x), alphabet.id(y)
-        if pairing.get(a, b) != b or pairing.get(b, a) != a:
-            raise FormatError("conflicting inverse lines", line_no)
-        pairing[a] = b
-        pairing[b] = a
+    alphabet, inverse_lines, rule_lines = _read_system(text)
+    for line_no, names in inverse_lines:
+        if not all(x in alphabet for x in names):
+            raise FormatError("inverse uses unknown letter", line_no)
+    pairing = {alphabet.id(x): alphabet.id(y) for x, y in
+               _directive_table(inverse_lines, "inverse", symmetric=True).items()}
 
     rules = []
-    for tokens, line_no in rule_lines:
-        lhs, arrow, rhs = _parse_rule(tokens, alphabet, line_no)
+    for line_no, lhs, arrow, rhs in rule_lines:
         if not lhs:
             raise FormatError("rule with empty lhs", line_no)
         if arrow == "<->":
@@ -358,9 +330,8 @@ def parse_system(text: str) -> RewriteSystem:
         else:
             raise FormatError("length-increasing rule not allowed here", line_no)
 
-    pairing_arg = pairing if pairing else None
     try:
-        return RewriteSystem(alphabet, rules, inverse_pairing=pairing_arg)
+        return RewriteSystem(alphabet, rules, inverse_pairing=pairing or None)
     except StructureError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -403,10 +374,9 @@ def parse_rule_pairs(text: str):
     both directions, and inverse lines are checked for shape only.
     Returns (alphabet, tuple of (lhs, rhs) pairs).
     """
-    alphabet, _, rule_lines = _read_directives(text)
+    alphabet, _, rule_lines = _read_system(text)
     pairs = []
-    for tokens, line_no in rule_lines:
-        lhs, arrow, rhs = _parse_rule(tokens, alphabet, line_no)
+    for _, lhs, arrow, rhs in rule_lines:
         pairs.append((lhs, rhs))
         if arrow == "<->":
             pairs.append((rhs, lhs))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import PreconditionError, StructureError
 from .pregroup import Pregroup, check_axioms
@@ -34,14 +34,6 @@ class TriangularClassification:
     kind: TriangularKind
     trivial_rules: Tuple[Rule, ...]
     group_system: bool
-
-    def to_dict(self, alphabet):
-        return {
-            "kind": self.kind.value,
-            "trivial_rules": [[alphabet.format(r.lhs), alphabet.format(r.rhs)]
-                              for r in self.trivial_rules],
-            "group_system": self.group_system,
-        }
 
 
 def classify_triangular(system: RewriteSystem) -> TriangularClassification:
@@ -84,12 +76,6 @@ class LetterClasses:
     classes: Tuple[FrozenSet[int], ...]
     class_of: Dict[int, int]
     eps_class: int
-
-    def to_dict(self, alphabet):
-        return {
-            "classes": [sorted(alphabet.name(x) for x in cls) for cls in self.classes],
-            "eps_class": self.eps_class,
-        }
 
 
 def letter_classes(system: RewriteSystem) -> LetterClasses:

@@ -251,6 +251,8 @@ def test_example_conflicts_with_file_options(capsys, name):
 
 
 MALFORMED = "# second line is bad\nbogus directive\n"
+# a file holds MALFORMED unless its text is given here
+MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\n"}
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -264,10 +266,11 @@ MALFORMED = "# second line is bad\nbogus directive\n"
       "--map-a", fixture_path("amalgam_a.map"), "--map-b", "{bad}"), "bad.map"),
     (("weights", "{bad}"), "bad.rules"),
     (("resolve", "{bad}"), "bad.rules"),
+    (("check-gp", "{bad}"), "repeated_letter.rws"),
 ])
 def test_format_errors_name_the_file(capsys, tmp_path, argv, bad):
     path = tmp_path / bad
-    path.write_text(MALFORMED, encoding="utf-8")
+    path.write_text(MALFORMED_TEXT.get(bad, MALFORMED), encoding="utf-8")
     code, out, err = run(capsys, *(str(a).format(bad=path) for a in argv))
     assert code == 1
     assert out == ""

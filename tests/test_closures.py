@@ -107,6 +107,22 @@ def test_sp_equivalent_skips_the_closure_of_a_class_known_over_budget(
     assert len(S._sp_memo[0][u]) == 8
 
 
+def test_sp_equivalent_answers_equal_words_without_a_search(hnn_pregroup,
+                                                            monkeypatch):
+    # the class of a reduced 20-letter word has 6^19 members
+    S = universal_system(hnn_pregroup)
+    w = (S.alphabet.id("1.t.1"),) * 20
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(confluence, "_closure", no_search)
+    assert sp_equivalent(w, w, S)
+    assert sp_equivalent(w, w, S, max_nodes=1)
+    with pytest.raises(AlphabetError):
+        sp_equivalent(OUTSIDE, OUTSIDE, S)
+
+
 @pytest.mark.parametrize("name", ["z2z2", "directed_amalgam"])
 def test_with_rules_shares_the_class_memo_while_the_preserving_rules_stay(name):
     S = SYSTEMS[name]

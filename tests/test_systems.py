@@ -103,9 +103,21 @@ def test_both_rule_readers_reject_a_malformed_inverse_line():
 
 MALFORMED_SECOND_LINE = {
     "system": (parse_system, "alphabet a b  # letters\nbogus a\n"),
+    "system-repeated-letter": (parse_system, "alphabet a\nalphabet a\nrule a a -> .\n"),
+    "system-bad-letter": (parse_system, "alphabet a\nalphabet b .\n"),
+    "rules-repeated-letter": (parse_rule_pairs, "alphabet a b\nalphabet b\n"),
+    "rules-rule-side": (parse_rule_pairs, "alphabet a\nrule a -> a .\n"),
     "pregroup": (parse_pregroup, "elements 1 a\ninv a\n"),
+    "pregroup-repeated-eps": (parse_pregroup, "eps e\neps a\nelements e a\ninv e e\n"),
+    "pregroup-empty-elements": (parse_pregroup, "eps e\nelements\n"),
+    "pregroup-conflicting-inverse": (parse_pregroup,
+                                     "inv a b\ninv b b\nelements e a b\neps e\n"),
     "group": (parse_group, "group\nidentity\n"),
+    "group-repeated-identity": (parse_group, "identity 1\nidentity h\nelements 1 h\n"),
+    "group-misshapen-mult": (parse_group, "elements 1\nmult 1 1 -> 1\n"),
     "map": (parse_map, "# images\nmap a b\n"),
+    "map-unknown-head": (parse_map, "map a -> b\nimage b -> a\n"),
+    "map-conflicting-image": (parse_map, "map a -> b\nmap a -> c\n"),
 }
 
 

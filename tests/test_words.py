@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from geothue.errors import AlphabetError
-from geothue.words import EMPTY, Alphabet, lenlex_key
+from geothue.errors import AlphabetError, FormatError
+from geothue.words import (EMPTY, Alphabet, _directive_shapes,
+                           _directive_table, _read_directives,
+                           _single_directive, lenlex_key)
 
 
 def test_alphabet_basics():
@@ -29,6 +31,8 @@ def test_word_parsing_tokens_and_compact():
     assert ab.word("aba") == (0, 1, 0)
     assert ab.word(".") == EMPTY
     assert ab.word("") == EMPTY
+    with pytest.raises(AlphabetError, match='"." must stand alone'):
+        ab.word("a .")
 
 
 def test_word_parsing_multichar_names():
@@ -68,3 +72,38 @@ def test_lenlex_shorter_always_smaller(u, v):
         assert lenlex_key(u) < lenlex_key(v)
     elif u == v:
         assert lenlex_key(u) == lenlex_key(v)
+
+
+SHAPES = _directive_shapes("head ...", "names <x>...", "one <x>",
+                           "pair <x> = <y>")
+
+
+def test_directive_reader_groups_the_names_by_head():
+    text = "head any thing\n\none a  # note\npair a = b\nnames a b\npair c = b\n"
+    lines = _read_directives(text, SHAPES)
+    assert lines == {"head": [(1, ["any", "thing"])], "names": [(5, ["a", "b"])],
+                     "one": [(3, ["a"])], "pair": [(4, ("a", "b")), (6, ("c", "b"))]}
+    assert _single_directive(lines, "one") == ["a"]
+    assert _directive_table(lines["pair"], "pair") == {"a": "b", "c": "b"}
+    with pytest.raises(FormatError, match="line 6: conflicting pair for 'b'"):
+        _directive_table(lines["pair"], "pair", symmetric=True)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("other a", "unknown directive 'other'"),
+    ("one", "expected: one <x>"),
+    ("one a b", "expected: one <x>"),
+    ("pair a - b", "expected: pair <x> = <y>"),
+    ("names", "expected: names <x>..."),
+])
+def test_directive_reader_names_a_misshapen_line(line, message):
+    with pytest.raises(FormatError) as info:
+        _read_directives("head\n" + line + "\n", SHAPES)
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_single_directive_refuses_none_or_two():
+    with pytest.raises(FormatError, match="^missing one line$"):
+        _single_directive(_read_directives("head\n", SHAPES), "one")
+    with pytest.raises(FormatError, match="^line 3: duplicate one line$"):
+        _single_directive(_read_directives("one a\nhead\none a\n", SHAPES), "one")
