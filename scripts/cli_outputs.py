@@ -15,8 +15,9 @@ subcommands from the fixture group and map files and from --example,
 malformed input files (an unknown directive in every format; a
 misshapen line and a conflicting entry in every format; a repeated
 letter in a system; a repeated and a missing single line in a pregroup
-and a group), unusable and unread caps, --example with a file option, a
-closed stdout, and --help for every subcommand.  Each line is
+and a group; a pregroup element that cannot be a letter), unusable and
+unread caps, --example with a file option, a closed stdout, and --help
+for every subcommand.  Each line is
 the sha256 of exit code, stdout, stderr and any file written, followed
 by the command.
 
@@ -129,8 +130,9 @@ def each_subcommand(tmp: pathlib.Path):
 MALFORMED = "# the second line is not a directive\nbogus directive\n"
 
 # more malformed files, by suffix: a misshapen line and a conflicting
-# entry in every format, a repeated letter in a system, and a repeated
-# and a missing single line in a pregroup and a group
+# entry in every format, a repeated letter in a system, a repeated and
+# a missing single line in a pregroup and a group, and a pregroup
+# element that cannot be a letter
 Z2_GROUP = "elements 1 h\nmult 1 1 = 1\nmult 1 h = h\nmult h 1 = h\nmult h h = 1\n"
 MALFORMED_MORE = {
     "rws": {"misshapen": "alphabet a A\ninverse a\nrule a A -> .\n",
@@ -143,7 +145,8 @@ MALFORMED_MORE = {
            "conflicting": "elements 1 a\neps 1\ninv a a\nmult a a = 1\n"
                           "mult a a = a\n",
            "repeated": "elements e a\neps e\neps a\ninv e e\n",
-           "missing": "elements 1 a\ninv a a\n"},
+           "missing": "elements 1 a\ninv a a\n",
+           "not-a-letter": "elements 1 .\neps 1\ninv . .\n"},
     "grp": {"misshapen": "identity\n" + Z2_GROUP,
             "conflicting": "identity 1\n" + Z2_GROUP + "mult h h = h\n",
             "repeated": "identity 1\nidentity h\n" + Z2_GROUP,

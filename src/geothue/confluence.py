@@ -264,7 +264,7 @@ def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
         return v in _sp_class(u, system, budget, "sp_equivalent")
     except ResourceLimitError:
         return v in _closure(u, system._steps.undirected, max_nodes,
-                             "sp_equivalent", target=v)
+                             "sp_equivalent", target=(v,))
 
 
 def descendant_closure(word: Word, system: RewriteSystem,
@@ -364,8 +364,13 @@ def check_geodesically_perfect(system: RewriteSystem,
 
 def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
                   max_nodes: int = DEFAULT_MAX_NODES) -> bool:
-    """Joinability of full descendant closures; sound word problem test
-    for preperfect (and geodesically perfect) systems.
+    """Joinability of descendant closures; sound word problem test for
+    preperfect (and geodesically perfect) systems.
+
+    u's descendant closure is built in full, then a search from v stops
+    at the first word in it, so the answer is that of the two full
+    closures wherever both fit the budget, and a pair also passes when
+    v's closure is over the budget but its search meets u's within it.
 
     A system is only known to qualify when check_geodesically_perfect
     holds with include_same_rule_overlaps=True; the default check skips
@@ -373,8 +378,11 @@ def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
     the equal words d f c and f d c distinct.
     """
     du = descendant_closure(u, system, None, max_nodes)
-    dv = descendant_closure(v, system, None, max_nodes)
-    return not du.isdisjoint(dv)
+    w = tuple(v)
+    system._check_symbols(w)
+    met = _closure(w, system._steps.forward(None), max_nodes,
+                   "descendant closure", target=du)
+    return not du.isdisjoint(met)
 
 
 def geodesics_of(word: Word, system: RewriteSystem,

@@ -11,8 +11,10 @@ a chain of mediator slides a b -> (a*c)(c^-1*b) connects them.
 Each pregroup tabulates its slides once, at construction: the table
 maps every pair (a, b) to its distinct slides, in element order of the
 mediator c.  The preserving rules of both universal systems are read
-off it, and the word problem test at the bottom of this module searches
-it with the bounded closure of ``rewriting``.
+off it, and interleave_equivalent searches it with the bounded closure
+of ``rewriting``.  up_wp answers the same question without a search:
+two reduced sequences are equal exactly when they interleave, and one
+left-to-right pass over the pair computes the only possible carries.
 
 Pregroup files are read by the directive reader of ``words``; their
 grammar is under "File formats" in the README.
@@ -28,7 +30,7 @@ from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
 from .rewriting import _closure
 from .systems import RewriteSystem, _step_set, preserving, reducing
 from .words import (Alphabet, _directive_shapes, _directive_table,
-                    _read_directives, _single_directive)
+                    _is_letter_name, _read_directives, _single_directive)
 
 Seq = Tuple[str, ...]
 
@@ -283,16 +285,17 @@ def _check_elements(seq: Iterable[str], P: Pregroup) -> None:
 def p_reduce(seq: Iterable[str], P: Pregroup) -> Seq:
     """Contract adjacent defined products left to right, drop identities."""
     out: List[str] = []
-    mult = P.mult
+    mult, index = P.mult, P.index
     for a in seq:
-        if a not in P.index:
+        if a not in index:
             raise PreconditionError(f"unknown element {a!r}")
-        out.append(a)
-        while len(out) >= 2:
-            c = mult.get((out[-2], out[-1]))
+        while out:
+            c = mult.get((out[-1], a))
             if c is None:
                 break
-            out[-2:] = [c]
+            out.pop()
+            a = c
+        out.append(a)
     return tuple(a for a in out if a != P.eps)
 
 
@@ -330,21 +333,36 @@ def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,
         raise PreconditionError("interleave check requires reduced sequences")
     if len(u) != len(v):
         return False
-    return v in _closure(u, P._slides, max_nodes, "interleave search", target=v)
+    return v in _closure(u, P._slides, max_nodes, "interleave search",
+                         target=(v,))
 
 
-def up_wp(u: Sequence[str], v: Sequence[str], P: Pregroup,
-          max_nodes: int = DEFAULT_MAX_NODES) -> bool:
+def up_wp(u: Sequence[str], v: Sequence[str], P: Pregroup) -> bool:
     """Word problem of the universal group on arbitrary element sequences.
 
-    Both sequences are reduced with p_reduce, and the results compared
-    with interleave_equivalent under its budget of max_nodes sequences.
+    Both sequences are reduced with p_reduce.  Over a table that passes
+    check_axioms, reduced sequences x and y of equal length are equal in
+    the universal group iff they interleave (Stallings): there are
+    carries c_0 = eps, ..., c_n = eps with y_i = c_{i-1}^-1 x_i c_i.
+    Each carry is forced, c_i = (x_i^-1 c_{i-1}) y_i, so one pass of two
+    table lookups per element decides the pair, and it stops at the
+    first undefined product.  interleave_equivalent answers the same
+    question by a bounded search of the slide class.
     """
     ru = p_reduce(u, P)
     rv = p_reduce(v, P)
     if len(ru) != len(rv):
         return False
-    return interleave_equivalent(ru, rv, P, max_nodes=max_nodes)
+    mult, inv = P.mult, P.inv
+    c = P.eps
+    for x, y in zip(ru, rv):
+        c = mult.get((inv[x], c))
+        if c is None:
+            return False
+        c = mult.get((c, y))
+        if c is None:
+            return False
+    return c == P.eps
 
 
 def _iso_signature(P: Pregroup, a: str):
@@ -432,9 +450,17 @@ _PREGROUP_LINES = _directive_shapes("pregroup ...", "elements <e>...", "eps <e>"
 
 
 def parse_pregroup(text: str) -> Pregroup:
-    """Parse the line format: elements, eps, inv, mult directives."""
+    """Parse the line format: elements, eps, inv, mult directives.
+
+    Elements become the letters of the universal systems, so a name that
+    cannot be a letter is a FormatError naming the elements line.
+    """
     lines = _read_directives(text, _PREGROUP_LINES)
     elements = _single_directive(lines, "elements")
+    for name in elements:
+        if not _is_letter_name(name):
+            raise FormatError(f"element {name!r} cannot be a letter name",
+                              lines["elements"][0][0])
     (eps,) = _single_directive(lines, "eps")
     inv = _directive_table(lines["inv"], "inverse", symmetric=True)
     mult = _directive_table(lines["mult"], "product")

@@ -21,15 +21,17 @@ length, then position, then right-hand side in rule order.  The node
 budget applies to each closure on its own and counts the start word: a
 closure of N words passes at max_nodes=N, and
 ResourceLimitError(cap=max_nodes) is raised when a new word would make
-N + 1.  A target word is tested before the budget, so reaching it
-never raises.
+N + 1.  A search may be given a collection of stop words, its target:
+it stops at the first word it reaches that lies in the target, and
+since that test comes before the budget, reaching a target word never
+raises.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Collection, Iterable, List, Optional, Set, Tuple
 
 from .errors import DEFAULT_MAX_NODES, PreconditionError, ResourceLimitError
 from .systems import Rule, RuleKind, RewriteSystem, reducing, preserving
@@ -194,19 +196,20 @@ def thue_resolution(alphabet: Alphabet, pairs: Iterable[Tuple[Word, Word]],
 
 
 def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
-             target: Optional[Word] = None) -> Set[Word]:
+             target: Collection[Word] = ()) -> Set[Word]:
     """Every word reachable from start by steps, breadth-first.
 
     steps is a step set, of a system's index or a pregroup's slide
     table; the order and the budget (None for none) are as in the module
-    docstring.  With a target the search stops as soon as it reaches it,
-    and the partial closure then contains it.  what names the search in
+    docstring.  target is a collection of stop words, () for none: the
+    search stops at the first word in it, start included, and the
+    partial closure then contains that word.  what names the search in
     the budget error.
     """
     rhs_of, lengths = steps
     limit = math.inf if max_nodes is None else max_nodes
     seen = {start}
-    if start == target:
+    if start in target:
         return seen
     frontier = [start]
     while frontier:
@@ -224,7 +227,7 @@ def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
                         child = v[:i] + rhs + v[i + L:]
                         if child in seen:
                             continue
-                        if child == target:
+                        if child in target:
                             seen.add(child)
                             return seen
                         if len(seen) >= limit:
@@ -251,4 +254,4 @@ def dehn_wp(word: Word, system: RewriteSystem,
         warnings.warn("dehn_wp ignores the preserving rules of this system",
                       stacklevel=2)
     return EMPTY in _closure(w, system._steps.reducing, max_nodes, "dehn_wp",
-                             target=EMPTY)
+                             target=(EMPTY,))

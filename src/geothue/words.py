@@ -24,6 +24,11 @@ Word = tuple  # tuple[int, ...]; alias kept for signatures
 EMPTY: Word = ()
 
 
+def _is_letter_name(name: str) -> bool:
+    """Non-empty, without whitespace, and not ".", the empty word."""
+    return bool(name) and name != "." and not any(c.isspace() for c in name)
+
+
 class Alphabet:
     """Ordered set of letter names; ids are 0..n-1 in declaration order."""
 
@@ -35,7 +40,7 @@ class Alphabet:
             raise AlphabetError("alphabet must have at least one letter")
         index = {}
         for i, name in enumerate(names):
-            if not name or name == "." or any(c.isspace() for c in name):
+            if not _is_letter_name(name):
                 raise AlphabetError(f"bad letter name {name!r}")
             if name in index:
                 raise AlphabetError(f"duplicate letter name {name!r}")

@@ -80,7 +80,7 @@ def test_sp_equivalent_skips_the_closure_of_a_class_known_over_budget(
     targets = []
 
     def counting(*args, **kwargs):
-        targets.append(kwargs.get("target"))
+        targets.append(kwargs.get("target", ()))
         return real(*args, **kwargs)
 
     def fresh(v, m):
@@ -91,19 +91,19 @@ def test_sp_equivalent_skips_the_closure_of_a_class_known_over_budget(
         fresh(far, 5)
     monkeypatch.setattr(confluence, "_closure", counting)
     assert sp_equivalent(u, near, S, max_nodes=5) is expected[5]
-    assert targets == [None, near]
+    assert targets == [(), (near,)]
     for m in (5, 5, 3):
         targets.clear()
         assert sp_equivalent(u, near, S, max_nodes=m) is expected[m]
-        assert targets == [near]
+        assert targets == [(near,)]
     targets.clear()
     with pytest.raises(ResourceLimitError) as info:
         sp_equivalent(u, far, S, max_nodes=5)
     assert info.value.cap == 5
-    assert targets == [far]
+    assert targets == [(far,)]
     targets.clear()
     assert sp_equivalent(u, near, S, max_nodes=8) is expected[8]
-    assert targets == [None]
+    assert targets == [()]
     assert len(S._sp_memo[0][u]) == 8
 
 
@@ -144,7 +144,7 @@ def test_completion_closes_each_preserving_class_once(monkeypatch):
     closures = []
 
     def counting(*args, **kwargs):
-        if kwargs.get("target") is None:
+        if not kwargs.get("target"):
             closures.append(args[0])
         return real(*args, **kwargs)
 
@@ -177,6 +177,20 @@ def test_preperfect_wp_cap_boundary(tits_d3):
     assert not preperfect_wp(u, v, tits_d3, max_nodes=4)
     _passes_at_n_raises_below(
         lambda m: preperfect_wp(u, v, tits_d3, max_nodes=m), 4)
+
+
+def test_preperfect_wp_answers_a_pair_that_meets_within_the_budget(tits_d3):
+    # u's closure has 3 words and v's 15, but the search from v meets u's
+    # closure within 3 words; taken the other way round, the pair needs
+    # v's full closure
+    u, v = words_of(tits_d3.alphabet, "b a a b", "b a b b a b")
+    assert len(descendant_closure(u, tits_d3)) == 3
+    assert len(descendant_closure(v, tits_d3)) == 15
+    _passes_at_n_raises_below(
+        lambda m: preperfect_wp(u, v, tits_d3, max_nodes=m), 3)
+    assert preperfect_wp(u, v, tits_d3, max_nodes=3)
+    _passes_at_n_raises_below(
+        lambda m: preperfect_wp(v, u, tits_d3, max_nodes=m), 15)
 
 
 def test_check_gp_descendant_closure_cap_boundary():
@@ -279,11 +293,46 @@ def test_sp_equivalent_matches_a_successor_walk(name, data):
         assert sp_equivalent(v, u, system) is expected
 
 
+@st.composite
+def _word_pair(draw):
+    """A system, a word u, and a word v that is either any word or u after
+    a few rule applications taken either way (equal in the monoid, and
+    joinable or not)."""
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    system = SYSTEMS[name]
+    n = len(system.alphabet)
+    u = draw(st.lists(st.integers(0, n - 1), max_size=5).map(tuple))
+    if draw(st.booleans()):
+        return system, u, draw(st.lists(st.integers(0, n - 1), max_size=5).map(tuple))
+    sides = [(r.lhs, r.rhs) for r in system.rules]
+    sides += [(rhs, lhs) for lhs, rhs in sides]
+    v = u
+    for _ in range(draw(st.integers(0, 4))):
+        moves = [(i, old, new) for old, new in sides if len(v) - len(old) + len(new) <= 7
+                 for i in range(len(v) - len(old) + 1) if v[i:i + len(old)] == old]
+        if not moves:
+            break
+        i, old, new = draw(st.sampled_from(moves))
+        v = v[:i] + new + v[i + len(old):]
+    return system, u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_pair())
+def test_preperfect_wp_matches_joinability_of_full_closures(pair):
+    system, u, v = pair
+    expected = not descendant_closure(u, system).isdisjoint(
+        descendant_closure(v, system))
+    assert preperfect_wp(u, v, system) is expected
+    assert preperfect_wp(v, u, system) is expected
+
+
 OUTSIDE = (99,)
 ENTRY_POINTS = {
     "sp_equivalent": lambda S: sp_equivalent(OUTSIDE, (98,), S),
     "descendant_closure": lambda S: descendant_closure(OUTSIDE, S),
     "preperfect_wp": lambda S: preperfect_wp(OUTSIDE, (98,), S),
+    "preperfect_wp of v": lambda S: preperfect_wp((0,), OUTSIDE, S),
     "geodesics_of": lambda S: geodesics_of(OUTSIDE, S),
     "dehn_wp": lambda S: dehn_wp(OUTSIDE, S),
     "is_irreducible": lambda S: is_irreducible(OUTSIDE, S),

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geothue import builders
-from geothue.errors import FormatError, PreconditionError, StructureError
-from geothue.groups import SubgroupEmbedding, cyclic_group
+from geothue.errors import (FormatError, PreconditionError, ResourceLimitError,
+                            StructureError)
+from geothue.groups import GroupIso, SubgroupEmbedding, cyclic_group
 from geothue.pregroup import (Pregroup, check_axioms, format_pregroup,
                               interleave_equivalent, is_reduced, load_pregroup,
                               p_reduce, parse_pregroup, reduce_random_seq,
@@ -65,6 +67,13 @@ def test_conflicting_table_rejected():
         """)
     with pytest.raises(StructureError):
         Pregroup(("1", "a"), "1", {"a": "a"}, {("a", "a"): "a"})
+
+
+def test_element_that_cannot_be_a_letter_is_rejected():
+    # "." is the empty word, so it cannot name a letter of the universal
+    # systems
+    with pytest.raises(FormatError, match=r"line 2: element '\.' cannot be"):
+        parse_pregroup("# one comment\nelements 1 .\neps 1\ninv . .\n")
 
 
 def test_axioms_pass_on_fixtures(amalgam_pregroup, hnn_pregroup):
@@ -188,15 +197,28 @@ def _hnn(d):
     return builders.build_hnn_pregroup(d.G, d.embA, d.embB, d.phi)
 
 
+def _cyclic_embedding(H, G):
+    """The cyclic group H as the subgroup of its order of the cyclic G."""
+    step = len(G) // len(H)
+    return SubgroupEmbedding(H, G, {h: G.elements[i * step]
+                                    for i, h in enumerate(H.elements)})
+
+
 def _cyclic_amalgam(m, n, k):
     """Z/m *_{Z/k} Z/n, for k dividing m and n."""
     A, B, H = cyclic_group(m, "r"), cyclic_group(n, "s"), cyclic_group(k, "h")
+    return builders.build_amalgam_pregroup(A, B, _cyclic_embedding(H, A),
+                                           _cyclic_embedding(H, B))
 
-    def emb(G, step):
-        return SubgroupEmbedding(H, G, {h: G.elements[i * step]
-                                        for i, h in enumerate(H.elements)})
 
-    return builders.build_amalgam_pregroup(A, B, emb(A, m // k), emb(B, n // k))
+def _cyclic_hnn(n, k, e):
+    """The HNN extension of Z/n whose stable letter acts on its subgroup
+    Z/k as x -> x**e, for k dividing n and e prime to k."""
+    G, H = cyclic_group(n, "r"), cyclic_group(k, "h")
+    emb = _cyclic_embedding(H, G)
+    phi = GroupIso(H, H, {h: H.elements[i * e % k]
+                          for i, h in enumerate(H.elements)})
+    return builders.build_hnn_pregroup(G, emb, emb, phi)
 
 
 PREGROUPS = {
@@ -273,3 +295,112 @@ def test_table_isomorphic_rejects_different_tables():
 
 def test_table_isomorphic_identity(hnn_pregroup):
     assert table_isomorphic(hnn_pregroup, hnn_pregroup)
+
+
+# ---------------------------------------------------------------------------
+# up_wp's carry pass against interleave_equivalent, its slow twin
+
+CARRY_PREGROUPS = {
+    "amalgam_z4z6.pg": load_pregroup(fixture_path("amalgam_z4z6.pg")),
+    "hnn_s3.pg": load_pregroup(fixture_path("hnn_s3.pg")),
+    "z4_z2_z4": _cyclic_amalgam(4, 4, 2),
+    "z6_z3_z6": _cyclic_amalgam(6, 6, 3),
+    "hnn_z3_z3_inv": _cyclic_hnn(3, 3, -1),
+    "hnn_z2_1": _cyclic_hnn(2, 1, 1),
+    "hnn_z4_z2": _cyclic_hnn(4, 2, 1),
+}
+CARRY_NODES = 10 ** 4  # the slide classes of hnn_s3 at 6 elements have 7,776
+
+
+def _letters_after(P, prev, nxt=None):
+    """Non-identity elements that keep a reduced sequence reduced between
+    prev and nxt (None at either end)."""
+    return [a for a in P.elements if a != P.eps
+            and (prev is None or not P.defined(prev, a))
+            and (nxt is None or not P.defined(a, nxt))]
+
+
+def _random_reduced(P, rng, n):
+    """A reduced sequence of n elements; an element that no element may
+    follow (one of an amalgamated subgroup) comes only last."""
+    followed = {a for a in P.elements if _letters_after(P, a)}
+    out = []
+    for k in range(n):
+        options = _letters_after(P, out[-1] if out else None)
+        if k < n - 1:
+            options = [a for a in options if a in followed]
+        out.append(rng.choice(options))
+    return out
+
+
+def _slid(P, seq, rng, k):
+    """seq after k mediator slides at random places: the same element."""
+    seq = list(seq)
+    for _ in range(k if len(seq) >= 2 else 0):
+        i = rng.randrange(len(seq) - 1)
+        slides = P._slides.rhs_of.get((seq[i], seq[i + 1]))
+        if slides:
+            seq[i:i + 2] = rng.choice(slides)
+    return seq
+
+
+def _swapped(P, seq, rng):
+    """seq with one element swapped for another that keeps it reduced, or
+    None: a different element, as a pregroup embeds in its group."""
+    spots = list(range(len(seq)))
+    rng.shuffle(spots)
+    for i in spots:
+        others = [a for a in _letters_after(P, seq[i - 1] if i else None,
+                                            seq[i + 1] if i + 1 < len(seq) else None)
+                  if a != seq[i]]
+        if others:
+            return seq[:i] + [rng.choice(others)] + seq[i + 1:]
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_PREGROUPS))
+def test_carry_pregroups_satisfy_the_axioms(name):
+    assert check_axioms(CARRY_PREGROUPS[name]).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CARRY_PREGROUPS)), n=st.integers(0, 6),
+       slides=st.integers(0, 12), equal=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_up_wp_carry_pass_matches_interleave_equivalent(name, n, slides,
+                                                        equal, seed):
+    P = CARRY_PREGROUPS[name]
+    rng = random.Random(seed)
+    u = _random_reduced(P, rng, n)
+    v = _slid(P, u, rng, slides)
+    if not equal:
+        v = _swapped(P, v, rng)
+        if v is None:
+            return
+    u, v = tuple(u), tuple(v)
+    assert is_reduced(u, P) and is_reduced(v, P) and len(u) == len(v)
+    assert up_wp(u, v, P) is equal
+    assert up_wp(v, u, P) is equal
+    try:
+        slow = interleave_equivalent(u, v, P, max_nodes=CARRY_NODES)
+    except ResourceLimitError:
+        return
+    assert slow is equal
+
+
+def test_up_wp_decides_long_hnn_s3_pairs(hnn_pregroup):
+    # 2,400-element pairs, equal by 10^4 slides and unequal by one swapped
+    # element; a slide class of 2,400 elements has about 6^2399 members,
+    # so the slide closure settles neither at its default budget
+    P = hnn_pregroup
+    rng = random.Random(2400)
+    for _ in range(3):
+        u = _random_reduced(P, rng, 2400)
+        v = _slid(P, u, rng, 10 ** 4)
+        w = _swapped(P, v, rng)
+        assert v != u and is_reduced(v, P) and is_reduced(w, P)
+        assert up_wp(u, v, P) and up_wp(v, u, P)
+        assert not up_wp(u, w, P) and not up_wp(w, u, P)
+        # unreduced spellings of the same elements: a split and a cancelling pair
+        a = u[0]
+        assert up_wp([P.eps, a, P.inv[a]] + u + [P.eps], v, P)
