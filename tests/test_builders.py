@@ -9,12 +9,16 @@ from geothue.builders import (CommutationGraph, CoxeterMatrix, RuleProgram,
                               build_hnn_pregroup, build_hnn_system,
                               build_tits_system, format_rule_program,
                               parse_rule_program)
+from geothue.confluence import check_geodesically_perfect
 from geothue.errors import (PreconditionError, ResourceLimitError,
                             StructureError)
-from geothue.groups import cyclic_group
-from geothue.pregroup import check_axioms
-from geothue.rewriting import reduce_lr
+from geothue.groups import (GroupIso, SubgroupEmbedding, cyclic_group,
+                            symmetric_group)
+from geothue.pregroup import (check_axioms, table_isomorphic,
+                              universal_system_prime)
+from geothue.rewriting import dehn_wp, reduce_lr
 from geothue.systems import RuleKind
+from geothue.triangular import pregroup_from_system, reducing_part
 from tests.conftest import fixture_path, words_of
 
 
@@ -212,3 +216,53 @@ def test_example_data_wellformed(amalgam_data, hnn_data):
     assert amalgam_data.embA.map["h"] == "r2"
     assert amalgam_data.embB.map["h"] == "s3"
     assert hnn_data.phi.map["h"] == "h"
+
+
+def _two_subgroup_hnn():
+    """S_3 with a stable letter conjugating (12) onto (13): the subgroups
+    differ, so phi and its inverse are not interchangeable."""
+    G = symmetric_group(3)
+    HA, HB = cyclic_group(2, "a"), cyclic_group(2, "b")
+    embA = SubgroupEmbedding(HA, G, {"1": "1", "a": "12"})
+    embB = SubgroupEmbedding(HB, G, {"1": "1", "b": "13"})
+    return G, embA, embB, GroupIso(HA, HB, {"1": "1", "a": "b"})
+
+
+def test_stable_letter_constructions_with_two_subgroups():
+    G, embA, embB, phi = _two_subgroup_hnn()
+    program = build_hnn_system(G, embA, embB, phi)
+    britton = build_britton_system(G, embA, embB, phi)
+    A = program.alphabet
+    assert A.names == britton.alphabet.names
+    rng = random.Random(13)
+    for _ in range(300):
+        w = tuple(rng.randrange(len(A)) for _ in range(rng.randint(0, 8)))
+        nf = program.normal_form(w)
+        assert program.reduce_random(w, rng) == nf, w
+
+    # T a t = phi(a), so T 12 t 13 is trivial; free cancellations and
+    # conjugated relators build more trivial words
+    inverse = {"t": "T", "T": "t"}
+    inverse.update((g, G.inverse(g)) for g in G.elements if g != G.identity)
+    names = list(inverse)
+    for _ in range(300):
+        word = []
+        for _ in range(rng.randint(1, 3)):
+            conj = [rng.choice(names) for _ in range(rng.randint(0, 2))]
+            core = rng.choice((["T", "12", "t", "13"], ["t", "13", "T", "12"],
+                               [rng.choice(names)]))
+            if len(core) == 1:
+                core = core + [inverse[core[0]]]
+            chunk = conj + core + [inverse[x] for x in reversed(conj)]
+            at = rng.randint(0, len(word))
+            word[at:at] = chunk
+        w = A.word(" ".join(word))
+        assert program.normal_form(w) == (), word
+        assert dehn_wp(w, britton), word
+
+    P = build_hnn_pregroup(G, embA, embB, phi)
+    assert len(P.elements) == 42
+    assert check_axioms(P).ok
+    prime = universal_system_prime(P)
+    assert table_isomorphic(P, pregroup_from_system(reducing_part(prime)))
+    assert check_geodesically_perfect(prime, include_same_rule_overlaps=True).holds
