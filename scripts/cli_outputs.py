@@ -16,8 +16,8 @@ malformed input files (an unknown directive in every format; a
 misshapen line and a conflicting entry in every format; a repeated
 letter in a system; a repeated and a missing single line in a pregroup
 and a group; a pregroup element that cannot be a letter), unusable and
-unread caps, --example with a file option, a closed stdout, and --help
-for every subcommand.  Each line is
+unread caps, integer options below their minimum, --example with a file
+option, a closed stdout, and --help for every subcommand.  Each line is
 the sha256 of exit code, stdout, stderr and any file written, followed
 by the command.
 
@@ -157,8 +157,8 @@ MALFORMED_MORE = {
 
 
 def error_cases(tmp: pathlib.Path):
-    """Malformed input files, unusable or unread caps, and --example
-    together with a file option."""
+    """Malformed input files, unusable or unread caps, integer options
+    below their minimum, and --example together with a file option."""
     bad = {}
     for suffix in ("pg", "grp", "map", "rules", "rws"):
         bad[suffix] = [tmp / f"bad.{suffix}"]
@@ -185,6 +185,14 @@ def error_cases(tmp: pathlib.Path):
     yield ["reduce", free, "a", "--caps", "bogus=3"]
     yield ["wp", free, "a b", "a b", "--caps", "len=0"]
     yield ["oracle", "geodesics", free, "a", "--caps", "len=2"]
+    tits = _fixture("tits_d3.rws")
+    yield ["weights", _fixture("z2_convergent.rules"), "--bound", "0"]
+    yield ["critical-pairs", tits, "--limit", "-1"]
+    yield ["geodesic-check", tits, "--max-len", "-2"]
+    yield ["geodesic-check", tits, "--max-len", "2", "--slack", "-1"]
+    yield ["complete", _fixture("z2_graph.rws"), "--max-phases", "0"]
+    yield ["oracle", "count", tits, "--max-word-length", "-1"]
+    yield ["oracle", "geodesics", tits, "a", "--slack", "-1"]
     yield ["build", "amalgam", "--group-a", _fixture("z4.grp")]
     yield ["build", "amalgam", "--example", "--group-a", _fixture("z4.grp")]
     yield ["build", "hnn", "--example", "--iso", _fixture("hnn_phi.map")]

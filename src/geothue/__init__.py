@@ -43,10 +43,9 @@ from .pregroup import (AxiomCheck, AxiomReport, Pregroup, check_axioms,
 from .triangular import (LetterClasses, TriangularClassification,
                          TriangularKind, classify_triangular, letter_classes,
                          pregroup_from_system, reducing_part)
-from .groups import (FiniteGroup, GroupIso, Side, SubgroupEmbedding,
-                     coset_decompose, cyclic_group, format_group, format_map,
-                     parse_group, parse_map, save_group, symmetric_group,
-                     transversal)
+from .groups import (FiniteGroup, GroupIso, SubgroupEmbedding, coset_decompose,
+                     cyclic_group, format_group, format_map, parse_group,
+                     parse_map, save_group, symmetric_group, transversal)
 from .builders import (AmalgamData, CommutationGraph, CoxeterMatrix, HnnData,
                        RuleProgram, build_amalgam_pregroup,
                        build_amalgam_system, build_britton_system,

@@ -6,7 +6,12 @@ both a Thue system (via transversal decompositions) and a pregroup.
 The extension of a finite group by a stable letter conjugating one
 subgroup onto another yields three artifacts: a convergent but
 length-increasing rewrite program, the length-reducing pinch system,
-and a pregroup on the elements of syllable length at most one.
+and a pregroup on the elements of syllable length at most one.  All
+three read one derivation of the stable-letter data (_StableLetter):
+the input checks, the alphabet, the isomorphism on the subgroup images
+both ways, the right transversals, the products of the base group and
+the inverse of every letter.  The pregroup derives it once and reads
+the program's normal forms.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, ResourceLimitError, StructureError
-from .groups import (FiniteGroup, GroupIso, Side, SubgroupEmbedding,
-                     coset_decompose, cyclic_group, symmetric_group, transversal)
+from .groups import (FiniteGroup, GroupIso, SubgroupEmbedding, coset_decompose,
+                     cyclic_group, symmetric_group, transversal)
 from .pregroup import Pregroup, check_axioms
 from .rewriting import thue_resolution
 from .systems import RewriteSystem, parse_rule_pairs, preserving, reducing
@@ -217,8 +222,8 @@ def build_amalgam_system(A: FiniteGroup, B: FiniteGroup,
                 continue
             add(wrd(b_name[x], b_name[y]), wrd(b_name[B.mult(x, y)]))
 
-    X = transversal(A, embA, Side.RIGHT)
-    Y = transversal(B, embB, Side.RIGHT)
+    X = transversal(A, embA)
+    Y = transversal(B, embB)
     for a in A.elements:
         if a == A.identity or a in a_img:
             continue
@@ -314,15 +319,6 @@ class RuleProgram:
         self.rules = tuple(checked)
         self._longest_lhs = max((len(l) for l, _ in self.rules), default=1)
 
-    def matches(self, word: Word) -> List[Tuple[int, int]]:
-        """(position, rule index) for every applicable rewrite."""
-        out = []
-        for i in range(len(word)):
-            for ri, (lhs, _) in enumerate(self.rules):
-                if word[i:i + len(lhs)] == lhs:
-                    out.append((i, ri))
-        return out
-
     def is_irreducible(self, word: Word) -> bool:
         word = tuple(word)
         return not any(word[i:i + len(l)] == l
@@ -351,11 +347,11 @@ class RuleProgram:
         w = tuple(word)
         steps = 0
         while True:
-            options = self.matches(w)
+            options = [(i, lhs, rhs) for i in range(len(w))
+                       for lhs, rhs in self.rules if w[i:i + len(lhs)] == lhs]
             if not options:
                 return w
-            i, ri = options[rng.randrange(len(options))]
-            lhs, rhs = self.rules[ri]
+            i, lhs, rhs = options[rng.randrange(len(options))]
             w = w[:i] + rhs + w[i + len(lhs):]
             steps += 1
             if steps > max_steps:
@@ -377,26 +373,61 @@ def parse_rule_program(text: str) -> RuleProgram:
     return RuleProgram(alphabet, pairs)
 
 
-def _check_stable_data(G: FiniteGroup, embA: SubgroupEmbedding,
-                       embB: SubgroupEmbedding, phi: GroupIso):
-    for emb in (embA, embB):
-        if emb.into is not G and emb.into != G:
-            raise StructureError("embeddings must target the base group")
-    if phi.source is not embA.sub and phi.source != embA.sub:
-        raise StructureError("iso domain must be the first subgroup")
-    if phi.target is not embB.sub and phi.target != embB.sub:
-        raise StructureError("iso range must be the second subgroup")
+class _StableLetter:
+    """What the three stable-letter constructions share, derived once
+    from the base group G, the embeddings of A and B, and phi: A -> B.
+
+    The alphabet is t, T and G's non-identity elements; phi and phi_inv
+    act on the subgroup images; X and Y are the right transversals of A
+    and B; base_rules are the products x y -> xy of G; inverse pairs
+    every letter with its inverse.
+    """
+
+    def __init__(self, G: FiniteGroup, embA: SubgroupEmbedding,
+                 embB: SubgroupEmbedding, phi: GroupIso):
+        for emb in (embA, embB):
+            if emb.into is not G and emb.into != G:
+                raise StructureError("embeddings must target the base group")
+        if phi.source is not embA.sub and phi.source != embA.sub:
+            raise StructureError("iso domain must be the first subgroup")
+        if phi.target is not embB.sub and phi.target != embB.sub:
+            raise StructureError("iso range must be the second subgroup")
+        if "t" in G.index or "T" in G.index:
+            raise StructureError("base group may not use the names 't' or 'T'")
+        letters = [g for g in G.elements if g != G.identity]
+        self.G, self.embA, self.embB = G, embA, embB
+        self.alphabet = Alphabet(["t", "T"] + letters)
+        self.t, self.T = self.alphabet.id("t"), self.alphabet.id("T")
+        self.phi = {embA.map[k]: embB.map[v] for k, v in phi.map.items()}
+        self.phi_inv = {v: k for k, v in self.phi.items()}
+        self.X = transversal(G, embA)
+        self.Y = transversal(G, embB)
+        self.base_rules = [(self.word(g, h), self.word(G.mult(g, h)))
+                           for g in letters for h in letters]
+        self.inverse = {self.t: self.T, self.T: self.t}
+        for g in letters:
+            self.inverse[self.alphabet.id(g)] = self.alphabet.id(G.inverse(g))
+
+    def word(self, *names: str) -> Word:
+        """The letters of the named elements, the identity left out."""
+        return tuple(self.alphabet.id(n) for n in names if n != self.G.identity)
 
 
-def _stable_alphabet(G: FiniteGroup) -> Alphabet:
-    if "t" in G.index or "T" in G.index:
-        raise StructureError("base group may not use the names 't' or 'T'")
-    return Alphabet(["t", "T"] + [g for g in G.elements if g != G.identity])
-
-
-def _phi_on_images(embA: SubgroupEmbedding, embB: SubgroupEmbedding,
-                   phi: GroupIso) -> Dict[str, str]:
-    return {embA.map[k]: embB.map[v] for k, v in phi.map.items()}
+def _hnn_program(d: _StableLetter) -> RuleProgram:
+    G, t, T = d.G, d.t, d.T
+    rules: List[Tuple[Word, Word]] = [((t, T), ()), ((T, t), ())] + d.base_rules
+    # t b y -> phi_inv(b) t y over b in B, and T a x -> phi(a) T x over a in A
+    for mark, emb, reps, move in ((t, d.embB, d.Y, d.phi_inv),
+                                  (T, d.embA, d.X, d.phi)):
+        for g in G.elements:
+            if g == G.identity:
+                continue
+            h, rep = coset_decompose(G, emb, g, reps)
+            lhs = (mark,) + d.word(g)
+            rhs = d.word(move[h]) + (mark,) + d.word(rep)
+            if lhs != rhs:
+                rules.append((lhs, rhs))
+    return RuleProgram(d.alphabet, rules)
 
 
 def build_hnn_system(G: FiniteGroup, embA: SubgroupEmbedding,
@@ -407,81 +438,24 @@ def build_hnn_system(G: FiniteGroup, embA: SubgroupEmbedding,
     along the relevant coset decomposition; those rules can grow a word
     by one letter, hence a RuleProgram rather than a Thue system.
     """
-    _check_stable_data(G, embA, embB, phi)
-    alphabet = _stable_alphabet(G)
-    t, T = alphabet.id("t"), alphabet.id("T")
-    phi_img = _phi_on_images(embA, embB, phi)
-    phi_inv = {v: k for k, v in phi_img.items()}
-    X = transversal(G, embA, Side.RIGHT)
-    Y = transversal(G, embB, Side.RIGHT)
-
-    def wrd(*names) -> Word:
-        return tuple(alphabet.id(n) for n in names if n != G.identity)
-
-    rules: List[Tuple[Word, Word]] = [((t, T), ()), ((T, t), ())]
-    for g in G.elements:
-        if g == G.identity:
-            continue
-        for h in G.elements:
-            if h == G.identity:
-                continue
-            rules.append((wrd(g, h), wrd(G.mult(g, h))))
-    for g in G.elements:
-        if g == G.identity:
-            continue
-        b, y = coset_decompose(G, embB, g, Y)
-        a = phi_inv[b]
-        lhs = (t,) + wrd(g)
-        rhs = wrd(a) + (t,) + wrd(y)
-        if lhs != rhs:
-            rules.append((lhs, rhs))
-    for g in G.elements:
-        if g == G.identity:
-            continue
-        a, x = coset_decompose(G, embA, g, X)
-        b = phi_img[a]
-        lhs = (T,) + wrd(g)
-        rhs = wrd(b) + (T,) + wrd(x)
-        if lhs != rhs:
-            rules.append((lhs, rhs))
-    return RuleProgram(alphabet, rules)
+    return _hnn_program(_StableLetter(G, embA, embB, phi))
 
 
 def build_britton_system(G: FiniteGroup, embA: SubgroupEmbedding,
                          embB: SubgroupEmbedding, phi: GroupIso) -> RewriteSystem:
     """Length-reducing pinch rules; confluent on the class of the empty
     word but not geodesic."""
-    _check_stable_data(G, embA, embB, phi)
-    alphabet = _stable_alphabet(G)
-    t, T = alphabet.id("t"), alphabet.id("T")
-    phi_img = _phi_on_images(embA, embB, phi)
-    phi_inv = {v: k for k, v in phi_img.items()}
-
-    def wrd(*names) -> Word:
-        return tuple(alphabet.id(n) for n in names if n != G.identity)
-
-    rules = [reducing((t, T), ()), reducing((T, t), ())]
-    for g in G.elements:
-        if g == G.identity:
-            continue
-        for h in G.elements:
-            if h == G.identity:
-                continue
-            rules.append(reducing(wrd(g, h), wrd(G.mult(g, h))))
-    for a in embA.image:
-        if a == G.identity:
-            continue
-        rules.append(reducing((T,) + wrd(a) + (t,), wrd(phi_img[a])))
-    for b in embB.image:
-        if b == G.identity:
-            continue
-        rules.append(reducing((t,) + wrd(b) + (T,), wrd(phi_inv[b])))
-
-    pairing = {t: T, T: t}
-    for g in G.elements:
-        if g != G.identity:
-            pairing[alphabet.id(g)] = alphabet.id(G.inverse(g))
-    return RewriteSystem(alphabet, rules, inverse_pairing=pairing)
+    d = _StableLetter(G, embA, embB, phi)
+    t, T = d.t, d.T
+    rules = [reducing(lhs, rhs)
+             for lhs, rhs in [((t, T), ()), ((T, t), ())] + d.base_rules]
+    # T a t -> phi(a) over a in A, and t b T -> phi_inv(b) over b in B
+    for left, right, emb, move in ((T, t, embA, d.phi), (t, T, embB, d.phi_inv)):
+        for h in emb.image:
+            if h != G.identity:
+                rules.append(reducing((left,) + d.word(h) + (right,),
+                                      d.word(move[h])))
+    return RewriteSystem(d.alphabet, rules, inverse_pairing=d.inverse)
 
 
 def build_hnn_pregroup(G: FiniteGroup, embA: SubgroupEmbedding,
@@ -493,32 +467,22 @@ def build_hnn_pregroup(G: FiniteGroup, embA: SubgroupEmbedding,
     product is defined exactly when its normal form stays at syllable
     length at most one.  The axiom check then arbitrates the result.
     """
-    _check_stable_data(G, embA, embB, phi)
-    program = build_hnn_system(G, embA, embB, phi)
-    alphabet = program.alphabet
-    t, T = alphabet.id("t"), alphabet.id("T")
-    X = transversal(G, embA, Side.RIGHT)
-    Y = transversal(G, embB, Side.RIGHT)
-
-    def wrd(*names) -> Word:
-        return tuple(alphabet.id(n) for n in names if n != G.identity)
+    d = _StableLetter(G, embA, embB, phi)
+    program = _hnn_program(d)
+    alphabet, t, T = d.alphabet, d.t, d.T
 
     names: List[str] = list(G.elements)
-    denote: Dict[str, Word] = {g: wrd(g) for g in G.elements}
-    for g in G.elements:
-        for y in Y:
-            name = f"{g}.t.{y}"
-            names.append(name)
-            denote[name] = wrd(g) + (t,) + wrd(y)
-    for g in G.elements:
-        for x in X:
-            name = f"{g}.T.{x}"
-            names.append(name)
-            denote[name] = wrd(g) + (T,) + wrd(x)
+    denote: Dict[str, Word] = {g: d.word(g) for g in G.elements}
+    for mark, reps in (("t", d.Y), ("T", d.X)):
+        for g in G.elements:
+            for rep in reps:
+                name = f"{g}.{mark}.{rep}"
+                names.append(name)
+                denote[name] = d.word(g) + (alphabet.id(mark),) + d.word(rep)
     if len(set(names)) != len(names):
         raise StructureError("carrier names collide; rename the base group")
 
-    y_set, x_set = set(Y), set(X)
+    y_set, x_set = set(d.Y), set(d.X)
 
     def elem_of(nf: Word) -> Optional[str]:
         marks = [i for i, l in enumerate(nf) if l in (t, T)]
@@ -546,13 +510,9 @@ def build_hnn_pregroup(G: FiniteGroup, embA: SubgroupEmbedding,
             if w is not None:
                 mult[(u, v)] = w
 
-    inv_letter = {t: T, T: t}
-    for g in G.elements:
-        if g != G.identity:
-            inv_letter[alphabet.id(g)] = alphabet.id(G.inverse(g))
     inv: Dict[str, str] = {}
     for u in names:
-        rev = tuple(inv_letter[l] for l in reversed(denote[u]))
+        rev = tuple(d.inverse[l] for l in reversed(denote[u]))
         w = elem_of(program.normal_form(rev))
         if w is None:
             raise StructureError(f"inverse of {u!r} left the carrier")

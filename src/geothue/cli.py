@@ -38,8 +38,10 @@ from .weights import DEFAULT_BOUND, weight_assignment
 
 OK, UNDECIDED, ERROR = 0, 2, 1
 
-# the smallest usable value of each cap
+# the smallest usable value of each cap, and of each integer option
 _CAP_MINIMUM = {"nodes": 1, "len": 0}
+_OPTION_MINIMUM = {"bound": 1, "max_phases": 1, "limit": 0, "max_len": 0,
+                   "max_word_length": 0, "slack": 0}
 
 # the file options of build's amalgam and stable-letter subcommands
 _AMALGAM_FILES = ("group_a", "group_b", "subgroup", "map_a", "map_b")
@@ -559,6 +561,10 @@ def main(argv=None) -> int:
         if caps["len"] is not None and not args.reads_len:
             raise FormatError("cap 'len' is not read by this subcommand, "
                               "only by oracle class, wp and count")
+        for dest, minimum in _OPTION_MINIMUM.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < minimum:
+                raise FormatError(f"{_flag(dest)} must be at least {minimum}")
         for dest, parse in _FILE_ARGS.items():
             path = getattr(args, dest, None)
             if path is not None:

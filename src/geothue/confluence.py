@@ -47,7 +47,7 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Tuple)
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
-from .oracle import class_closure
+from .oracle import oracle_geodesics
 from .rewriting import _closure, is_irreducible
 from .systems import Rule, RuleKind, RewriteSystem
 from .words import Word, lenlex_key
@@ -420,21 +420,20 @@ def geodesic_bounded_check(system: RewriteSystem, max_len: int,
     """Semi-test of the geodesic property.
 
     Every reducing-irreducible word up to max_len is compared against the
-    bounded class closure: a strictly shorter member refutes geodesy.
-    Capped closures downgrade a clean sweep to undecided.
+    shortest members of its bounded class closure (oracle_geodesics): a
+    strictly shorter one, the length-lex least, refutes geodesy.  Capped
+    closures downgrade a clean sweep to undecided.
     """
     all_complete = True
     for w in system.alphabet.words_upto(max_len):
         if not is_irreducible(w, system):
             continue
-        s = slack if slack is not None else 2 * len(w) + 4
-        closure = class_closure(w, system, max_length=len(w) + s, max_nodes=max_nodes)
-        shorter = [m for m in closure.members if len(m) < len(w)]
-        if shorter:
-            shortest = min(shorter, key=lenlex_key)
+        geos, complete = oracle_geodesics(w, system, slack, max_nodes)
+        shortest = min(geos, key=lenlex_key)
+        if len(shortest) < len(w):
             return GeodesicCheck(GeodesicCheckStatus.COUNTEREXAMPLE, max_len,
                                  (w, shortest))
-        if not closure.complete:
+        if not complete:
             all_complete = False
     if all_complete:
         return GeodesicCheck(GeodesicCheckStatus.CONSISTENT, max_len)

@@ -11,7 +11,6 @@ their grammar is under "File formats" in the README.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Dict, List, Sequence, Tuple
 
@@ -171,7 +170,7 @@ class SubgroupEmbedding:
 class GroupIso:
     """Bijective homomorphism between two finite groups."""
 
-    __slots__ = ("source", "target", "map", "inverse_map")
+    __slots__ = ("source", "target", "map")
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
                  mapping: Dict[str, str]):
@@ -183,21 +182,12 @@ class GroupIso:
         self.source = source
         self.target = target
         self.map = emb.map
-        self.inverse_map = {v: k for k, v in emb.map.items()}
 
 
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
-def transversal(G: FiniteGroup, emb: SubgroupEmbedding,
-                side: Side = Side.RIGHT) -> Tuple[str, ...]:
-    """One representative per coset of the embedded subgroup.
-
-    Right means cosets Hg, so every g factors as g = h * rep.  The
-    identity represents its own coset; other cosets take their earliest
-    declared element.
+def transversal(G: FiniteGroup, emb: SubgroupEmbedding) -> Tuple[str, ...]:
+    """One representative per right coset Hg of the embedded subgroup, so
+    every g factors as g = h * rep.  The identity represents its own
+    coset; other cosets take their earliest declared element.
     """
     if emb.into is not G and emb.into != G:
         raise StructureError("embedding does not target this group")
@@ -207,10 +197,7 @@ def transversal(G: FiniteGroup, emb: SubgroupEmbedding,
     for g in G.elements:
         if g in assigned:
             continue
-        if side is Side.RIGHT:
-            coset = [G.mult(h, g) for h in H]
-        else:
-            coset = [G.mult(g, h) for h in H]
+        coset = [G.mult(h, g) for h in H]
         rep = G.identity if G.identity in coset else \
             min(coset, key=G.index.__getitem__)
         reps.append(rep)
@@ -220,16 +207,13 @@ def transversal(G: FiniteGroup, emb: SubgroupEmbedding,
 
 
 def coset_decompose(G: FiniteGroup, emb: SubgroupEmbedding, g: str,
-                    reps: Sequence[str], side: Side = Side.RIGHT) -> Tuple[str, str]:
-    """Factor g = h * rep (right) or rep * h (left), h in the image."""
+                    reps: Sequence[str]) -> Tuple[str, str]:
+    """Factor g = h * rep, h in the image and rep in the transversal."""
     H = set(emb.image)
     for rep in reps:
-        if side is Side.RIGHT:
-            h = G.mult(g, G.inverse(rep))
-        else:
-            h = G.mult(G.inverse(rep), g)
+        h = G.mult(g, G.inverse(rep))
         if h in H:
-            return (h, rep) if side is Side.RIGHT else (rep, h)
+            return h, rep
     raise StructureError(f"{g!r} lies in no coset of the given transversal")
 
 

@@ -30,7 +30,6 @@ class ClassClosure:
     members: FrozenSet[Word]
     complete: bool
     max_length: int
-    max_nodes: int
     # member -> (parent, direction, pos, rule); seed maps to None
     parents: Dict[Word, Optional[tuple]] = field(repr=False, default_factory=dict)
 
@@ -114,7 +113,7 @@ def class_closure(word: Word, system: RewriteSystem,
         break
     if found_target:
         complete = False
-    return ClassClosure(seed, frozenset(parents), complete, max_length, max_nodes, parents)
+    return ClassClosure(seed, frozenset(parents), complete, max_length, parents)
 
 
 def replay_path(closure: ClassClosure, member: Word):
@@ -222,19 +221,16 @@ def class_partition(system: RewriteSystem, horizon: int,
         if ri != rj:
             parent[rj] = ri
 
-    lengths = sorted({len(r.lhs) for r in system.rules})
-    by_lhs: Dict[Word, List[Word]] = {}
-    for rule in system.rules:
-        by_lhs.setdefault(rule.lhs, []).append(rule.rhs)
+    fwd, fwd_lengths = _step_tables(system)[:2]
     for w in words:
         n = len(w)
         wi = index[w]
-        for L in lengths:
+        for L in fwd_lengths:
             if L > n:
                 break
             for i in range(n - L + 1):
-                for rhs in by_lhs.get(w[i:i + L], ()):
-                    child = w[:i] + rhs + w[i + L:]
+                for rule in fwd.get(w[i:i + L], ()):
+                    child = w[:i] + rule.rhs + w[i + L:]
                     ci = index.get(child)
                     if ci is None:
                         capped = True

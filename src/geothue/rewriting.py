@@ -161,12 +161,13 @@ def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word
     return tuple(u)
 
 
-def reduce_random(word: Word, system: RewriteSystem, rng, kind: Optional[RuleKind] = RuleKind.REDUCING) -> Word:
-    """Maximal reduction applying a uniformly random redex each step."""
+def reduce_random(word: Word, system: RewriteSystem, rng) -> Word:
+    """Maximal reduction applying a uniformly random reducing redex each
+    step."""
     w = tuple(word)
     system._check_symbols(w)
     while True:
-        hits = redexes(w, system, kind)
+        hits = redexes(w, system, RuleKind.REDUCING)
         if not hits:
             return w
         pos, rule = hits[rng.randrange(len(hits))]

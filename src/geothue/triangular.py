@@ -33,7 +33,6 @@ class TriangularKind(enum.Enum):
 class TriangularClassification:
     kind: TriangularKind
     trivial_rules: Tuple[Rule, ...]
-    group_system: bool
 
 
 def classify_triangular(system: RewriteSystem) -> TriangularClassification:
@@ -54,7 +53,7 @@ def classify_triangular(system: RewriteSystem) -> TriangularClassification:
         kind = TriangularKind.ALMOST_TRIANGULAR
     else:
         kind = TriangularKind.TRIANGULAR
-    return TriangularClassification(kind, tuple(trivial), system.is_group_system)
+    return TriangularClassification(kind, tuple(trivial))
 
 
 def reducing_part(system: RewriteSystem) -> RewriteSystem:
@@ -75,7 +74,6 @@ class LetterClasses:
 
     classes: Tuple[FrozenSet[int], ...]
     class_of: Dict[int, int]
-    eps_class: int
 
 
 def letter_classes(system: RewriteSystem) -> LetterClasses:
@@ -135,7 +133,7 @@ def letter_classes(system: RewriteSystem) -> LetterClasses:
         classes.append(members)
         for y in members:
             class_of[y] = cid
-    return LetterClasses(tuple(classes), class_of, 0)
+    return LetterClasses(tuple(classes), class_of)
 
 
 def _eps_name(taken) -> str:
@@ -161,24 +159,21 @@ def pregroup_from_system(system: RewriteSystem) -> Pregroup:
     cls = classify_triangular(system)
     if cls.kind is TriangularKind.NEITHER:
         raise PreconditionError("system is not triangular or almost triangular")
-    if not cls.group_system:
+    if not system.is_group_system:
         raise PreconditionError("pregroup construction requires a group system")
     lc = letter_classes(system)
     alphabet = system.alphabet
     inv = system.inverse_pairing
 
+    # class 0 is the empty word's
     rep_name: Dict[int, str] = {}
-    for cid, members in enumerate(lc.classes):
-        if cid == lc.eps_class:
-            continue
+    for cid, members in enumerate(lc.classes[1:], 1):
         rep_name[cid] = alphabet.name(min(members))
     eps = _eps_name(set(rep_name.values()))
-    rep_name[lc.eps_class] = eps
+    rep_name[0] = eps
 
     inv_name: Dict[str, str] = {eps: eps}
-    for cid, members in enumerate(lc.classes):
-        if cid == lc.eps_class:
-            continue
+    for cid, members in enumerate(lc.classes[1:], 1):
         target = lc.class_of[inv[min(members)]]
         inv_name[rep_name[cid]] = rep_name[target]
 

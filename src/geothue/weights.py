@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .systems import RewriteSystem
+from .errors import PreconditionError
 from .words import Word
 
 DEFAULT_BOUND = 64
@@ -123,19 +123,19 @@ def weight_assignment(rules, bound: int = DEFAULT_BOUND,
                       alphabet_size: Optional[int] = None) -> WeightResult:
     """Search an integer weighting in [1, bound] for the given rules.
 
-    rules may be a RewriteSystem (its reducing part is used) or an
-    iterable of raw (lhs, rhs) pairs, which also admits length-increasing
-    pairs that a Thue system cannot hold.
+    rules is an iterable of raw (lhs, rhs) pairs of letter ids, so
+    length-increasing pairs, which a Thue system cannot hold, are
+    admitted.  The letters are 0 .. alphabet_size - 1, by default up to
+    the largest id used.  A bound below 1 admits no weighting and raises
+    PreconditionError.
     """
-    if isinstance(rules, RewriteSystem):
-        pairs = [(r.lhs, r.rhs) for r in rules.reducing]
-        n = len(rules.alphabet)
+    if bound < 1:
+        raise PreconditionError(f"weight bound must be at least 1, got {bound}")
+    pairs = [(tuple(l), tuple(r)) for l, r in rules]
+    if alphabet_size is None:
+        n = max((max(l + r) + 1 for l, r in pairs if l + r), default=0)
     else:
-        pairs = [(tuple(l), tuple(r)) for l, r in rules]
-        if alphabet_size is None:
-            n = max((max(l + r) + 1 for l, r in pairs if l + r), default=0)
-        else:
-            n = alphabet_size
+        n = alphabet_size
 
     if not pairs:
         return WeightResult(WeightStatus.FEASIBLE, {s: 1 for s in range(n)}, bound)

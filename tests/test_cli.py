@@ -217,6 +217,39 @@ def test_caps_must_be_usable_budgets(capsys, argv):
     assert "geothue: error: cap" in err
 
 
+@pytest.mark.parametrize("argv, option, minimum", [
+    (("weights", fixture_path("z2_convergent.rules"), "--bound", "0"), "--bound", 1),
+    (("critical-pairs", fixture_path("tits_d3.rws"), "--limit", "-1"), "--limit", 0),
+    (("geodesic-check", fixture_path("tits_d3.rws"), "--max-len", "-2"),
+     "--max-len", 0),
+    (("geodesic-check", fixture_path("tits_d3.rws"), "--max-len", "2",
+      "--slack", "-1"), "--slack", 0),
+    (("complete", fixture_path("z2_graph.rws"), "--max-phases", "0"),
+     "--max-phases", 1),
+    (("oracle", "count", fixture_path("tits_d3.rws"), "--max-word-length", "-1"),
+     "--max-word-length", 0),
+    (("oracle", "geodesics", fixture_path("tits_d3.rws"), "a", "--slack", "-1"),
+     "--slack", 0),
+], ids=["bound", "limit", "max-len", "slack", "max-phases", "max-word-length",
+        "oracle-slack"])
+def test_integer_options_must_be_in_range(capsys, argv, option, minimum):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"geothue: error: {option} must be at least {minimum}\n"
+
+
+def test_integer_options_at_their_minimum_are_answered(capsys):
+    code, out, _ = run_json(capsys, "critical-pairs",
+                            fixture_path("tits_d3.rws"), "--limit", "0")
+    assert code == 0
+    assert out["count"] == 4 and out["pairs"] == []
+    code, out, _ = run_json(capsys, "geodesic-check", fixture_path("tits_d3.rws"),
+                            "--max-len", "0", "--slack", "0")
+    assert code == 0
+    assert out["status"] == "consistent-up-to"
+
+
 @pytest.mark.parametrize("command, words", [
     (("wp",), ("a b", "a b")), (("reduce",), ("a",)), (("geodesics",), ("a",)),
     (("check-gp",), ()), (("complete",), ()), (("oracle", "geodesics"), ("a",)),

@@ -1,7 +1,7 @@
 import pytest
 
 from geothue.errors import StructureError
-from geothue.groups import (FiniteGroup, GroupIso, Side, SubgroupEmbedding,
+from geothue.groups import (FiniteGroup, GroupIso, SubgroupEmbedding,
                             coset_decompose, cyclic_group, format_group,
                             format_map, parse_group, parse_map,
                             symmetric_group, transversal)
@@ -57,7 +57,7 @@ def test_embedding_validation():
 def test_group_iso_validation():
     H = cyclic_group(2, "h")
     iso = GroupIso(H, H, {"1": "1", "h": "h"})
-    assert iso.inverse_map["h"] == "h"
+    assert iso.map["h"] == "h"
     K = cyclic_group(3, "k")
     with pytest.raises(StructureError):
         GroupIso(H, K, {"1": "1", "h": "k"})
@@ -67,36 +67,25 @@ def test_transversal_covers_cosets():
     G = symmetric_group(3)
     H = cyclic_group(2, "h")
     emb = SubgroupEmbedding(H, G, {"1": "1", "h": "12"})
-    reps = transversal(G, emb, Side.RIGHT)
+    reps = transversal(G, emb)
     assert len(reps) == 3
     assert G.identity in reps
     seen = set()
     for g in G.elements:
-        h, y = coset_decompose(G, emb, g, reps, Side.RIGHT)
+        h, y = coset_decompose(G, emb, g, reps)
         assert y in reps and h in emb.image
         assert G.mult(h, y) == g
         seen.add(y)
     assert seen == set(reps)
 
 
-def test_left_decomposition_mirrors_right():
-    G = symmetric_group(3)
-    H = cyclic_group(2, "h")
-    emb = SubgroupEmbedding(H, G, {"1": "1", "h": "12"})
-    reps = transversal(G, emb, Side.LEFT)
-    for g in G.elements:
-        x, h = coset_decompose(G, emb, g, reps, Side.LEFT)
-        assert x in reps and h in emb.image
-        assert G.mult(x, h) == g
-
-
 def test_decomposition_is_unique():
     G = cyclic_group(6, "s")
     H = cyclic_group(2, "h")
     emb = SubgroupEmbedding(H, G, {"1": "1", "h": "s3"})
-    reps = transversal(G, emb, Side.RIGHT)
+    reps = transversal(G, emb)
     for g in G.elements:
-        h, y = coset_decompose(G, emb, g, reps, Side.RIGHT)
+        h, y = coset_decompose(G, emb, g, reps)
         others = [(hh, yy) for hh in emb.image for yy in reps
                   if G.mult(hh, yy) == g]
         assert others == [(h, y)]

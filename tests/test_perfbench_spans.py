@@ -1,7 +1,15 @@
 """The benchmark's traced run wraps library functions by their module
-names, so a rename in the library must not leave a target dangling."""
+names, and its workloads call the package by its public names, so a
+rename in the library must not leave a target or a call dangling."""
 
+import importlib
+import pathlib
+import re
+
+import geothue as gt
 from perfbench import spans
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _name(owner, attr):
@@ -21,3 +29,13 @@ def test_tracer_targets_resolve_and_are_restored():
                   for (owner, attr, _, _), a, b in zip(spans.TARGETS, after, before)
                   if a is not b]
     assert not unrestored
+
+
+def test_public_names_the_benchmark_reads_exist():
+    # importing the workloads resolves their from-imports of geothue
+    importlib.import_module("perfbench.workloads")
+    read = {name for path in sorted(PERFBENCH.glob("*.py"))
+            for name in re.findall(r"\bgt\.([A-Za-z_]\w*)",
+                                   path.read_text(encoding="utf-8"))}
+    assert "load_system" in read
+    assert sorted(name for name in read if not hasattr(gt, name)) == []

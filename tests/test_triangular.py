@@ -10,9 +10,10 @@ from geothue.triangular import (TriangularKind, classify_triangular,
 
 
 def test_classify_triangular_free_group(free_ab):
-    cls = classify_triangular(reducing_part(free_ab))
+    system = reducing_part(free_ab)
+    cls = classify_triangular(system)
     assert cls.kind is TriangularKind.TRIANGULAR
-    assert cls.group_system
+    assert system.is_group_system
     assert not cls.trivial_rules
 
 
@@ -35,10 +36,10 @@ def test_classify_neither_for_long_lhs(geoper_S):
 
 def test_sprime_reducing_part_is_triangular(amalgam_pregroup, hnn_pregroup):
     for P in (amalgam_pregroup, hnn_pregroup):
-        S = universal_system_prime(P)
-        cls = classify_triangular(reducing_part(S))
+        S = reducing_part(universal_system_prime(P))
+        cls = classify_triangular(S)
         assert cls.kind is TriangularKind.TRIANGULAR
-        assert cls.group_system
+        assert S.is_group_system
 
 
 def test_letter_classes_trivial_on_sprime(amalgam_pregroup):
@@ -46,7 +47,7 @@ def test_letter_classes_trivial_on_sprime(amalgam_pregroup):
     lc = letter_classes(S)
     # no two letters of the fixture collapse
     assert all(len(c) == 1 for c in lc.classes[1:])
-    assert lc.classes[lc.eps_class] == frozenset()
+    assert lc.classes[0] == frozenset()
 
 
 def test_letter_classes_detect_identified_letters():

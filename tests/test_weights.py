@@ -1,5 +1,7 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from geothue.errors import PreconditionError
 from geothue.systems import parse_rule_pairs
 from geothue.weights import (WeightStatus, is_weight_reducing,
                              weight_assignment, word_weight)
@@ -45,6 +47,14 @@ def test_bound_exhaustion_reported():
     assert res.status is WeightStatus.BOUND_EXHAUSTED
     res2 = weight_assignment(ps, alphabet_size=2, bound=4)
     assert res2.status is WeightStatus.FEASIBLE
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_bound_below_one_is_refused(bound):
+    # the all-ones weighting would already exceed the bound
+    ab, ps = pairs("alphabet a b\nrule a b -> a\n")
+    with pytest.raises(PreconditionError, match="at least 1"):
+        weight_assignment(ps, alphabet_size=2, bound=bound)
 
 
 def test_word_weight_sums():
