@@ -3,7 +3,9 @@ invocation, so two source trees can be compared byte for byte.
 
 Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, check-gp with --same-rule-overlaps on every .rws
-fixture and on the universal systems of amalgam_z4z6.pg, 6- and 12-phase
+fixture and on the universal systems of amalgam_z4z6.pg, check-gp in
+both overlap modes under a node cap that some preserving class exceeds
+though no pair needs it, 6- and 12-phase
 completion with certificates (and 16-phase on z2_graph and geoper_S, and
 3-phase on the graph groups of a path and a square, built by build graph),
 completion under node caps that one target search meets and one it
@@ -127,6 +129,8 @@ def each_subcommand(tmp: pathlib.Path):
     yield ["oracle", "count", tits, "--max-word-length", "5"]
 
 
+CAPPED_GP = "alphabet a b\nrule a b a -> a b\nrule a b <-> b a\nrule a -> .\n"
+
 MALFORMED = "# the second line is not a directive\nbogus directive\n"
 
 # more malformed files, by suffix: a misshapen line and a conflicting
@@ -191,6 +195,8 @@ def error_cases(tmp: pathlib.Path):
     yield ["geodesic-check", tits, "--max-len", "-2"]
     yield ["geodesic-check", tits, "--max-len", "2", "--slack", "-1"]
     yield ["complete", _fixture("z2_graph.rws"), "--max-phases", "0"]
+    yield ["complete", _fixture("z2_graph.rws"), "--max-rules", "0"]
+    yield ["complete", _fixture("z2_graph.rws"), "--max-rules", "-5"]
     yield ["oracle", "count", tits, "--max-word-length", "-1"]
     yield ["oracle", "geodesics", tits, "a", "--slack", "-1"]
     yield ["build", "amalgam", "--group-a", _fixture("z4.grp")]
@@ -211,6 +217,13 @@ def invocations(tmp: pathlib.Path, seed: int):
     # the classical enumeration; hnn_s3's systems take about 12 s
     for path in rws + [s for s in systems if s.name.startswith("amalgam_z4z6.")]:
         yield ["check-gp", str(path), "--same-rule-overlaps", "--format", "json"]
+    # every pair is decided before a preserving class over the budget,
+    # which some side's descendant has, is needed
+    capped = tmp / "capped.rws"
+    capped.write_text(CAPPED_GP, encoding="utf-8")
+    for mode in ([], ["--same-rule-overlaps"]):
+        yield ["check-gp", str(capped), *mode, "--caps", "nodes=5",
+               "--format", "json"]
     for path in rws:
         for phases in ("6", "12"):
             yield ["complete", str(path), "--certificates", "--format", "json",

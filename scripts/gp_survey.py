@@ -1,11 +1,13 @@
 """Run the geodesic-perfection check over every Thue system in fixtures/.
 
-One line per file: verdict, pairs inspected, wall time, and the witness
-overlap for failures.  Handy after touching the criterion or the
-fixture generator.
+One line per system: verdict, pairs inspected, wall time, and the
+witness overlap for failures.  A pregroup file (.pg) gives two systems,
+its universal_system and its universal_system_prime.  Handy after
+touching the criterion or the fixture generator.
 
     python scripts/gp_survey.py
     python scripts/gp_survey.py fixtures/tits_d3.rws --classical-overlaps
+    python scripts/gp_survey.py fixtures/hnn_s3.pg --classical-overlaps
 """
 
 import argparse
@@ -16,6 +18,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from geothue.confluence import check_geodesically_perfect
+from geothue.pregroup import load_pregroup, universal_system, universal_system_prime
 from geothue.systems import load_system
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -29,14 +32,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     files = args.files or sorted((ROOT / "fixtures").glob("*.rws"))
-    width = max(len(f.name) for f in files)
+    systems = []
     for path in files:
-        system = load_system(path)
+        if path.suffix == ".pg":
+            P = load_pregroup(path)
+            systems.append((f"{path.name} universal", universal_system(P)))
+            systems.append((f"{path.name} prime", universal_system_prime(P)))
+        else:
+            systems.append((path.name, load_system(path)))
+    width = max(len(name) for name, _ in systems)
+    for name, system in systems:
         t0 = time.perf_counter()
         verdict = check_geodesically_perfect(
             system, include_same_rule_overlaps=args.classical_overlaps)
         elapsed = time.perf_counter() - t0
-        line = (f"{path.name:<{width}}  "
+        line = (f"{name:<{width}}  "
                 f"{'gp' if verdict.holds else 'NOT gp':<6} "
                 f"{verdict.pairs_checked:>8} pairs  {elapsed:>7.2f}s")
         if verdict.witness is not None:

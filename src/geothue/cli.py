@@ -40,8 +40,8 @@ OK, UNDECIDED, ERROR = 0, 2, 1
 
 # the smallest usable value of each cap, and of each integer option
 _CAP_MINIMUM = {"nodes": 1, "len": 0}
-_OPTION_MINIMUM = {"bound": 1, "max_phases": 1, "limit": 0, "max_len": 0,
-                   "max_word_length": 0, "slack": 0}
+_OPTION_MINIMUM = {"bound": 1, "max_phases": 1, "max_rules": 1, "limit": 0,
+                   "max_len": 0, "max_word_length": 0, "slack": 0}
 
 # the file options of build's amalgam and stable-letter subcommands
 _AMALGAM_FILES = ("group_a", "group_b", "subgroup", "map_a", "map_b")

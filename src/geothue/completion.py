@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
-from .errors import DEFAULT_MAX_NODES
+from .errors import DEFAULT_MAX_NODES, PreconditionError
 from .rewriting import reduce_lr, reduce_lr_trace
 from .systems import Rule, RuleKind, RewriteSystem, preserving, reducing
 from .words import Word
@@ -164,7 +164,13 @@ def kb_complete(system: RewriteSystem,
                 max_rules: int = DEFAULT_MAX_RULES,
                 include_same_rule_overlaps: bool = False,
                 max_nodes: Optional[int] = DEFAULT_MAX_NODES) -> CompletionResult:
-    """Run phases until one adds nothing, or a budget is hit."""
+    """Run phases until one adds nothing, or a budget is hit.
+
+    max_rules is checked after each phase, so a system with more rules
+    still runs one; a max_rules below 1 raises PreconditionError.
+    """
+    if max_rules < 1:
+        raise PreconditionError(f"rule limit must be at least 1, got {max_rules}")
     current = system
     # the rules of the current system that the previous phase's lacked;
     # None at the first phase, where every pair is fresh

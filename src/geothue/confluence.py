@@ -13,11 +13,25 @@ enumeration where it is.  Distinct rules sharing a left-hand side always
 produce the pair of their right-hand sides.
 
 Index lookups list placements (rule2, pos1, pos2), the starts of both
-spans in z, and one routine builds each placement's pair.  Distinct
-placements can give the same pair, so each rule1 keeps a seen set.
-Completion enumerates only the pairs that use a new rule: a new rule1
-is looked up in the index of every rule, an old one in the index of
-the new rules alone.
+spans in z, and one routine, _pairs, builds each placement's pair as a
+plain tuple (z, x, y, rule1, rule2, pos1, pos2).  Distinct placements
+can give the same pair, so each rule1 keeps a seen set.
+iter_critical_pairs and critical_pairs (so also completion) wrap this
+stream into CriticalPair with its kind; check_geodesically_perfect
+reads the plain tuples.  Completion enumerates only the pairs that use
+a new rule: a new rule1 is looked up in the index of every rule, an old
+one in the index of the new rules alone.
+
+check_geodesically_perfect decides a pair from the signatures of its
+two sides, a side's signature being the set of preserving classes of
+its reducing descendants: the pair passes iff the two signatures
+intersect.  So its cost is one descendant closure per distinct side and
+one verdict per pair of distinct signatures, not a closure per pair.
+It walks the stream in order and builds a CriticalPair only for the
+first failing pair, the witness.  A signature that needs a class over
+the budget is not formed; a pair with such a side is decided by the
+pairwise test, which closes classes only until its first match, so the
+budget errors and capped answers are those of a check pair by pair.
 
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
@@ -144,7 +158,8 @@ def _placements(l1: Word, tables: _LhsTables):
 
 def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
            new: Optional[AbstractSet[Rule]]):
-    """The critical pairs that use a rule of new, or every pair for None.
+    """The critical pairs that use a rule of new, or every pair for None,
+    as plain tuples (z, x, y, rule1, rule2, pos1, pos2).
 
     For each reducing rule1, four index lookups list the placements
     (rule2, pos1, pos2): rule2 over rule1's end, over its start, strictly
@@ -178,11 +193,22 @@ def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
             if key in seen:
                 continue
             seen.add(key)
-            # one span starts z and the other ends it
-            kind = (OverlapKind.INCLUSION if len(z) in (L1, L2)
-                    else OverlapKind.LEFT_OVERLAP if pos1 == 0
-                    else OverlapKind.RIGHT_OVERLAP)
-            yield CriticalPair(z, x, y, r1, r2, pos1, pos2, kind)
+            yield z, x, y, r1, r2, pos1, pos2
+
+
+# read once: an enum member read off its class is a slow attribute lookup
+_INCLUSION, _LEFT_OVERLAP, _RIGHT_OVERLAP = (
+    OverlapKind.INCLUSION, OverlapKind.LEFT_OVERLAP, OverlapKind.RIGHT_OVERLAP)
+
+
+def _critical_pair(pair: tuple) -> CriticalPair:
+    """A tuple of _pairs as a CriticalPair, with its kind."""
+    z, _, _, r1, r2, pos1, _ = pair
+    # one span starts z and the other ends it
+    kind = (_INCLUSION if len(z) in (len(r1.lhs), len(r2.lhs))
+            else _LEFT_OVERLAP if pos1 == 0 else _RIGHT_OVERLAP)
+    # tuple.__new__ skips the named tuple's own __new__, a second call
+    return tuple.__new__(CriticalPair, pair + (kind,))
 
 
 def iter_critical_pairs(system: RewriteSystem,
@@ -190,7 +216,7 @@ def iter_critical_pairs(system: RewriteSystem,
     """Every critical pair once, in a deterministic order: by reducing
     rule1 in rule order, then by placement of rule2 over rule1's end,
     over its start, strictly inside it and around it."""
-    return _pairs(system, include_same_rule_overlaps, None)
+    return map(_critical_pair, _pairs(system, include_same_rule_overlaps, None))
 
 
 def critical_pairs(system: RewriteSystem,
@@ -202,7 +228,8 @@ def critical_pairs(system: RewriteSystem,
     the system are enumerated and sorted.
     """
     rule_index = {id(r): i for i, r in enumerate(system.rules)}
-    out = list(_pairs(system, include_same_rule_overlaps, _new))
+    out = list(map(_critical_pair,
+                   _pairs(system, include_same_rule_overlaps, _new)))
     out.sort(key=lambda cp: (len(cp.z), cp.z, rule_index[id(cp.rule1)],
                              rule_index[id(cp.rule2)], cp.pos1, cp.pos2))
     return tuple(out)
@@ -306,10 +333,41 @@ class GpVerdict:
         }
 
 
+def _holds_lazily(dx: FrozenSet[Word], dy: FrozenSet[Word],
+                  system: RewriteSystem, max_nodes: Optional[int]) -> bool:
+    """Whether some words of dx and dy of equal length are one word or
+    share a preserving class, closing classes only until the first match."""
+    what = "preserving-class closure"
+    by_len: Dict[int, set] = {}
+    for w in dx:
+        by_len.setdefault(len(w), set()).add(w)
+    for w in dy:
+        bucket = by_len.get(len(w))
+        if bucket is None:
+            continue
+        if w in bucket:
+            return True
+        cls = _sp_class(w, system, max_nodes, what)
+        if any(_sp_class(c, system, max_nodes, what) is cls for c in bucket):
+            return True
+    return False
+
+
 def check_geodesically_perfect(system: RewriteSystem,
                                include_same_rule_overlaps: bool = False,
                                max_nodes: int = DEFAULT_MAX_NODES) -> GpVerdict:
     """Decide the critical-pair criterion over full reducing-descendant sets.
+
+    A side's signature is the set of preserving classes of its reducing
+    descendants.  A class has one length and holds its own members, so a
+    pair passes iff the signatures of its two sides intersect.  Each
+    distinct side is closed once and its signature interned to an int;
+    verdicts are memoised per pair of signature ints.  The first failing
+    pair of _pairs' stream is the witness, the only pair built as a
+    CriticalPair, with fresh descendant closures.  A side whose
+    signature needs a class over the budget gets no signature, and its
+    pairs get _holds_lazily's test, so every budget error and capped
+    answer is that of a check pair by pair.
 
     By default a rule's overlaps with its own shifts are skipped, so a
     verdict that holds does not license preperfect_wp: fixtures/gpex.rws
@@ -317,48 +375,56 @@ def check_geodesically_perfect(system: RewriteSystem,
     d f c = d d d c = f d c.  include_same_rule_overlaps=True gives the
     classical check, which fails there on the pair of d d d.
     """
-    pairs = iter_critical_pairs(system, include_same_rule_overlaps)
-    steps = system._steps
-    what = "preserving-class closure"
-    rdesc_cache: Dict[Word, FrozenSet[Word]] = {}
+    steps = system._steps.reducing
 
     def rdesc(w: Word) -> FrozenSet[Word]:
-        got = rdesc_cache.get(w)
+        return frozenset(_closure(w, steps, max_nodes, "descendant closure"))
+
+    sig_ids: Dict[FrozenSet[FrozenSet[Word]], int] = {}
+    sigs: List[FrozenSet[FrozenSet[Word]]] = []
+
+    def signature(w: Word) -> int:
+        """w's signature int, or -1 when a class is over the budget."""
+        desc = rdesc(w)  # over its budget, this ends the check
+        try:
+            sig = frozenset([_sp_class(d, system, max_nodes,
+                                       "preserving-class closure")
+                             for d in desc])
+        except ResourceLimitError:
+            return -1
+        got = sig_ids.get(sig)
         if got is None:
-            got = frozenset(_closure(w, steps.reducing, max_nodes,
-                                     "descendant closure"))
-            rdesc_cache[w] = got
+            got = sig_ids[sig] = len(sigs)
+            sigs.append(sig)
         return got
 
-    verdict_cache: Dict[Tuple[Word, Word], bool] = {}
+    side_sig: Dict[Word, int] = {}
+    verdicts: Dict[Tuple[int, int], bool] = {}
+    # under a cap the lazy test's answer depends on the words themselves
+    lazy: Dict[Tuple[Word, Word], bool] = {}
     checked = 0
-    for pair in pairs:
+    for pair in _pairs(system, include_same_rule_overlaps, None):
         checked += 1
-        key = (pair.x, pair.y)
-        ok = verdict_cache.get(key)
-        if ok is None:
-            dx = rdesc(pair.x)
-            dy = rdesc(pair.y)
-            ok = False
-            by_len: Dict[int, set] = {}
-            for w in dx:
-                by_len.setdefault(len(w), set()).add(w)
-            for w in dy:
-                bucket = by_len.get(len(w))
-                if bucket is None:
-                    continue
-                if w in bucket:
-                    ok = True
-                    break
-                cls = _sp_class(w, system, max_nodes, what)
-                if any(_sp_class(c, system, max_nodes, what) is cls
-                       for c in bucket):
-                    ok = True
-                    break
-            verdict_cache[key] = ok
-            verdict_cache[(pair.y, pair.x)] = ok
+        x, y = pair[1], pair[2]
+        sx = side_sig.get(x)
+        if sx is None:
+            sx = side_sig[x] = signature(x)
+        sy = side_sig.get(y)
+        if sy is None:
+            sy = side_sig[y] = signature(y)
+        if sx >= 0 and sy >= 0:
+            ok = verdicts.get((sx, sy))
+            if ok is None:
+                ok = not sigs[sx].isdisjoint(sigs[sy])
+                verdicts[(sx, sy)] = verdicts[(sy, sx)] = ok
+        else:
+            ok = lazy.get((x, y))
+            if ok is None:
+                ok = _holds_lazily(rdesc(x), rdesc(y), system, max_nodes)
+                lazy[(x, y)] = lazy[(y, x)] = ok
         if not ok:
-            return GpVerdict(False, checked, FailedPair(pair, rdesc(pair.x), rdesc(pair.y)))
+            return GpVerdict(False, checked, FailedPair(
+                _critical_pair(pair), rdesc(x), rdesc(y)))
     return GpVerdict(True, checked, None)
 
 

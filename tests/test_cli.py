@@ -226,12 +226,16 @@ def test_caps_must_be_usable_budgets(capsys, argv):
       "--slack", "-1"), "--slack", 0),
     (("complete", fixture_path("z2_graph.rws"), "--max-phases", "0"),
      "--max-phases", 1),
+    (("complete", fixture_path("z2_graph.rws"), "--max-rules", "0"),
+     "--max-rules", 1),
+    (("complete", fixture_path("z2_graph.rws"), "--max-rules", "-5"),
+     "--max-rules", 1),
     (("oracle", "count", fixture_path("tits_d3.rws"), "--max-word-length", "-1"),
      "--max-word-length", 0),
     (("oracle", "geodesics", fixture_path("tits_d3.rws"), "a", "--slack", "-1"),
      "--slack", 0),
-], ids=["bound", "limit", "max-len", "slack", "max-phases", "max-word-length",
-        "oracle-slack"])
+], ids=["bound", "limit", "max-len", "slack", "max-phases", "max-rules-0",
+        "max-rules-negative", "max-word-length", "oracle-slack"])
 def test_integer_options_must_be_in_range(capsys, argv, option, minimum):
     code, out, err = run(capsys, *argv)
     assert code == 1

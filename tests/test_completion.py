@@ -1,6 +1,9 @@
+import pytest
+
 from geothue.completion import (DEFAULT_MAX_PHASES, CompletionStatus,
                                 ResolutionAction, kb_complete, resolve_pair)
 from geothue.confluence import check_geodesically_perfect, critical_pairs
+from geothue.errors import PreconditionError
 from geothue.oracle import class_partition
 from geothue.rewriting import successors
 from geothue.systems import RuleKind
@@ -45,6 +48,19 @@ def test_graph_group_never_stops(z2_graph):
 def test_rule_budget(z2_graph):
     res = kb_complete(z2_graph, max_phases=50, max_rules=30)
     assert res.status is CompletionStatus.RULE_LIMIT
+
+
+@pytest.mark.parametrize("max_rules", [0, -5])
+def test_rule_budget_below_one_is_refused(z2_graph, max_rules):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        kb_complete(z2_graph, max_rules=max_rules)
+
+
+def test_rule_budget_is_checked_after_a_phase(z2_graph):
+    # z2_graph has 12 rules: a cap of 1 still runs the first phase
+    res = kb_complete(z2_graph, max_rules=1)
+    assert res.status is CompletionStatus.RULE_LIMIT
+    assert len(res.phases) == 1
 
 
 def test_certificates_replay(z2z2_group, z2_graph, geoper_S):

@@ -1,15 +1,18 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geothue import confluence
-from geothue.confluence import (OverlapKind, check_geodesically_perfect,
+from geothue.confluence import (FailedPair, GpVerdict, OverlapKind,
+                                check_geodesically_perfect,
                                 critical_pairs, descendant_closure,
                                 geodesic_bounded_check, geodesics_of,
                                 iter_critical_pairs, preperfect_wp,
                                 sp_equivalent, GeodesicCheckStatus)
+from geothue.errors import DEFAULT_MAX_NODES, ResourceLimitError
 from geothue.oracle import WpVerdict, oracle_wp
-from geothue.rewriting import successors
-from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
+from geothue.rewriting import _closure, successors
+from geothue.systems import (RewriteSystem, RuleKind, load_system, preserving,
+                             reducing)
 from geothue.words import Alphabet
 from tests.conftest import fixture_path, overlapping_system, words_of
 
@@ -83,7 +86,7 @@ def test_pairs_of_new_rules_are_the_pairs_that_use_one(S, same_rule, data):
               if S.rules else ())
     using = [p for p in iter_critical_pairs(S, same_rule)
              if p.rule1 in new or p.rule2 in new]
-    assert list(confluence._pairs(S, same_rule, new)) == using
+    assert list(confluence._pairs(S, same_rule, new)) == [p[:7] for p in using]
     assert list(critical_pairs(S, same_rule, _new=new)) == \
         [p for p in critical_pairs(S, same_rule) if p.rule1 in new or p.rule2 in new]
 
@@ -224,3 +227,89 @@ def test_preperfect_wp_symmetric_tits(u, v):
 def test_gp_verdict_on_system_without_preserving_rules(z2z2):
     # no preserving rules and no strict pairs: trivially fine
     assert check_geodesically_perfect(z2z2).holds
+
+
+def _pairwise_gp(system, include_same_rule_overlaps=False,
+                 max_nodes=DEFAULT_MAX_NODES):
+    """check_geodesically_perfect decided pair by pair: each (x, y) is
+    memoised, and a pair holds when some reducing descendants of equal
+    length are the same word or share a preserving class, the classes
+    closed lazily until the first match."""
+    what = "preserving-class closure"
+    rdesc_cache = {}
+
+    def rdesc(w):
+        got = rdesc_cache.get(w)
+        if got is None:
+            got = frozenset(_closure(w, system._steps.reducing, max_nodes,
+                                     "descendant closure"))
+            rdesc_cache[w] = got
+        return got
+
+    verdict_cache = {}
+    checked = 0
+    for pair in iter_critical_pairs(system, include_same_rule_overlaps):
+        checked += 1
+        key = (pair.x, pair.y)
+        ok = verdict_cache.get(key)
+        if ok is None:
+            dx = rdesc(pair.x)
+            dy = rdesc(pair.y)
+            ok = False
+            by_len = {}
+            for w in dx:
+                by_len.setdefault(len(w), set()).add(w)
+            for w in dy:
+                bucket = by_len.get(len(w))
+                if bucket is None:
+                    continue
+                if w in bucket:
+                    ok = True
+                    break
+                cls = confluence._sp_class(w, system, max_nodes, what)
+                if any(confluence._sp_class(c, system, max_nodes, what) is cls
+                       for c in bucket):
+                    ok = True
+                    break
+            verdict_cache[key] = ok
+            verdict_cache[(pair.y, pair.x)] = ok
+        if not ok:
+            return GpVerdict(False, checked,
+                             FailedPair(pair, rdesc(pair.x), rdesc(pair.y)))
+    return GpVerdict(True, checked, None)
+
+
+def _outcome(check, system, same_rule, max_nodes):
+    """The verdict, or the text and cap of the budget error."""
+    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
+    try:
+        return check(system, same_rule, **kwargs)
+    except ResourceLimitError as err:
+        return str(err), err.cap
+
+
+# a b a -> a b, a b <-> b a, a -> .: at max_nodes=5 every pair is
+# decided before a preserving class over the budget is needed, though
+# some side has a descendant whose class is over it
+CAPPED = RewriteSystem(Alphabet("ab"), [reducing((0, 1, 0), (0, 1)),
+                                        preserving((0, 1), (1, 0)),
+                                        reducing((0,), ())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_system(with_preserving=True), st.booleans(),
+       st.sampled_from((1, 2, 3, 5, None)))
+@example(CAPPED, False, 5)
+@example(CAPPED, True, 5)
+def test_gp_check_matches_its_pairwise_twin(S, same_rule, max_nodes):
+    # each check on its own copy, so neither reads the other's classes
+    twin = RewriteSystem(S.alphabet, S.rules)
+    assert _outcome(check_geodesically_perfect, S, same_rule, max_nodes) == \
+        _outcome(_pairwise_gp, twin, same_rule, max_nodes)
+
+
+@pytest.mark.parametrize("same_rule, pairs", [(False, 10), (True, 12)])
+def test_capped_gp_check_holds_without_the_classes_it_skips(same_rule, pairs):
+    S = RewriteSystem(CAPPED.alphabet, CAPPED.rules)
+    v = check_geodesically_perfect(S, same_rule, max_nodes=5)
+    assert v.holds and v.pairs_checked == pairs
