@@ -26,7 +26,7 @@ check_geodesically_perfect decides a pair from the signatures of its
 two sides, a side's signature being the set of preserving classes of
 its reducing descendants: the pair passes iff the two signatures
 intersect.  So its cost is one descendant closure per distinct side and
-one verdict per pair of distinct signatures, not a closure per pair.
+one isdisjoint per pair, not a closure per pair.
 It walks the stream in order and builds a CriticalPair only for the
 first failing pair, the witness.  A signature that needs a class over
 the budget is not formed; a pair with such a side is decided by the
@@ -361,13 +361,14 @@ def check_geodesically_perfect(system: RewriteSystem,
     A side's signature is the set of preserving classes of its reducing
     descendants.  A class has one length and holds its own members, so a
     pair passes iff the signatures of its two sides intersect.  Each
-    distinct side is closed once and its signature interned to an int;
-    verdicts are memoised per pair of signature ints.  The first failing
-    pair of _pairs' stream is the witness, the only pair built as a
-    CriticalPair, with fresh descendant closures.  A side whose
-    signature needs a class over the budget gets no signature, and its
-    pairs get _holds_lazily's test, so every budget error and capped
-    answer is that of a check pair by pair.
+    distinct side is closed once and keeps its signature, a frozenset
+    of the shared class frozensets, so a pair costs one isdisjoint.
+    The first failing pair of _pairs' stream is the witness, the only
+    pair built as a CriticalPair, with fresh descendant closures.  A
+    side whose signature needs a class over the budget gets no
+    signature, and its pairs get _holds_lazily's test, on descendant
+    sets kept once per side, so every budget error and capped answer is
+    that of a check pair by pair.
 
     By default a rule's overlaps with its own shifts are skipped, so a
     verdict that holds does not license preperfect_wp: fixtures/gpex.rws
@@ -380,47 +381,50 @@ def check_geodesically_perfect(system: RewriteSystem,
     def rdesc(w: Word) -> FrozenSet[Word]:
         return frozenset(_closure(w, steps, max_nodes, "descendant closure"))
 
-    sig_ids: Dict[FrozenSet[FrozenSet[Word]], int] = {}
-    sigs: List[FrozenSet[FrozenSet[Word]]] = []
+    # descendants kept for the pairwise test, closed once per side
+    desc: Dict[Word, FrozenSet[Word]] = {}
+    # one object per signature: far fewer signatures than sides
+    shared: Dict[FrozenSet[FrozenSet[Word]], FrozenSet[FrozenSet[Word]]] = {}
 
-    def signature(w: Word) -> int:
-        """w's signature int, or -1 when a class is over the budget."""
-        desc = rdesc(w)  # over its budget, this ends the check
+    def signature(w: Word) -> Optional[FrozenSet[FrozenSet[Word]]]:
+        """w's signature, or None when a class is over the budget."""
+        dw = rdesc(w)  # over its budget, this ends the check
         try:
             sig = frozenset([_sp_class(d, system, max_nodes,
                                        "preserving-class closure")
-                             for d in desc])
+                             for d in dw])
         except ResourceLimitError:
-            return -1
-        got = sig_ids.get(sig)
+            desc[w] = dw
+            return None
+        return shared.setdefault(sig, sig)
+
+    def descendants(w: Word) -> FrozenSet[Word]:
+        got = desc.get(w)
         if got is None:
-            got = sig_ids[sig] = len(sigs)
-            sigs.append(sig)
+            got = desc[w] = rdesc(w)
         return got
 
-    side_sig: Dict[Word, int] = {}
-    verdicts: Dict[Tuple[int, int], bool] = {}
+    sigs: Dict[Word, Optional[FrozenSet[FrozenSet[Word]]]] = {}
+    unseen = object()
     # under a cap the lazy test's answer depends on the words themselves
     lazy: Dict[Tuple[Word, Word], bool] = {}
     checked = 0
     for pair in _pairs(system, include_same_rule_overlaps, None):
         checked += 1
         x, y = pair[1], pair[2]
-        sx = side_sig.get(x)
-        if sx is None:
-            sx = side_sig[x] = signature(x)
-        sy = side_sig.get(y)
-        if sy is None:
-            sy = side_sig[y] = signature(y)
-        if sx >= 0 and sy >= 0:
-            ok = verdicts.get((sx, sy))
-            if ok is None:
-                ok = not sigs[sx].isdisjoint(sigs[sy])
-                verdicts[(sx, sy)] = verdicts[(sy, sx)] = ok
+        sx = sigs.get(x, unseen)
+        if sx is unseen:
+            sx = sigs[x] = signature(x)
+        sy = sigs.get(y, unseen)
+        if sy is unseen:
+            sy = sigs[y] = signature(y)
+        if sx is not None and sy is not None:
+            ok = not sx.isdisjoint(sy)
         else:
             ok = lazy.get((x, y))
             if ok is None:
-                ok = _holds_lazily(rdesc(x), rdesc(y), system, max_nodes)
+                ok = _holds_lazily(descendants(x), descendants(y), system,
+                                   max_nodes)
                 lazy[(x, y)] = lazy[(y, x)] = ok
         if not ok:
             return GpVerdict(False, checked, FailedPair(

@@ -307,62 +307,16 @@ def is_reduced(seq: Sequence[str], P: Pregroup) -> bool:
 
 
 def reduce_random_seq(seq: Sequence[str], P: Pregroup, rng) -> Seq:
-    """Contract random defined adjacent pairs until none remain.
-
-    Each step takes the k-th defined pair from the left, k drawn by
-    rng.choice(range(m)) over the m defined pairs, the draw of
-    rng.choice over the list of their positions.  The surviving elements
-    form a linked list, and a Fenwick tree counts the positions that
-    start a defined pair, so a step costs O(log n), not a rescan.
-    """
+    """Contract random defined adjacent pairs until none remain."""
     _check_elements(seq, P)
-    mult = P.mult
-    vals = list(seq)
-    n = len(vals)
-    nxt = list(range(1, n + 1))  # n ends the list; position 0 never goes
-    prv = list(range(-1, n - 1))
-    spot = [False] * n  # whether a position starts a defined pair
-    tree = [0] * (n + 1)  # 1-based Fenwick tree over spot
-
-    def mark(i: int, on: bool) -> int:
-        """Set spot[i]; the change in the number of spots."""
-        delta = on - spot[i]
-        if delta:
-            spot[i] = on
-            k = i + 1
-            while k <= n:
-                tree[k] += delta
-                k += k & -k
-        return delta
-
-    m = sum(mark(i, (vals[i], vals[i + 1]) in mult) for i in range(n - 1))
-    top = 1 << n.bit_length()
-    while m:
-        # the position of the k-th spot: the longest prefix with at most k
-        k = rng.choice(range(m))
-        i, step = 0, top
-        while step:
-            if i + step <= n and tree[i + step] <= k:
-                i += step
-                k -= tree[i]
-            step >>= 1
-        j = nxt[i]
-        vals[i] = mult[(vals[i], vals[j])]
-        after = nxt[j]
-        nxt[i] = after
-        if after < n:
-            prv[after] = i
-        m += mark(j, False)
-        m += mark(i, after < n and (vals[i], vals[after]) in mult)
-        if i:
-            m += mark(prv[i], (vals[prv[i]], vals[i]) in mult)
-    out = []
-    i = 0
-    while i < n:
-        if vals[i] != P.eps:
-            out.append(vals[i])
-        i = nxt[i]
-    return tuple(out)
+    out = list(seq)
+    while True:
+        spots = [i for i in range(len(out) - 1) if P.defined(out[i], out[i + 1])]
+        if not spots:
+            break
+        i = rng.choice(spots)
+        out[i:i + 2] = [P.prod(out[i], out[i + 1])]
+    return tuple(a for a in out if a != P.eps)
 
 
 def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -309,7 +311,22 @@ def test_gp_check_matches_its_pairwise_twin(S, same_rule, max_nodes):
 
 
 @pytest.mark.parametrize("same_rule, pairs", [(False, 10), (True, 12)])
-def test_capped_gp_check_holds_without_the_classes_it_skips(same_rule, pairs):
+def test_capped_gp_check_holds_without_the_classes_it_skips(
+        same_rule, pairs, monkeypatch):
     S = RewriteSystem(CAPPED.alphabet, CAPPED.rules)
+    closed = []
+
+    def counted(w, steps, max_nodes, what, *args, **kwargs):
+        if what == "descendant closure":
+            closed.append(w)
+        return _closure(w, steps, max_nodes, what, *args, **kwargs)
+
+    monkeypatch.setattr(confluence, "_closure", counted)
     v = check_geodesically_perfect(S, same_rule, max_nodes=5)
     assert v.holds and v.pairs_checked == pairs
+    # one closure for a side's signature, at most one more for the pairs
+    # decided one by one, however many such pairs the side is in
+    counts = Counter(closed)
+    assert set(counts) == {w for cp in iter_critical_pairs(S, same_rule)
+                           for w in (cp.x, cp.y)}
+    assert max(counts.values()) <= 2

@@ -156,32 +156,6 @@ def test_reduce_random_always_maximal(amalgam_pregroup):
         assert is_reduced(out, P)
 
 
-def _reduce_random_seq_rescan(seq, P, rng):
-    """reduce_random_seq as a rescan of every defined pair after each
-    contraction."""
-    out = list(seq)
-    while True:
-        spots = [i for i in range(len(out) - 1) if P.defined(out[i], out[i + 1])]
-        if not spots:
-            break
-        i = rng.choice(spots)
-        out[i:i + 2] = [P.prod(out[i], out[i + 1])]
-    return tuple(a for a in out if a != P.eps)
-
-
-@pytest.mark.parametrize("name", ["amalgam_z4z6.pg", "hnn_s3.pg"])
-def test_reduce_random_matches_the_rescan(name):
-    # the same draws from the same seed give the same contractions
-    P = load_pregroup(fixture_path(name))
-    pick = random.Random(name)
-    for seed in range(150):
-        seq = [pick.choice(P.elements) for _ in range(pick.randrange(60))]
-        fast, slow = random.Random(seed), random.Random(seed)
-        assert reduce_random_seq(seq, P, fast) == \
-            _reduce_random_seq_rescan(seq, P, slow)
-        assert fast.random() == slow.random()
-
-
 def test_interleave_equivalent_basic(amalgam_pregroup):
     P = amalgam_pregroup
     # r2 lies in both factors, so it slides across the factor boundary
