@@ -32,7 +32,7 @@ from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .errors import DEFAULT_MAX_NODES, PreconditionError
-from .rewriting import reduce_lr, reduce_lr_trace
+from .rewriting import _check_budget, reduce_lr, reduce_lr_trace
 from .systems import Rule, RuleKind, RewriteSystem, preserving, reducing
 from .words import Word
 
@@ -96,12 +96,13 @@ def _normal_form(w: Word, system: RewriteSystem) -> Word:
 
 
 def resolve_pair(pair: CriticalPair, system: RewriteSystem,
-                 max_nodes: Optional[int] = None) -> Resolution:
+                 max_nodes: int = DEFAULT_MAX_NODES) -> Resolution:
     """Normalize both sides and classify what, if anything, must be added;
     only a pair that adds a rule is traced again for its chain.  The
     normal forms are memoised on the system, so the pairs of one
-    completion phase share them.
+    completion phase share them.  max_nodes is sp_equivalent's budget.
     """
+    _check_budget(max_nodes)
     x_hat = _normal_form(pair.x, system)
     y_hat = _normal_form(pair.y, system)
     if x_hat == y_hat:
@@ -149,8 +150,8 @@ class CompletionResult:
     phases: Tuple[PhaseStats, ...]
     certificates: Tuple[Resolution, ...]
 
-    def to_dict(self, alphabet=None):
-        alphabet = alphabet or self.system.alphabet
+    def to_dict(self):
+        alphabet = self.system.alphabet
         return {
             "status": self.status.value,
             "phases": [p.to_dict() for p in self.phases],
@@ -163,14 +164,18 @@ def kb_complete(system: RewriteSystem,
                 max_phases: int = DEFAULT_MAX_PHASES,
                 max_rules: int = DEFAULT_MAX_RULES,
                 include_same_rule_overlaps: bool = False,
-                max_nodes: Optional[int] = DEFAULT_MAX_NODES) -> CompletionResult:
+                max_nodes: int = DEFAULT_MAX_NODES) -> CompletionResult:
     """Run phases until one adds nothing, or a budget is hit.
 
     max_rules is checked after each phase, so a system with more rules
-    still runs one; a max_rules below 1 raises PreconditionError.
+    still runs one; a max_phases, max_rules or max_nodes below 1 raises
+    PreconditionError before the first phase.
     """
+    if max_phases < 1:
+        raise PreconditionError(f"phase limit must be at least 1, got {max_phases}")
     if max_rules < 1:
         raise PreconditionError(f"rule limit must be at least 1, got {max_rules}")
+    _check_budget(max_nodes)
     current = system
     # the rules of the current system that the previous phase's lacked;
     # None at the first phase, where every pair is fresh

@@ -49,8 +49,8 @@ class larger than a later, smaller budget raises as its closure would,
 and so does a word whose class already overflowed a budget at least as
 large: the memo also holds, per word, the largest budget its class
 overflowed.
-sp_equivalent then falls back to a search that stops at its target, so
-a target reached within the budget is answered.
+sp_equivalent then falls back to a search that stops at its target,
+with the same budget, so a target reached within it is answered.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .oracle import oracle_geodesics
-from .rewriting import _closure, is_irreducible
-from .systems import Rule, RuleKind, RewriteSystem
+from .rewriting import _check_budget, _closure, is_irreducible
+from .systems import Rule, RewriteSystem
 from .words import Word, lenlex_key
 
 
@@ -235,7 +235,7 @@ def critical_pairs(system: RewriteSystem,
     return tuple(out)
 
 
-def _sp_class(w: Word, system: RewriteSystem, max_nodes: Optional[int],
+def _sp_class(w: Word, system: RewriteSystem, max_nodes: int,
               what: str) -> FrozenSet[Word]:
     """The preserving class of w, memoised on the system.
 
@@ -251,7 +251,7 @@ def _sp_class(w: Word, system: RewriteSystem, max_nodes: Optional[int],
     if got is None:
         # a class that exceeded a budget b has more than b words and more
         # than one, so its closure raises at every budget up to b
-        if max_nodes is not None and max_nodes <= overflows.get(w, -1):
+        if max_nodes <= overflows.get(w, -1):
             raise ResourceLimitError(f"{what} exceeded its node budget",
                                      cap=max_nodes)
         try:
@@ -262,23 +262,23 @@ def _sp_class(w: Word, system: RewriteSystem, max_nodes: Optional[int],
         for m in got:
             classes[m] = got
     # a closure raises only when it adds a word, so never at one word
-    elif max_nodes is not None and len(got) > max_nodes and len(got) > 1:
+    elif len(got) > max_nodes and len(got) > 1:
         raise ResourceLimitError(f"{what} exceeded its node budget",
                                  cap=max_nodes)
     return got
 
 
 def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
-                  max_nodes: Optional[int] = None) -> bool:
+                  max_nodes: int = DEFAULT_MAX_NODES) -> bool:
     """Connectivity under preserving rules only; lengths must agree.
 
     Preserving rules are used in both directions, also in systems built
-    with symmetrize=False; max_nodes=None searches without a budget.
-    Equal words are equivalent without a search.  Otherwise the answer
-    is read off u's class when the class fits the budget
-    (DEFAULT_MAX_NODES for None); otherwise a search from u stops at v,
-    so a target reached within the budget is still answered.
+    with symmetrize=False.  Equal words are equivalent without a search.
+    Otherwise the answer is read off u's class when the class fits the
+    budget; otherwise a search from u stops at v, with the same budget,
+    so a target reached within it is still answered.
     """
+    _check_budget(max_nodes)
     u, v = tuple(u), tuple(v)
     system._check_symbols(u)
     system._check_symbols(v)
@@ -286,22 +286,20 @@ def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
         return True
     if len(u) != len(v):
         return False
-    budget = DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     try:
-        return v in _sp_class(u, system, budget, "sp_equivalent")
+        return v in _sp_class(u, system, max_nodes, "sp_equivalent")
     except ResourceLimitError:
         return v in _closure(u, system._steps.undirected, max_nodes,
                              "sp_equivalent", target=(v,))
 
 
 def descendant_closure(word: Word, system: RewriteSystem,
-                       kind: Optional[RuleKind] = None,
                        max_nodes: int = DEFAULT_MAX_NODES) -> FrozenSet[Word]:
-    """Everything reachable by forward steps of the given rule kind
-    (None for every rule), the word included."""
+    """Everything reachable by forward steps of any rule, the word
+    included, within the budget."""
     w = tuple(word)
     system._check_symbols(w)
-    return frozenset(_closure(w, system._steps.forward(kind), max_nodes,
+    return frozenset(_closure(w, system._steps.all, max_nodes,
                               "descendant closure"))
 
 
@@ -334,7 +332,7 @@ class GpVerdict:
 
 
 def _holds_lazily(dx: FrozenSet[Word], dy: FrozenSet[Word],
-                  system: RewriteSystem, max_nodes: Optional[int]) -> bool:
+                  system: RewriteSystem, max_nodes: int) -> bool:
     """Whether some words of dx and dy of equal length are one word or
     share a preserving class, closing classes only until the first match."""
     what = "preserving-class closure"
@@ -376,6 +374,7 @@ def check_geodesically_perfect(system: RewriteSystem,
     d f c = d d d c = f d c.  include_same_rule_overlaps=True gives the
     classical check, which fails there on the pair of d d d.
     """
+    _check_budget(max_nodes)
     steps = system._steps.reducing
 
     def rdesc(w: Word) -> FrozenSet[Word]:
@@ -447,10 +446,10 @@ def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
     self-overlaps and holds on fixtures/gpex.rws, where this test calls
     the equal words d f c and f d c distinct.
     """
-    du = descendant_closure(u, system, None, max_nodes)
+    du = descendant_closure(u, system, max_nodes)
     w = tuple(v)
     system._check_symbols(w)
-    met = _closure(w, system._steps.forward(None), max_nodes,
+    met = _closure(w, system._steps.all, max_nodes,
                    "descendant closure", target=du)
     return not du.isdisjoint(met)
 
@@ -458,7 +457,7 @@ def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
 def geodesics_of(word: Word, system: RewriteSystem,
                  max_nodes: int = DEFAULT_MAX_NODES) -> FrozenSet[Word]:
     """Minimal-length words in the descendant closure."""
-    closure = descendant_closure(word, system, None, max_nodes)
+    closure = descendant_closure(word, system, max_nodes)
     best = min(len(w) for w in closure)
     return frozenset(w for w in closure if len(w) == best)
 

@@ -16,14 +16,10 @@ class AlphabetError(GeothueError):
 class FormatError(GeothueError):
     """Malformed input file or word syntax."""
 
-    def __init__(self, message, line=None, column=None):
-        if line is not None and column is not None:
-            message = f"line {line}, column {column}: {message}"
-        elif line is not None:
+    def __init__(self, message, line=None):
+        if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class PreconditionError(GeothueError):
@@ -40,6 +36,6 @@ DEFAULT_MAX_NODES = 10 ** 6  # node budget of every bounded search
 class ResourceLimitError(GeothueError):
     """A search hit an explicit node or step cap before deciding."""
 
-    def __init__(self, message, cap=None):
+    def __init__(self, message, cap):
         super().__init__(message)
         self.cap = cap

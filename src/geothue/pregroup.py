@@ -22,12 +22,13 @@ grammar is under "File formats" in the README.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
                      StructureError)
-from .rewriting import _closure
+from .rewriting import _check_budget, _closure
 from .systems import RewriteSystem, _step_set, preserving, reducing
 from .words import (Alphabet, _directive_shapes, _directive_table,
                     _is_letter_name, _read_directives, _single_directive)
@@ -45,8 +46,7 @@ class Pregroup:
     the mediators c in element order, without repeats or (a, b) itself.
     """
 
-    __slots__ = ("elements", "eps", "inv", "mult", "index", "_right", "_left",
-                 "_slides")
+    __slots__ = ("elements", "eps", "inv", "mult", "index", "_right", "_slides")
 
     def __init__(self, elements: Sequence[str], eps: str,
                  inv: Dict[str, str], mult: Dict[Tuple[str, str], str]):
@@ -94,15 +94,11 @@ class Pregroup:
         self.mult = table
         self.index = {a: i for i, a in enumerate(elements)}
         right: Dict[str, List[str]] = {a: [] for a in elements}
-        left: Dict[str, List[str]] = {a: [] for a in elements}
         for (a, b) in table:
             right[a].append(b)
-            left[b].append(a)
         order = self.index
         self._right = {a: tuple(sorted(bs, key=order.__getitem__))
                        for a, bs in right.items()}
-        self._left = {b: tuple(sorted(as_, key=order.__getitem__))
-                      for b, as_ in left.items()}
 
         pairs: Dict[Seq, Seq] = {}  # one tuple per distinct slide result
 
@@ -133,9 +129,6 @@ class Pregroup:
     def right_factors(self, a: str) -> Tuple[str, ...]:
         """b such that a*b is defined, in element order."""
         return self._right[a]
-
-    def left_factors(self, b: str) -> Tuple[str, ...]:
-        return self._left[b]
 
     def __len__(self):
         return len(self.elements)
@@ -326,8 +319,10 @@ def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,
     A breadth-first closure from u over the slide table, stopped at v,
     with the node budget of every bounded closure: a slide class of N
     sequences passes at max_nodes=N, and ResourceLimitError(cap=max_nodes)
-    is raised when the search would take in one more.
+    is raised when the search would take in one more.  A budget below 1
+    raises PreconditionError.
     """
+    _check_budget(max_nodes)
     u, v = tuple(u), tuple(v)
     if not is_reduced(u, P) or not is_reduced(v, P):
         raise PreconditionError("interleave check requires reduced sequences")
@@ -365,9 +360,10 @@ def up_wp(u: Sequence[str], v: Sequence[str], P: Pregroup) -> bool:
     return c == P.eps
 
 
-def _iso_signature(P: Pregroup, a: str):
-    return (a == P.eps, P.inv[a] == a,
-            len(P.right_factors(a)), len(P.left_factors(a)))
+def _iso_signatures(P: Pregroup):
+    lefts = Counter(b for _, b in P.mult)
+    return {a: (a == P.eps, P.inv[a] == a, len(P.right_factors(a)), lefts[a])
+            for a in P.elements}
 
 
 def table_isomorphic(P: Pregroup, Q: Pregroup) -> bool:
@@ -377,8 +373,8 @@ def table_isomorphic(P: Pregroup, Q: Pregroup) -> bool:
     if P.elements == Q.elements and P.eps == Q.eps and P.inv == Q.inv \
             and P.mult == Q.mult:
         return True
-    sig_p = {a: _iso_signature(P, a) for a in P.elements}
-    sig_q = {b: _iso_signature(Q, b) for b in Q.elements}
+    sig_p = _iso_signatures(P)
+    sig_q = _iso_signatures(Q)
     if sorted(sig_p.values()) != sorted(sig_q.values()):
         return False
     candidates = {a: tuple(b for b in Q.elements if sig_q[b] == sig_p[a])

@@ -18,18 +18,18 @@ searches in ``confluence``, and the interleave search in ``pregroup``)
 are breadth-first over a step set: the system's cached step index, or
 the pregroup's slide table.  A word's children come by left-hand side
 length, then position, then right-hand side in rule order.  The node
-budget applies to each closure on its own and counts the start word: a
-closure of N words passes at max_nodes=N, and
+budget is an int; it applies to each closure on its own and counts the
+start word: a closure of N words passes at max_nodes=N, and
 ResourceLimitError(cap=max_nodes) is raised when a new word would make
-N + 1.  A search may be given a collection of stop words, its target:
-it stops at the first word it reaches that lies in the target, and
-since that test comes before the budget, reaching a target word never
-raises.
+N + 1.  No closure fits a budget below 1, so every search refuses one
+with PreconditionError before it starts (_check_budget).  A search may
+be given a collection of stop words, its target: it stops at the first
+word it reaches that lies in the target, and since that test comes
+before the budget, reaching a target word never raises.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Collection, Iterable, List, Optional, Set, Tuple
 
@@ -80,10 +80,10 @@ def is_irreducible(word: Word, system: RewriteSystem) -> bool:
     return True
 
 
-def successors(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None) -> Tuple[Word, ...]:
+def successors(word: Word, system: RewriteSystem) -> Tuple[Word, ...]:
     """One-step successors, deduplicated, in rule-then-position order."""
     seen = dict()
-    for pos, rule in redexes(word, system, kind):
+    for pos, rule in redexes(word, system):
         v = word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
         if v not in seen:
             seen[v] = None
@@ -196,19 +196,25 @@ def thue_resolution(alphabet: Alphabet, pairs: Iterable[Tuple[Word, Word]],
                          symmetrize=symmetrize)
 
 
-def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
+def _check_budget(max_nodes: int) -> None:
+    """Refuse a node budget below 1, which no closure fits."""
+    if max_nodes < 1:
+        raise PreconditionError(
+            f"node budget must be at least 1, got {max_nodes}")
+
+
+def _closure(start: Word, steps, max_nodes: int, what: str,
              target: Collection[Word] = ()) -> Set[Word]:
     """Every word reachable from start by steps, breadth-first.
 
     steps is a step set, of a system's index or a pregroup's slide
-    table; the order and the budget (None for none) are as in the module
-    docstring.  target is a collection of stop words, () for none: the
-    search stops at the first word in it, start included, and the
-    partial closure then contains that word.  what names the search in
-    the budget error.
+    table; the order and the budget are as in the module docstring.
+    target is a collection of stop words, () for none: the search stops
+    at the first word in it, start included, and the partial closure
+    then contains that word.  what names the search in the budget error.
     """
+    _check_budget(max_nodes)
     rhs_of, lengths = steps
-    limit = math.inf if max_nodes is None else max_nodes
     seen = {start}
     if start in target:
         return seen
@@ -231,7 +237,7 @@ def _closure(start: Word, steps, max_nodes: Optional[int], what: str,
                         if child in target:
                             seen.add(child)
                             return seen
-                        if len(seen) >= limit:
+                        if len(seen) >= max_nodes:
                             raise ResourceLimitError(
                                 f"{what} exceeded its node budget", cap=max_nodes)
                         seen.add(child)

@@ -198,26 +198,20 @@ def _step_set(steps: Iterable[Tuple[Word, Word]]) -> _StepSet:
 
 
 class _StepIndex:
-    """Forward steps by rule kind, and the preserving steps taken both
-    ways; the latter are the forward preserving steps themselves when the
-    system is symmetric."""
+    """The forward reducing steps, the forward steps of every rule, and
+    the preserving steps taken both ways; the latter are the forward
+    preserving steps themselves, in rule order, when the system is
+    symmetric."""
 
     def __init__(self, system: RewriteSystem):
         self.reducing = _step_set((r.lhs, r.rhs) for r in system.reducing)
-        self.preserving = _step_set((r.lhs, r.rhs) for r in system.preserving)
         self.all = _step_set((r.lhs, r.rhs) for r in system.rules)
         if system.sp_symmetric:
-            self.undirected = self.preserving
+            self.undirected = _step_set((r.lhs, r.rhs) for r in system.preserving)
         else:
             self.undirected = _step_set(
                 step for r in system.preserving
                 for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
-
-    def forward(self, kind: Optional[RuleKind]) -> _StepSet:
-        """Steps of one rule kind; None means every rule."""
-        if kind is None:
-            return self.all
-        return self.reducing if kind is RuleKind.REDUCING else self.preserving
 
 
 class _Automaton(NamedTuple):

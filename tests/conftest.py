@@ -20,6 +20,13 @@ def words_of(alphabet, *texts):
     return tuple(alphabet.word(t) for t in texts)
 
 
+def sub_system(system, rules):
+    """A system of some of system's rules (its reducing or preserving
+    ones), with its alphabet and its sp_symmetric."""
+    return RewriteSystem(system.alphabet, rules,
+                         symmetrize=system.sp_symmetric)
+
+
 @st.composite
 def overlapping_system(draw, with_preserving=False):
     """A small system whose left-hand sides overlap: a rule's lhs may

@@ -1,24 +1,29 @@
 """The bounded closures behind the word problem, geodesics and the
 perfection check: cap boundaries, directed preserving rules, the
-per-closure budget, the preserving-class index, symbol validation, and
-agreement with the rule-scanning successors."""
+per-closure budget, the preserving-class index, symbol validation,
+agreement with the rule-scanning successors, and the one kind of budget
+every fast search takes: an int, DEFAULT_MAX_NODES by default, at
+least 1."""
+
+import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geothue import builders, confluence
-from geothue.completion import kb_complete
-from geothue.confluence import (check_geodesically_perfect,
+from geothue.completion import kb_complete, resolve_pair
+from geothue.confluence import (check_geodesically_perfect, critical_pairs,
                                 descendant_closure, geodesics_of,
                                 preperfect_wp, sp_equivalent)
-from geothue.errors import AlphabetError, ResourceLimitError
+from geothue.errors import (DEFAULT_MAX_NODES, AlphabetError,
+                            PreconditionError, ResourceLimitError)
 from geothue.oracle import class_closure, oracle_geodesics, oracle_wp
 from geothue.pregroup import interleave_equivalent, universal_system
 from geothue.rewriting import dehn_wp, is_irreducible, successors
-from geothue.systems import (RewriteSystem, RuleKind, load_system, preserving,
+from geothue.systems import (RewriteSystem, load_system, preserving,
                              reducing)
 from geothue.words import Alphabet
-from tests.conftest import fixture_path, words_of
+from tests.conftest import fixture_path, sub_system, words_of
 
 FIXTURES = ("free_ab", "geoper_S", "geoper_T", "gpex", "tits_d3",
             "z2_graph", "z2z2", "z2z2_group")
@@ -219,17 +224,17 @@ def test_check_gp_budget_is_per_preserving_class(amalgam_pregroup):
 def test_directed_preserving_rules_connect_both_ways_only_in_classes():
     S = SYSTEMS["directed_amalgam"]
     assert not S.sp_symmetric and len(S.preserving) == 8
+    forward = sub_system(S, S.preserving)
     for rule in S.preserving:
         assert sp_equivalent(rule.rhs, rule.lhs, S)
-        assert rule.lhs not in descendant_closure(rule.rhs, S,
-                                                  RuleKind.PRESERVING)
+        assert rule.lhs not in descendant_closure(rule.rhs, forward)
 
 
-def _closure_by_successors(word, system, kind):
+def _closure_by_successors(word, system):
     seen = {word}
     todo = [word]
     while todo:
-        for child in successors(todo.pop(), system, kind):
+        for child in successors(todo.pop(), system):
             if child not in seen:
                 seen.add(child)
                 todo.append(child)
@@ -245,18 +250,18 @@ def _system_and_word(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_system_and_word(), st.sampled_from([None, RuleKind.REDUCING,
-                                            RuleKind.PRESERVING]))
-def test_descendant_closure_matches_successor_closure(system_and_word, kind):
+@given(_system_and_word(), st.sampled_from(["rules", "reducing", "preserving"]))
+def test_descendant_closure_matches_successor_closure(system_and_word, which):
     system, word = system_and_word
-    assert descendant_closure(word, system, kind) == \
-        _closure_by_successors(word, system, kind)
+    system = sub_system(system, getattr(system, which))
+    assert descendant_closure(word, system) == \
+        _closure_by_successors(word, system)
 
 
 def _naive_sp_class(word, system):
     """Successor walk over the preserving rules, each taken both ways."""
     both_ways = RewriteSystem(system.alphabet, system.preserving)
-    return _closure_by_successors(word, both_ways, RuleKind.PRESERVING)
+    return _closure_by_successors(word, both_ways)
 
 
 @st.composite
@@ -346,3 +351,36 @@ ENTRY_POINTS = {
 def test_out_of_alphabet_symbols_are_rejected(entry, free_ab):
     with pytest.raises(AlphabetError):
         ENTRY_POINTS[entry](free_ab)
+
+
+# Each fast search on z2z2 (a a -> ., b b -> ., no pair unless a rule
+# may overlap itself) or amalgam_z4z6, with an input it answers at once
+# or by a closure of one word: only the budget check can refuse it.
+FAST_SEARCHES = [
+    (dehn_wp, lambda m, S, P: dehn_wp((0,), S, max_nodes=m)),
+    (descendant_closure, lambda m, S, P: descendant_closure((0,), S, max_nodes=m)),
+    (sp_equivalent, lambda m, S, P: sp_equivalent((0,), (0,), S, max_nodes=m)),
+    (preperfect_wp, lambda m, S, P: preperfect_wp((0,), (0,), S, max_nodes=m)),
+    (geodesics_of, lambda m, S, P: geodesics_of((0,), S, max_nodes=m)),
+    (check_geodesically_perfect,
+     lambda m, S, P: check_geodesically_perfect(S, max_nodes=m)),
+    (resolve_pair, lambda m, S, P: resolve_pair(critical_pairs(S, True)[0], S,
+                                                max_nodes=m)),
+    (kb_complete, lambda m, S, P: kb_complete(S, max_nodes=m)),
+    (interleave_equivalent,
+     lambda m, S, P: interleave_equivalent(("r",), (), P, max_nodes=m)),
+]
+FAST_SEARCH_IDS = [fn.__name__ for fn, _ in FAST_SEARCHES]
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("fn, run", FAST_SEARCHES, ids=FAST_SEARCH_IDS)
+def test_a_budget_below_one_is_refused(fn, run, budget, z2z2, amalgam_pregroup):
+    # no closure holds fewer words than its start word
+    with pytest.raises(PreconditionError, match="node budget must be at least 1"):
+        run(budget, z2z2, amalgam_pregroup)
+
+@pytest.mark.parametrize("fn, run", FAST_SEARCHES, ids=FAST_SEARCH_IDS)
+def test_every_fast_search_defaults_to_the_shared_budget(fn, run):
+    default = inspect.signature(fn).parameters["max_nodes"].default
+    assert type(default) is int and default == DEFAULT_MAX_NODES

@@ -56,6 +56,12 @@ def test_rule_budget_below_one_is_refused(z2_graph, max_rules):
         kb_complete(z2_graph, max_rules=max_rules)
 
 
+@pytest.mark.parametrize("max_phases", [0, -3])
+def test_phase_budget_below_one_is_refused(z2_graph, max_phases):
+    with pytest.raises(PreconditionError, match="phase limit must be at least 1"):
+        kb_complete(z2_graph, max_phases=max_phases)
+
+
 def test_rule_budget_is_checked_after_a_phase(z2_graph):
     # z2_graph has 12 rules: a cap of 1 still runs the first phase
     res = kb_complete(z2_graph, max_rules=1)

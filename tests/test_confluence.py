@@ -16,7 +16,8 @@ from geothue.rewriting import _closure, successors
 from geothue.systems import (RewriteSystem, RuleKind, load_system, preserving,
                              reducing)
 from geothue.words import Alphabet
-from tests.conftest import fixture_path, overlapping_system, words_of
+from tests.conftest import (fixture_path, overlapping_system, sub_system,
+                            words_of)
 
 
 def test_geoper_S_has_exactly_the_shared_lhs_pairs(geoper_S):
@@ -163,7 +164,7 @@ def test_tits_d3_not_geodesic_hence_not_gp(tits_d3):
 
 def test_descendant_closure_reducing_only(tits_d3):
     (w,) = words_of(tits_d3.alphabet, "a a b a")
-    d = descendant_closure(w, tits_d3, RuleKind.REDUCING)
+    d = descendant_closure(w, sub_system(tits_d3, tits_d3.reducing))
     assert words_of(tits_d3.alphabet, "b a")[0] in d
     assert all(len(m) <= len(w) for m in d)
 

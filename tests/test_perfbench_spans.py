@@ -8,6 +8,7 @@ import re
 
 import geothue as gt
 from perfbench import spans
+from tests.conftest import words_of
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +40,21 @@ def test_public_names_the_benchmark_reads_exist():
                                    path.read_text(encoding="utf-8"))}
     assert "load_system" in read
     assert sorted(name for name in read if not hasattr(gt, name)) == []
+
+
+def test_library_to_library_targets_are_reached(z2_graph, amalgam_pregroup):
+    # a wrapped call path that a signature change leaves behind would
+    # read 0 calls in the per-layer ledger; interleave_equivalent is left
+    # out because no library code calls it since up_wp's carry pass (the
+    # FOUND line on wp-queries' interleave_equivalent.calls in CHANGES.md)
+    between = {name for owner, _, name, _ in spans.TARGETS if owner is not gt}
+    between.discard("pregroup.interleave_equivalent")
+    u, v = words_of(z2_graph.alphabet, "a b", "b a")
+    with spans.Tracer() as tracer:
+        gt.preperfect_wp(u, v, z2_graph)
+        gt.kb_complete(z2_graph, max_phases=2)
+        P = amalgam_pregroup
+        Q = gt.pregroup_from_system(gt.reducing_part(gt.universal_system_prime(P)))
+        assert gt.table_isomorphic(P, Q)
+    calls = {name: n for name, (_, n) in tracer.totals().items()}
+    assert {name for name in between if not calls.get(name)} == set()

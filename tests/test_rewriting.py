@@ -12,7 +12,7 @@ from geothue.rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                                successors, thue_resolution)
 from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
 from geothue.words import Alphabet
-from tests.conftest import FIXTURES, overlapping_system, words_of
+from tests.conftest import FIXTURES, overlapping_system, sub_system, words_of
 
 
 def test_apply_rule_at_position():
@@ -30,8 +30,9 @@ def test_successors_reducing_and_preserving(tits_d3):
     (w,) = words_of(tits_d3.alphabet, "a b a")
     succ = successors(w, tits_d3)
     assert words_of(tits_d3.alphabet, "b a b")[0] in succ
-    succ_red = successors(w, tits_d3, RuleKind.REDUCING)
+    succ_red = successors(w, sub_system(tits_d3, tits_d3.reducing))
     assert succ_red == ()
+    assert successors(w, sub_system(tits_d3, tits_d3.preserving)) == succ
 
 
 def test_reduce_lr_leftmost_first_rule(geoper_S):
@@ -184,3 +185,77 @@ def test_reduce_lr_stays_in_class_z2z2(w):
 def test_reduce_rejects_foreign_symbols(z2z2):
     with pytest.raises(AlphabetError):
         reduce_lr((0, 9), z2z2)
+
+
+class _CountingRow(list):
+    """An automaton row that counts the transitions read from it."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        _CountingRow.reads += 1
+        return list.__getitem__(self, x)
+
+
+def _counting(system):
+    """system with its reducer's automaton rows replaced by counting ones."""
+    delta, first = system._automaton
+    system._automaton = type(system._automaton)(
+        tuple(_CountingRow(row) for row in delta), first)
+    return system
+
+
+def _transitions(reduce, word, system):
+    _CountingRow.reads = 0
+    result = reduce(word, system)
+    return _CountingRow.reads, result
+
+
+def _inverse_letters(system, P=None):
+    """Each letter's inverse: the system's pairing, or the pregroup's."""
+    if P is None:
+        return system.inverse_pairing
+    ab = system.alphabet
+    return {ab.id(a): ab.id(P.inv[a]) for a in P.elements if a != P.eps}
+
+
+def _long_words(inverse, n, rng):
+    """A random word and a nested cancellation w w^-1, each n letters."""
+    letters = sorted(inverse)
+    half = rng.choices(letters, k=n // 2)
+    return (tuple(rng.choices(letters, k=n)),
+            tuple(half) + tuple(inverse[x] for x in reversed(half)))
+
+
+@pytest.fixture(scope="module")
+def counted_systems(hnn_pregroup):
+    """free_ab and universal_system(hnn_s3), fresh copies with counting
+    automata, each with its letters' inverses."""
+    free = load_system(FIXTURES / "free_ab.rws")
+    universal = universal_system(hnn_pregroup)
+    return [(_counting(free), _inverse_letters(free)),
+            (_counting(universal), _inverse_letters(universal, hnn_pregroup))]
+
+
+def test_reduce_lr_makes_one_transition_per_letter_read(counted_systems):
+    # deterministic companion of the wall-clock gate in test_acceptance's
+    # test_11: every letter of the input and every letter a contraction
+    # puts back is one transition, and nothing else is
+    rng = random.Random(1102)
+    for system, inverse in counted_systems:
+        for word in _long_words(inverse, 3000, rng):
+            final, steps = reduce_lr_trace(word, system)
+            expected = len(word) + sum(len(rule.rhs) for _, _, rule in steps)
+            assert _transitions(reduce_lr, word, system) == (expected, final)
+            assert _transitions(reduce_lr_trace, word, system)[0] == expected
+
+
+def test_reduce_lr_transitions_are_linear_on_long_words(counted_systems):
+    # a contraction shortens the word, so at most n contractions each put
+    # back at most max|rhs| letters
+    rng = random.Random(1103)
+    for system, inverse in counted_systems:
+        longest_rhs = max(len(rule.rhs) for rule in system.reducing)
+        for word in _long_words(inverse, 10 ** 5, rng):
+            reads, _ = _transitions(reduce_lr, word, system)
+            assert len(word) <= reads <= (1 + longest_rhs) * len(word)
