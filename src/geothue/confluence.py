@@ -12,26 +12,37 @@ critical; include_same_rule_overlaps=True switches to the classical
 enumeration where it is.  Distinct rules sharing a left-hand side always
 produce the pair of their right-hand sides.
 
-Index lookups list placements (rule2, pos1, pos2), the starts of both
-spans in z, and one routine, _pairs, builds each placement's pair as a
-plain tuple (z, x, y, rule1, rule2, pos1, pos2).  Distinct placements
-can give the same pair, so each rule1 keeps a seen set.
+The overlap index (systems._OverlapIndex), cached on the system as
+RewriteSystem._overlaps, files left-hand sides by prefix, by suffix, by
+the whole word and by length, in two views built on first use:
+ordered, the rules themselves in rule order, and grouped, one lhs group
+(a distinct lhs with its rules) per distinct lhs.  Lookups in it list
+placements (item, pos1, pos2), the starts of both spans in z.  One
+routine, _pairs, reads the ordered view and builds each placement's
+pair as a plain tuple (z, x, y, rule1, rule2, pos1, pos2).  Distinct
+placements can give the same pair, so each rule1 keeps a seen set.
 iter_critical_pairs and critical_pairs (so also completion) wrap this
-stream into CriticalPair with its kind; check_geodesically_perfect
-reads the plain tuples.  Completion enumerates only the pairs that use
-a new rule: a new rule1 is looked up in the index of every rule, an old
-one in the index of the new rules alone.
+stream into CriticalPair with its kind.  Completion enumerates only the
+pairs that use a new rule: a new rule1 is looked up in the index of
+every rule, an old one in a small index of the new rules alone.
 
 check_geodesically_perfect decides a pair from the signatures of its
 two sides, a side's signature being the set of preserving classes of
 its reducing descendants: the pair passes iff the two signatures
-intersect.  So its cost is one descendant closure per distinct side and
-one isdisjoint per pair, not a closure per pair.
-It walks the stream in order and builds a CriticalPair only for the
+intersect.  A word's signature is its own class with the signatures of
+its reducing children, memoised per word for one check, so each word
+below a side has its children listed once, and a pair costs one
+isdisjoint.  The check walks the grouped view, one placement group
+(rule1, l2, pos1, pos2) at a time: z, x and x's signature once per
+group, only y per rule of l2.  When every pair passes there, that is
+the verdict.  A failing pair, a side without a signature or a budget
+error sends it back to the start of _pairs' stream, keeping the
+signatures formed, and there it builds a CriticalPair only for the
 first failing pair, the witness.  A signature that needs a class over
 the budget is not formed; a pair with such a side is decided by the
 pairwise test, which closes classes only until its first match, so the
-budget errors and capped answers are those of a check pair by pair.
+witness, the count, the budget errors and capped answers are those of
+a check pair by pair in stream order.
 
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
@@ -57,13 +68,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Tuple)
+from typing import (AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Set,
+                    Tuple)
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .oracle import oracle_geodesics
 from .rewriting import _check_budget, _closure, is_irreducible
-from .systems import Rule, RewriteSystem
+from .systems import Rule, RewriteSystem, _OverlapIndex, _OverlapKeys
 from .words import Word, lenlex_key
 
 
@@ -96,64 +107,38 @@ class CriticalPair(NamedTuple):
         }
 
 
-class _LhsTables(NamedTuple):
-    """Some rules by a prefix of their lhs, by a suffix, by the whole lhs
-    and by its length, each list in the rules' order."""
-
-    by_prefix: Dict[Word, List[Rule]]
-    by_suffix: Dict[Word, List[Rule]]
-    by_lhs: Dict[Word, List[Rule]]
-    rules_of_len: Dict[int, List[Rule]]
-    lhs_lengths: List[int]  # ascending
-
-
-def _lhs_tables(rules: Iterable[Rule]) -> _LhsTables:
-    by_prefix: Dict[Word, List[Rule]] = {}
-    by_suffix: Dict[Word, List[Rule]] = {}
-    by_lhs: Dict[Word, List[Rule]] = {}
-    rules_of_len: Dict[int, List[Rule]] = {}
-    for rule in rules:
-        lhs = rule.lhs
-        by_lhs.setdefault(lhs, []).append(rule)
-        rules_of_len.setdefault(len(lhs), []).append(rule)
-        for k in range(1, len(lhs) + 1):
-            by_prefix.setdefault(lhs[:k], []).append(rule)
-            by_suffix.setdefault(lhs[len(lhs) - k:], []).append(rule)
-    return _LhsTables(by_prefix, by_suffix, by_lhs, rules_of_len,
-                      sorted(rules_of_len))
-
-
-def _placements(l1: Word, tables: _LhsTables):
-    """(rule2, pos1, pos2) for every rule2 of the tables whose lhs
-    overlaps l1 with pos1, pos2 the starts of the two spans in z."""
-    by_prefix, by_suffix, by_lhs, rules_of_len, lhs_lengths = tables
+def _placements(l1: Word, keys: _OverlapKeys):
+    """(item, pos1, pos2) for every item of an overlap index's keys, a
+    rule or an lhs group, whose lhs overlaps l1, with pos1, pos2 the
+    starts of the spans of l1 and the item's lhs in z."""
+    by_prefix, by_suffix, by_lhs, of_len, lengths = keys
     L1 = len(l1)
-    # rule1 span starts at 0, rule2 span ends at |z|
+    # l1's span starts at 0, the item's ends at |z|
     for k in range(1, L1 + 1):
-        for r2 in by_prefix.get(l1[L1 - k:], ()):
-            yield r2, 0, L1 - k
-    # rule2 span starts at 0, rule1 span ends at |z|; an equal lhs
-    # (k = |lhs1| = |lhs2|) was listed just above
+        for item in by_prefix.get(l1[L1 - k:], ()):
+            yield item, 0, L1 - k
+    # the item's span starts at 0, l1's ends at |z|; an equal lhs
+    # (k = |l1| = |l2|) was listed just above
     for k in range(1, L1 + 1):
-        for r2 in by_suffix.get(l1[:k], ()):
-            L2 = len(r2.lhs)
+        for item in by_suffix.get(l1[:k], ()):
+            L2 = len(item.lhs)
             if k < L1 or L2 > k:
-                yield r2, L2 - k, 0
-    # rule2 strictly inside rule1
+                yield item, L2 - k, 0
+    # the item's lhs strictly inside l1
     for p in range(1, L1 - 1):
-        for L2 in lhs_lengths:
+        for L2 in lengths:
             if p + L2 >= L1:
                 break
-            for r2 in by_lhs.get(l1[p:p + L2], ()):
-                yield r2, 0, p
-    # rule1 strictly inside rule2
-    for L2 in lhs_lengths:
+            for item in by_lhs.get(l1[p:p + L2], ()):
+                yield item, 0, p
+    # l1 strictly inside the item's lhs
+    for L2 in lengths:
         if L2 < L1 + 2:
             continue
-        for r2 in rules_of_len[L2]:
+        for item in of_len[L2]:
             for p in range(1, L2 - L1):
-                if r2.lhs[p:p + L1] == l1:
-                    yield r2, p, 0
+                if item.lhs[p:p + L1] == l1:
+                    yield item, p, 0
 
 
 def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
@@ -161,27 +146,29 @@ def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
     """The critical pairs that use a rule of new, or every pair for None,
     as plain tuples (z, x, y, rule1, rule2, pos1, pos2).
 
-    For each reducing rule1, four index lookups list the placements
-    (rule2, pos1, pos2): rule2 over rule1's end, over its start, strictly
-    inside it, and around it.  A new rule1 is looked up in the tables of
-    every rule, an old one in the tables of the new rules alone, so no
-    placement of two old rules is listed.  One routine builds each
-    placement's pair.  Distinct placements can give the same pair: with
-    a a a -> b and a -> ., deleting any letter of a a a gives a a, so
-    six placements give two pairs.  A seen set per rule1 and rule2 keeps
-    the first placement; as every table lists its rules in system order,
-    the pairs of new come in the order, and with the placements, that
-    they have among all pairs.
+    For each reducing rule1, four lookups in the ordered view of an
+    overlap index list the placements (rule2, pos1, pos2): rule2 over
+    rule1's end, over its start, strictly inside it, and around it.  A
+    new rule1 is looked up in the system's cached index of every rule,
+    an old one in an index of the new rules alone, so no placement of
+    two old rules is listed.  One routine builds each placement's pair.
+    Distinct placements can give the same pair: with a a a -> b and
+    a -> ., deleting any letter of a a a gives a a, so six placements
+    give two pairs.  A seen set per rule1 and rule2 keeps the first
+    placement; as the ordered view lists its rules in system order, the
+    pairs of new come in the order, and with the placements, that they
+    have among all pairs.  check_geodesically_perfect reads this stream
+    only to replay a check that its grouped walk could not settle.
     """
-    every = _lhs_tables(system.rules)
-    of_new = every if new is None else _lhs_tables(r for r in system.rules
-                                                    if r in new)
+    every = system._overlaps.ordered
+    of_new = every if new is None else _OverlapIndex(
+        r for r in system.rules if r in new).ordered
     for r1 in system.reducing:
         l1, rh1 = r1.lhs, r1.rhs
         L1 = len(l1)
         seen = set()  # rules of one system are distinct objects
-        tables = every if new is None or r1 in new else of_new
-        for r2, pos1, pos2 in _placements(l1, tables):
+        keys = every if new is None or r1 in new else of_new
+        for r2, pos1, pos2 in _placements(l1, keys):
             if r2 is r1 and (pos1 == pos2 or not include_same_rule_overlaps):
                 continue
             l2 = r2.lhs
@@ -351,6 +338,182 @@ def _holds_lazily(dx: FrozenSet[Word], dy: FrozenSet[Word],
     return False
 
 
+_Sig = FrozenSet[FrozenSet[Word]]
+
+
+def _children(w: Word, steps) -> Set[Word]:
+    """The distinct words that one step of a step set takes w to."""
+    rhs_of, lengths = steps
+    n = len(w)
+    out = set()
+    for L in lengths:
+        if L > n:
+            break
+        for i in range(n - L + 1):
+            rhss = rhs_of.get(w[i:i + L])
+            if rhss is not None:
+                for rhs in rhss:
+                    out.add(w[:i] + rhs + w[i + L:])
+    return out
+
+
+class _Signatures:
+    """The side signatures of one check, from signatures memoised per word.
+
+    A word's signature is its own preserving class together with the
+    signatures of its distinct reducing children, or None when one of
+    these classes is over the budget; so it is the set of classes of its
+    reducing descendants.  Beside it, bound = 1 + the children's bounds
+    is at least the number of those descendants; a bound over the
+    budget is kept as max_nodes + 1, and so is the bound of a word with
+    no signature.  Each word's children are listed once per check.  A
+    side that lists more than max_nodes new words raises the error of
+    its descendant closure, which holds at least as many words.  A side
+    whose bound is over the budget is closed exactly, once, so it raises
+    where its closure raises and the pairwise test has its descendants;
+    a closure that fits makes its size the bound.
+    """
+
+    def __init__(self, system: RewriteSystem, max_nodes: int):
+        self.system = system
+        self.max_nodes = max_nodes
+        self.steps = system._steps.reducing
+        self.of_word: Dict[Word, Tuple[Optional[_Sig], int]] = {}
+        self.desc: Dict[Word, FrozenSet[Word]] = {}
+        self.shared: Dict[_Sig, _Sig] = {}  # one object per signature
+
+    def descendants(self, w: Word) -> FrozenSet[Word]:
+        got = self.desc.get(w)
+        if got is None:
+            got = self.desc[w] = frozenset(_closure(
+                w, self.steps, self.max_nodes, "descendant closure"))
+        return got
+
+    def side(self, w: Word) -> Optional[_Sig]:
+        """w's signature, or None; raises where w's closure raises."""
+        sig, bound = self._word(w)
+        if bound > self.max_nodes:
+            size = len(self.descendants(w))
+            if sig is not None:
+                self.of_word[w] = (sig, size)
+        return sig
+
+    def _word(self, top: Word) -> Tuple[Optional[_Sig], int]:
+        """(signature, bound) of top, each word below it done before it."""
+        of_word = self.of_word
+        got = of_word.get(top)
+        if got is not None:
+            return got
+        system, max_nodes, steps = self.system, self.max_nodes, self.steps
+        shared = self.shared
+        listed: Dict[Word, tuple] = {}  # class and children, until done
+        left = max_nodes  # the words this side may still list
+        todo = [top]
+        while todo:
+            w = todo[-1]
+            got = listed.pop(w, None)
+            if got is not None:  # second visit: every child is done
+                cls, kids = got
+            elif w in of_word:
+                todo.pop()
+                continue
+            else:  # first visit: list the children
+                try:
+                    cls = _sp_class(w, system, max_nodes,
+                                    "preserving-class closure")
+                except ResourceLimitError:
+                    of_word[w] = (None, max_nodes + 1)
+                    todo.pop()
+                    continue
+                if not left:
+                    raise ResourceLimitError(
+                        "descendant closure exceeded its node budget",
+                        cap=max_nodes)
+                left -= 1
+                kids = _children(w, steps)
+                pending = [c for c in kids if c not in of_word]
+                if pending:
+                    listed[w] = (cls, kids)
+                    todo += pending
+                    continue
+            todo.pop()
+            sig = {cls}
+            bound = 1
+            for c in kids:
+                s, b = of_word[c]
+                if s is None:
+                    sig = None
+                    break
+                sig.update(s)
+                bound += b
+            if sig is None:
+                of_word[w] = (None, max_nodes + 1)
+            else:
+                sig = frozenset(sig)
+                of_word[w] = (shared.setdefault(sig, sig),
+                              min(bound, max_nodes + 1))
+        return of_word[top]
+
+
+def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
+                 sigs: _Signatures) -> Optional[int]:
+    """The number of critical pairs when every pair's two signatures
+    meet, or None at the first placement group with a pair that is not
+    so.
+
+    A group (rule1, l2, pos1, pos2) is a placement of a distinct lhs l2
+    from the grouped view of the system's overlap index: z, x and x's
+    signature come once per group, and only y per rule of l2.  Two equal
+    pairs of one rule1 share z, x and rule2, so l2; a group's pairs are
+    compared one by one with those of earlier groups only when an
+    earlier group of the same rule1 had its (x, z, l2).
+    """
+    get, side, max_nodes = sigs.of_word.get, sigs.side, sigs.max_nodes
+    grouped = system._overlaps.grouped
+    checked = 0
+    for r1 in system.reducing:
+        l1, rh1 = r1.lhs, r1.rhs
+        L1 = len(l1)
+        # (x, z, l2) -> the first group's (head, tail, skip), then the
+        # (y, id(rule2)) of every pair with that key
+        firsts: Dict[tuple, object] = {}
+        for (l2, rules), pos1, pos2 in _placements(l1, grouped):
+            L2 = len(l2)
+            z = l1 + l2[L1 - pos2:] if pos1 == 0 else l2 + l1[L2 - pos1:]
+            x = z[:pos1] + rh1 + z[pos1 + L1:]
+            got = get(x)
+            sx = got[0] if got is not None and got[1] <= max_nodes else side(x)
+            if sx is None:
+                return None
+            head, tail = z[:pos2], z[pos2 + L2:]
+            # r1 is in rules only when l2 = l1
+            skip = r1 if pos1 == pos2 or not include_same_rule_overlaps else None
+            key = (x, z, l2)
+            seen = firsts.get(key)
+            if seen is None:
+                firsts[key] = (head, tail, skip)
+            elif type(seen) is tuple:
+                h, t, s = seen
+                seen = firsts[key] = {(h + r.rhs + t, id(r))
+                                      for r in rules if r is not s}
+            isdisjoint = sx.isdisjoint
+            for r2 in rules:
+                if r2 is skip:
+                    continue
+                y = head + r2.rhs + tail
+                if seen is not None:
+                    if (y, id(r2)) in seen:
+                        continue
+                    seen.add((y, id(r2)))
+                checked += 1
+                got = get(y)
+                sy = (got[0] if got is not None and got[1] <= max_nodes
+                      else side(y))
+                if sy is None or isdisjoint(sy):
+                    return None
+    return checked
+
+
 def check_geodesically_perfect(system: RewriteSystem,
                                include_same_rule_overlaps: bool = False,
                                max_nodes: int = DEFAULT_MAX_NODES) -> GpVerdict:
@@ -358,15 +521,18 @@ def check_geodesically_perfect(system: RewriteSystem,
 
     A side's signature is the set of preserving classes of its reducing
     descendants.  A class has one length and holds its own members, so a
-    pair passes iff the signatures of its two sides intersect.  Each
-    distinct side is closed once and keeps its signature, a frozenset
-    of the shared class frozensets, so a pair costs one isdisjoint.
-    The first failing pair of _pairs' stream is the witness, the only
-    pair built as a CriticalPair, with fresh descendant closures.  A
-    side whose signature needs a class over the budget gets no
-    signature, and its pairs get _holds_lazily's test, on descendant
-    sets kept once per side, so every budget error and capped answer is
-    that of a check pair by pair.
+    pair passes iff the signatures of its two sides intersect.
+    Signatures are memoised per word over its reducing children
+    (_Signatures), so a pair costs one isdisjoint.  The pairs are first
+    walked by placement group (_walk_groups).  When every pair passes
+    there, that is the verdict.  Otherwise, at a failing pair, a side
+    without a signature or a budget error, the check starts again in
+    the order of _pairs' stream, keeping the signatures formed: the
+    first failing pair is the witness, the only pair built as a
+    CriticalPair.  A side whose signature needs a class over the budget
+    gets no signature, and its pairs get _holds_lazily's test, on
+    descendant sets closed once per side, so every budget error and
+    capped answer is that of a check pair by pair.
 
     By default a rule's overlaps with its own shifts are skipped, so a
     verdict that holds does not license preperfect_wp: fixtures/gpex.rws
@@ -375,48 +541,22 @@ def check_geodesically_perfect(system: RewriteSystem,
     classical check, which fails there on the pair of d d d.
     """
     _check_budget(max_nodes)
-    steps = system._steps.reducing
-
-    def rdesc(w: Word) -> FrozenSet[Word]:
-        return frozenset(_closure(w, steps, max_nodes, "descendant closure"))
-
-    # descendants kept for the pairwise test, closed once per side
-    desc: Dict[Word, FrozenSet[Word]] = {}
-    # one object per signature: far fewer signatures than sides
-    shared: Dict[FrozenSet[FrozenSet[Word]], FrozenSet[FrozenSet[Word]]] = {}
-
-    def signature(w: Word) -> Optional[FrozenSet[FrozenSet[Word]]]:
-        """w's signature, or None when a class is over the budget."""
-        dw = rdesc(w)  # over its budget, this ends the check
-        try:
-            sig = frozenset([_sp_class(d, system, max_nodes,
-                                       "preserving-class closure")
-                             for d in dw])
-        except ResourceLimitError:
-            desc[w] = dw
-            return None
-        return shared.setdefault(sig, sig)
-
-    def descendants(w: Word) -> FrozenSet[Word]:
-        got = desc.get(w)
-        if got is None:
-            got = desc[w] = rdesc(w)
-        return got
-
-    sigs: Dict[Word, Optional[FrozenSet[FrozenSet[Word]]]] = {}
-    unseen = object()
+    sigs = _Signatures(system, max_nodes)
+    try:
+        checked = _walk_groups(system, include_same_rule_overlaps, sigs)
+    except ResourceLimitError:
+        checked = None
+    if checked is not None:
+        return GpVerdict(True, checked, None)
+    side, descendants = sigs.side, sigs.descendants
     # under a cap the lazy test's answer depends on the words themselves
     lazy: Dict[Tuple[Word, Word], bool] = {}
     checked = 0
     for pair in _pairs(system, include_same_rule_overlaps, None):
         checked += 1
         x, y = pair[1], pair[2]
-        sx = sigs.get(x, unseen)
-        if sx is unseen:
-            sx = sigs[x] = signature(x)
-        sy = sigs.get(y, unseen)
-        if sy is unseen:
-            sy = sigs[y] = signature(y)
+        sx = side(x)
+        sy = side(y)
         if sx is not None and sy is not None:
             ok = not sx.isdisjoint(sy)
         else:
@@ -427,7 +567,7 @@ def check_geodesically_perfect(system: RewriteSystem,
                 lazy[(x, y)] = lazy[(y, x)] = ok
         if not ok:
             return GpVerdict(False, checked, FailedPair(
-                _critical_pair(pair), rdesc(x), rdesc(y)))
+                _critical_pair(pair), descendants(x), descendants(y)))
     return GpVerdict(True, checked, None)
 
 

@@ -5,7 +5,10 @@ forwards and backwards, so reversed reducing rules grow words) under two
 explicit caps: a length horizon and a node budget.  "complete" means
 the closure is closed under every step that stays within the horizon and
 the node budget was not hit; verdicts derived from closures say so
-relative to those caps and never overclaim beyond them.
+relative to those caps and never overclaim beyond them.  A budget counts
+the start word, so every entry point refuses one below 1, as the fast
+searches do, with a check of its own: the oracle stays independent of
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ class ClassClosure:
     max_length: int
     # member -> (parent, direction, pos, rule); seed maps to None
     parents: Dict[Word, Optional[tuple]] = field(repr=False, default_factory=dict)
+
+
+def _check_budget(max_nodes: int) -> None:
+    if max_nodes < 1:
+        raise PreconditionError(
+            f"node budget must be at least 1, got {max_nodes}")
 
 
 def _step_tables(system: RewriteSystem):
@@ -78,6 +87,7 @@ def class_closure(word: Word, system: RewriteSystem,
     stop_at truncates the search as soon as the target joins the class;
     a truncated closure is reported incomplete.
     """
+    _check_budget(max_nodes)
     seed = tuple(word)
     system._check_symbols(seed)
     if max_length is None:
@@ -147,6 +157,7 @@ def oracle_wp(u: Word, v: Word, system: RewriteSystem,
     Distinct means: both classes fully explored within the horizon and
     they stay disjoint there.
     """
+    _check_budget(max_nodes)
     u, v = tuple(u), tuple(v)
     system._check_symbols(u)
     system._check_symbols(v)
@@ -171,6 +182,7 @@ def oracle_geodesics(word: Word, system: RewriteSystem,
                      slack: Optional[int] = None,
                      max_nodes: int = DEFAULT_MAX_NODES):
     """Minimal-length members of the bounded class; certified iff complete."""
+    _check_budget(max_nodes)
     w = tuple(word)
     if slack is None:
         slack = 2 * len(w) + 4
@@ -197,6 +209,7 @@ def class_partition(system: RewriteSystem, horizon: int,
     least member of its block, capped reports a hit node budget (blocks
     may then be too fine).
     """
+    _check_budget(max_nodes)
     alphabet = system.alphabet
     words: List[Word] = []
     index: Dict[Word, int] = {}
@@ -256,6 +269,7 @@ def enumerate_quotient(system: RewriteSystem, max_word_length: int,
     The count is reported complete when it is stable against raising the
     word length by one and no cap was hit.
     """
+    _check_budget(max_nodes)
     horizon = max(max_length or 0, max_word_length + 1)
     rep_of, capped = class_partition(system, horizon, max_nodes)
 

@@ -139,6 +139,12 @@ class RewriteSystem:
         return _lhs_automaton(self.reducing, len(self.alphabet))
 
     @cached_property
+    def _overlaps(self) -> "_OverlapIndex":
+        """The left-hand sides of every rule by their factors, behind the
+        critical pairs of confluence."""
+        return _OverlapIndex(self.rules)
+
+    @cached_property
     def _sp_memo(self) -> Tuple[Dict[Word, FrozenSet[Word]], Dict[Word, int]]:
         """The preserving classes found so far, each member mapped to its
         class, and per word the largest budget its class overflowed;
@@ -199,19 +205,92 @@ def _step_set(steps: Iterable[Tuple[Word, Word]]) -> _StepSet:
 
 class _StepIndex:
     """The forward reducing steps, the forward steps of every rule, and
-    the preserving steps taken both ways; the latter are the forward
-    preserving steps themselves, in rule order, when the system is
-    symmetric."""
+    the preserving steps taken both ways, each built on first use; the
+    latter are the forward preserving steps themselves, in rule order,
+    when the system is symmetric."""
 
     def __init__(self, system: RewriteSystem):
-        self.reducing = _step_set((r.lhs, r.rhs) for r in system.reducing)
-        self.all = _step_set((r.lhs, r.rhs) for r in system.rules)
-        if system.sp_symmetric:
-            self.undirected = _step_set((r.lhs, r.rhs) for r in system.preserving)
-        else:
-            self.undirected = _step_set(
-                step for r in system.preserving
-                for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
+        # the rules, not the system, so that no cycle keeps a system alive
+        self._reducing, self._preserving = system.reducing, system.preserving
+        self._symmetric = system.sp_symmetric
+
+    @cached_property
+    def reducing(self) -> _StepSet:
+        return _step_set((r.lhs, r.rhs) for r in self._reducing)
+
+    @cached_property
+    def all(self) -> _StepSet:
+        return _step_set((r.lhs, r.rhs)
+                         for r in self._reducing + self._preserving)
+
+    @cached_property
+    def undirected(self) -> _StepSet:
+        if self._symmetric:
+            return _step_set((r.lhs, r.rhs) for r in self._preserving)
+        return _step_set(step for r in self._preserving
+                         for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
+
+
+class _LhsGroup(NamedTuple):
+    """A left-hand side and its rules, in rule order."""
+
+    lhs: Word
+    rules: Tuple[Rule, ...]
+
+
+class _OverlapKeys(NamedTuple):
+    """Items with an lhs (rules, or lhs groups) by every nonempty prefix
+    and every nonempty suffix of their lhs, by the lhs itself and by its
+    length, each in the items' order."""
+
+    by_prefix: Dict[Word, Sequence]
+    by_suffix: Dict[Word, Sequence]
+    by_lhs: Dict[Word, Sequence]
+    of_len: Dict[int, Sequence]
+    lengths: List[int]  # ascending
+
+
+class _OverlapIndex:
+    """Some rules by their left-hand sides, for critical pairs, in two
+    views built on first use: ordered, the rules themselves in rule
+    order, and grouped, an _LhsGroup per distinct lhs, in the order of
+    its first rule."""
+
+    def __init__(self, rules: Iterable[Rule]):
+        self._rules = tuple(rules)
+
+    @cached_property
+    def ordered(self) -> _OverlapKeys:
+        return _overlap_keys(self._rules)
+
+    @cached_property
+    def grouped(self) -> _OverlapKeys:
+        rules_of: Dict[Word, List[Rule]] = {}
+        for rule in self._rules:
+            rules_of.setdefault(rule.lhs, []).append(rule)
+        keys = _overlap_keys([_LhsGroup(lhs, tuple(rules))
+                              for lhs, rules in rules_of.items()])
+        # kept with the system, so tuples, which hold no spare room; the
+        # ordered view, built once per completion phase, skips this pass
+        for table in keys[:4]:
+            for key, items in table.items():
+                table[key] = tuple(items)
+        return keys
+
+
+def _overlap_keys(items) -> _OverlapKeys:
+    by_prefix: Dict[Word, list] = {}
+    by_suffix: Dict[Word, list] = {}
+    by_lhs: Dict[Word, list] = {}
+    of_len: Dict[int, list] = {}
+    for item in items:
+        lhs = item.lhs
+        by_lhs.setdefault(lhs, []).append(item)
+        of_len.setdefault(len(lhs), []).append(item)
+        for k in range(1, len(lhs) + 1):
+            by_prefix.setdefault(lhs[:k], []).append(item)
+            by_suffix.setdefault(lhs[len(lhs) - k:], []).append(item)
+    return _OverlapKeys(by_prefix, by_suffix, by_lhs, of_len, sorted(of_len))
 
 
 class _Automaton(NamedTuple):

@@ -1,3 +1,5 @@
+import inspect
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +14,7 @@ from geothue.confluence import (FailedPair, GpVerdict, OverlapKind,
                                 sp_equivalent, GeodesicCheckStatus)
 from geothue.errors import DEFAULT_MAX_NODES, ResourceLimitError
 from geothue.oracle import WpVerdict, oracle_wp
+from geothue.pregroup import universal_system
 from geothue.rewriting import _closure, successors
 from geothue.systems import (RewriteSystem, RuleKind, load_system, preserving,
                              reducing)
@@ -311,10 +314,131 @@ def test_gp_check_matches_its_pairwise_twin(S, same_rule, max_nodes):
         _outcome(_pairwise_gp, twin, same_rule, max_nodes)
 
 
+def _ordinary_gp(system, include_same_rule_overlaps=False,
+                 max_nodes=DEFAULT_MAX_NODES):
+    """check_geodesically_perfect in the order of the pair stream alone:
+    each distinct side is closed and given the classes of its
+    descendants as its signature, and a side with a class over the
+    budget gets the pairwise test."""
+    what = "preserving-class closure"
+    desc = {}
+
+    def descendants(w):
+        if w not in desc:
+            desc[w] = frozenset(_closure(w, system._steps.reducing, max_nodes,
+                                         "descendant closure"))
+        return desc[w]
+
+    sigs = {}
+
+    def signature(w):
+        if w not in sigs:
+            dw = descendants(w)
+            try:
+                sigs[w] = frozenset(confluence._sp_class(d, system, max_nodes, what)
+                                    for d in dw)
+            except ResourceLimitError:
+                sigs[w] = None
+        return sigs[w]
+
+    # the pairwise test closes classes by the order of its sides, so a
+    # verdict is kept for both orders
+    lazy = {}
+    checked = 0
+    for pair in confluence._pairs(system, include_same_rule_overlaps, None):
+        checked += 1
+        x, y = pair[1], pair[2]
+        sx, sy = signature(x), signature(y)
+        if sx is not None and sy is not None:
+            ok = not sx.isdisjoint(sy)
+        elif (x, y) in lazy:
+            ok = lazy[(x, y)]
+        else:
+            ok = lazy[(x, y)] = lazy[(y, x)] = confluence._holds_lazily(
+                descendants(x), descendants(y), system, max_nodes)
+        if not ok:
+            return GpVerdict(False, checked, FailedPair(
+                confluence._critical_pair(pair), descendants(x), descendants(y)))
+    return GpVerdict(True, checked, None)
+
+
+# the first two groups of a b -> c, by lhs, are b c (b c -> a, then
+# b c -> b) and b a (b a -> .): b c -> b and b a -> . fail, so the
+# grouped walk stops at b c -> b while the stream's witness is b a -> .
+INTERLEAVED = RewriteSystem(Alphabet("abc"), [
+    reducing((0, 1), (2,)), reducing((1, 2), (0,)), reducing((1, 0), ()),
+    reducing((1, 2), (1,)), reducing((2, 2), ()), reducing((0, 0), ())])
+# a a a -> b has three groups (a a a, b, a), one at each letter; the
+# three pairs with a -> . are one pair, those with a -> c three
+REPEATED = RewriteSystem(Alphabet("abc"), [
+    reducing((0, 0, 0), (1,)), reducing((0,), ()), preserving((0,), (2,))])
+REPEATED_HOLDS = RewriteSystem(Alphabet("abc"), REPEATED.rules + (
+    reducing((1,), ()), reducing((2,), ())))
+
+
+# a budget of 1000 words, not the default, so that a drawn system with
+# long preserving rules (a class of 2^17 words) stops at once in both
+# checks rather than closing its classes in full
+@settings(max_examples=300, deadline=None)
+@given(overlapping_system(with_preserving=True), st.booleans(),
+       st.sampled_from((1, 2, 3, 5, 1000)), st.randoms(use_true_random=False))
+@example(INTERLEAVED, False, None, random.Random(0))
+@example(REPEATED, True, None, random.Random(0))
+@example(REPEATED_HOLDS, False, None, random.Random(0))
+@example(REPEATED_HOLDS, True, None, random.Random(0))
+@example(CAPPED, True, 5, random.Random(0))
+def test_grouped_gp_check_matches_its_ordinary_order_twin(
+        S, same_rule, max_nodes, rng):
+    # @example systems keep their order; drawn ones get a seeded one
+    rules = list(S.rules)
+    if S not in (INTERLEAVED, REPEATED, REPEATED_HOLDS, CAPPED):
+        rng.shuffle(rules)
+    S = RewriteSystem(S.alphabet, rules)
+    twin = RewriteSystem(S.alphabet, S.rules)
+    assert _outcome(check_geodesically_perfect, S, same_rule, max_nodes) == \
+        _outcome(_ordinary_gp, twin, same_rule, max_nodes)
+
+
+def test_the_witness_is_the_streams_first_failing_pair():
+    v = check_geodesically_perfect(INTERLEAVED)
+    ab = INTERLEAVED.alphabet
+    pair = v.witness.pair
+    assert (v.pairs_checked, ab.format(pair.z), ab.format(pair.x),
+            ab.format(pair.y)) == (2, "a b a", "c a", "a")
+    assert pair.rule2 is INTERLEAVED.rules[2]
+
+
+def test_repeated_groups_count_each_pair_once():
+    # with its shifts, a a a -> b also meets itself in six placements
+    for same_rule, pairs in ((False, 4 + 2 + 1), (True, 4 + 2 + 1 + 4)):
+        assert check_geodesically_perfect(REPEATED_HOLDS, same_rule) == \
+            GpVerdict(True, pairs, None)
+        assert len(list(iter_critical_pairs(REPEATED_HOLDS, same_rule))) == pairs
+
+
+def _counting(monkeypatch, name):
+    """Wrap a function of confluence and list the first argument of each
+    call, or for a generator (first argument, item) for each item it
+    yields."""
+    calls = []
+    fn = getattr(confluence, name)
+
+    def counted(*args, **kwargs):
+        got = fn(*args, **kwargs)
+        if inspect.isgenerator(got):
+            return (calls.append((args[0], item)) or item for item in got)
+        calls.append(args[0])
+        return got
+
+    monkeypatch.setattr(confluence, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("same_rule, pairs", [(False, 10), (True, 12)])
 def test_capped_gp_check_holds_without_the_classes_it_skips(
         same_rule, pairs, monkeypatch):
     S = RewriteSystem(CAPPED.alphabet, CAPPED.rules)
+    listed = _counting(monkeypatch, "_children")
     closed = []
 
     def counted(w, steps, max_nodes, what, *args, **kwargs):
@@ -324,10 +448,34 @@ def test_capped_gp_check_holds_without_the_classes_it_skips(
 
     monkeypatch.setattr(confluence, "_closure", counted)
     v = check_geodesically_perfect(S, same_rule, max_nodes=5)
+    monkeypatch.undo()
     assert v.holds and v.pairs_checked == pairs
-    # one closure for a side's signature, at most one more for the pairs
-    # decided one by one, however many such pairs the side is in
-    counts = Counter(closed)
-    assert set(counts) == {w for cp in iter_critical_pairs(S, same_rule)
-                           for w in (cp.x, cp.y)}
-    assert max(counts.values()) <= 2
+    # each word's children are listed once, and a side is closed exactly
+    # at most once, for a bound over the budget or the pairwise test
+    sides = {w for cp in iter_critical_pairs(S, same_rule) for w in (cp.x, cp.y)}
+    assert max(Counter(listed).values()) == 1
+    assert set(listed) <= {d for w in sides for d in descendant_closure(
+        w, sub_system(S, S.reducing))}
+    assert closed and max(Counter(closed).values()) == 1
+    assert set(closed) <= sides
+
+
+@pytest.mark.parametrize("same_rule, pairs", [(False, 3991), (True, 4006)])
+def test_gp_check_walks_groups_and_lists_each_descendant_once(
+        same_rule, pairs, amalgam_pregroup, monkeypatch):
+    S = universal_system(amalgam_pregroup)
+    walked = _counting(monkeypatch, "_placements")
+    listed = _counting(monkeypatch, "_children")
+    assert check_geodesically_perfect(S, same_rule) == GpVerdict(True, pairs, None)
+    monkeypatch.undo()
+    stream = list(iter_critical_pairs(S, same_rule))
+    assert len(stream) == pairs
+    # 849 groups in both modes, one per distinct lhs placement; every
+    # pair is in one of them
+    assert len(walked) == 849
+    assert {(cp.rule1.lhs, cp.rule2.lhs, cp.pos1, cp.pos2) for cp in stream} <= \
+        {(l1, group.lhs, pos1, pos2) for l1, (group, pos1, pos2) in walked}
+    sides = {w for cp in stream for w in (cp.x, cp.y)}
+    union = set().union(*(descendant_closure(w, sub_system(S, S.reducing))
+                          for w in sides))
+    assert len(listed) == len(set(listed)) == len(union)

@@ -1,5 +1,6 @@
 import pytest
 
+from geothue.confluence import geodesic_bounded_check
 from geothue.errors import PreconditionError
 from geothue.oracle import (WpVerdict, _step_tables, class_closure,
                             class_partition, enumerate_quotient,
@@ -110,3 +111,26 @@ def test_partition_reps_are_lenlex_least(z2z2):
     rep_of, _ = class_partition(z2z2, horizon=4)
     for w, r in rep_of.items():
         assert (len(r), r) <= (len(w), w)
+
+
+# each entry point with an input it would answer at a budget of one word
+ORACLE_SEARCHES = [
+    (class_closure, lambda m, S: class_closure((0,), S, max_nodes=m)),
+    (oracle_wp, lambda m, S: oracle_wp((0,), (0,), S, max_nodes=m)),
+    (oracle_geodesics, lambda m, S: oracle_geodesics((0,), S, max_nodes=m)),
+    (class_partition, lambda m, S: class_partition(S, 0, max_nodes=m)),
+    (enumerate_quotient, lambda m, S: enumerate_quotient(S, 0, max_nodes=m)),
+    (geodesic_bounded_check,
+     lambda m, S: geodesic_bounded_check(S, 3, max_nodes=m)),
+]
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("fn, run", ORACLE_SEARCHES,
+                         ids=[fn.__name__ for fn, _ in ORACLE_SEARCHES])
+def test_the_oracle_refuses_a_budget_below_one(fn, run, budget, tits_d3):
+    # a budget counts the start word, so no closure fits one below 1
+    with pytest.raises(PreconditionError,
+                       match=f"^node budget must be at least 1, got {budget}$"):
+        run(budget, tits_d3)
+    run(1, tits_d3)
