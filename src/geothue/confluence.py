@@ -12,19 +12,18 @@ critical; include_same_rule_overlaps=True switches to the classical
 enumeration where it is.  Distinct rules sharing a left-hand side always
 produce the pair of their right-hand sides.
 
-The overlap index (systems._OverlapIndex), cached on the system as
-RewriteSystem._overlaps, files left-hand sides by prefix, by suffix, by
-the whole word and by length, in two views built on first use:
-ordered, the rules themselves in rule order, and grouped, one lhs group
-(a distinct lhs with its rules) per distinct lhs.  Lookups in it list
-placements (item, pos1, pos2), the starts of both spans in z.  One
-routine, _pairs, reads the ordered view and builds each placement's
-pair as a plain tuple (z, x, y, rule1, rule2, pos1, pos2).  Distinct
-placements can give the same pair, so each rule1 keeps a seen set.
-iter_critical_pairs and critical_pairs (so also completion) wrap this
-stream into CriticalPair with its kind.  Completion enumerates only the
-pairs that use a new rule: a new rule1 is looked up in the index of
-every rule, an old one in a small index of the new rules alone.
+The system keeps its left-hand sides by prefix, by suffix, by the
+whole word and by length in two sets of overlap keys, each built on
+first use: RewriteSystem._rule_overlaps files the rules themselves, in
+rule order, and _group_overlaps one lhs group (a distinct lhs with its
+rules) per distinct lhs.  Lookups in them list placements (item, pos1,
+pos2), the starts of both spans in z.  One routine, _pairs, reads the
+rule keys and yields each placement's CriticalPair; its kind is read
+off z, the two lhs lengths and pos1.  Distinct placements can give the
+same pair, so each rule1 keeps a seen set.  iter_critical_pairs and
+critical_pairs (so also completion) return this stream.  Completion
+enumerates only the pairs that use a new rule: a new rule1 is looked up
+in the keys of every rule, an old one in keys of the new rules alone.
 
 check_geodesically_perfect decides a pair from the signatures of its
 two sides, a side's signature being the set of preserving classes of
@@ -32,17 +31,16 @@ its reducing descendants: the pair passes iff the two signatures
 intersect.  A word's signature is its own class with the signatures of
 its reducing children, memoised per word for one check, so each word
 below a side has its children listed once, and a pair costs one
-isdisjoint.  The check walks the grouped view, one placement group
+isdisjoint.  The check walks the lhs-group keys, one placement group
 (rule1, l2, pos1, pos2) at a time: z, x and x's signature once per
 group, only y per rule of l2.  When every pair passes there, that is
 the verdict.  A failing pair, a side without a signature or a budget
 error sends it back to the start of _pairs' stream, keeping the
-signatures formed, and there it builds a CriticalPair only for the
-first failing pair, the witness.  A signature that needs a class over
-the budget is not formed; a pair with such a side is decided by the
-pairwise test, which closes classes only until its first match, so the
-witness, the count, the budget errors and capped answers are those of
-a check pair by pair in stream order.
+signatures formed, and there the first failing pair is the witness.  A
+signature that needs a class over the budget is not formed; a pair with
+such a side is decided by the pairwise test, which closes classes only
+until its first match, so the witness, the count, the budget errors and
+capped answers are those of a check pair by pair in stream order.
 
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
@@ -74,7 +72,7 @@ from typing import (AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Set,
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .oracle import oracle_geodesics
 from .rewriting import _check_budget, _closure, is_irreducible
-from .systems import Rule, RewriteSystem, _OverlapIndex, _OverlapKeys
+from .systems import Rule, RewriteSystem, _OverlapKeys, _overlap_keys
 from .words import Word, lenlex_key
 
 
@@ -92,7 +90,15 @@ class CriticalPair(NamedTuple):
     rule2: Rule
     pos1: int
     pos2: int
-    kind: OverlapKind
+
+    @property
+    def kind(self) -> OverlapKind:
+        # one span starts z and the other ends it
+        if len(self.z) in (len(self.rule1.lhs), len(self.rule2.lhs)):
+            return OverlapKind.INCLUSION
+        if self.pos1 == 0:
+            return OverlapKind.LEFT_OVERLAP
+        return OverlapKind.RIGHT_OVERLAP
 
     def to_dict(self, alphabet):
         return {
@@ -108,9 +114,9 @@ class CriticalPair(NamedTuple):
 
 
 def _placements(l1: Word, keys: _OverlapKeys):
-    """(item, pos1, pos2) for every item of an overlap index's keys, a
-    rule or an lhs group, whose lhs overlaps l1, with pos1, pos2 the
-    starts of the spans of l1 and the item's lhs in z."""
+    """(item, pos1, pos2) for every item of some overlap keys, a rule or
+    an lhs group, whose lhs overlaps l1, with pos1, pos2 the starts of
+    the spans of l1 and the item's lhs in z."""
     by_prefix, by_suffix, by_lhs, of_len, lengths = keys
     L1 = len(l1)
     # l1's span starts at 0, the item's ends at |z|
@@ -143,26 +149,24 @@ def _placements(l1: Word, keys: _OverlapKeys):
 
 def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
            new: Optional[AbstractSet[Rule]]):
-    """The critical pairs that use a rule of new, or every pair for None,
-    as plain tuples (z, x, y, rule1, rule2, pos1, pos2).
+    """The critical pairs that use a rule of new, or every pair for None.
 
-    For each reducing rule1, four lookups in the ordered view of an
-    overlap index list the placements (rule2, pos1, pos2): rule2 over
-    rule1's end, over its start, strictly inside it, and around it.  A
-    new rule1 is looked up in the system's cached index of every rule,
-    an old one in an index of the new rules alone, so no placement of
-    two old rules is listed.  One routine builds each placement's pair.
+    For each reducing rule1, four lookups in overlap keys in rule order
+    list the placements (rule2, pos1, pos2): rule2 over rule1's end,
+    over its start, strictly inside it, and around it.  A new rule1 is
+    looked up in the system's keys of every rule, an old one in keys of
+    the new rules alone, so no placement of two old rules is listed.
     Distinct placements can give the same pair: with a a a -> b and
     a -> ., deleting any letter of a a a gives a a, so six placements
     give two pairs.  A seen set per rule1 and rule2 keeps the first
-    placement; as the ordered view lists its rules in system order, the
-    pairs of new come in the order, and with the placements, that they
-    have among all pairs.  check_geodesically_perfect reads this stream
-    only to replay a check that its grouped walk could not settle.
+    placement; as both keys list their rules in system order, the pairs
+    of new come in the order, and with the placements, that they have
+    among all pairs.  check_geodesically_perfect reads this stream only
+    to replay a check that its grouped walk could not settle.
     """
-    every = system._overlaps.ordered
-    of_new = every if new is None else _OverlapIndex(
-        r for r in system.rules if r in new).ordered
+    every = system._rule_overlaps
+    of_new = every if new is None else _overlap_keys(
+        [r for r in system.rules if r in new])
     for r1 in system.reducing:
         l1, rh1 = r1.lhs, r1.rhs
         L1 = len(l1)
@@ -180,22 +184,7 @@ def _pairs(system: RewriteSystem, include_same_rule_overlaps: bool,
             if key in seen:
                 continue
             seen.add(key)
-            yield z, x, y, r1, r2, pos1, pos2
-
-
-# read once: an enum member read off its class is a slow attribute lookup
-_INCLUSION, _LEFT_OVERLAP, _RIGHT_OVERLAP = (
-    OverlapKind.INCLUSION, OverlapKind.LEFT_OVERLAP, OverlapKind.RIGHT_OVERLAP)
-
-
-def _critical_pair(pair: tuple) -> CriticalPair:
-    """A tuple of _pairs as a CriticalPair, with its kind."""
-    z, _, _, r1, r2, pos1, _ = pair
-    # one span starts z and the other ends it
-    kind = (_INCLUSION if len(z) in (len(r1.lhs), len(r2.lhs))
-            else _LEFT_OVERLAP if pos1 == 0 else _RIGHT_OVERLAP)
-    # tuple.__new__ skips the named tuple's own __new__, a second call
-    return tuple.__new__(CriticalPair, pair + (kind,))
+            yield CriticalPair(z, x, y, r1, r2, pos1, pos2)
 
 
 def iter_critical_pairs(system: RewriteSystem,
@@ -203,7 +192,7 @@ def iter_critical_pairs(system: RewriteSystem,
     """Every critical pair once, in a deterministic order: by reducing
     rule1 in rule order, then by placement of rule2 over rule1's end,
     over its start, strictly inside it and around it."""
-    return map(_critical_pair, _pairs(system, include_same_rule_overlaps, None))
+    return _pairs(system, include_same_rule_overlaps, None)
 
 
 def critical_pairs(system: RewriteSystem,
@@ -215,8 +204,7 @@ def critical_pairs(system: RewriteSystem,
     the system are enumerated and sorted.
     """
     rule_index = {id(r): i for i, r in enumerate(system.rules)}
-    out = list(map(_critical_pair,
-                   _pairs(system, include_same_rule_overlaps, _new)))
+    out = list(_pairs(system, include_same_rule_overlaps, _new))
     out.sort(key=lambda cp: (len(cp.z), cp.z, rule_index[id(cp.rule1)],
                              rule_index[id(cp.rule2)], cp.pos1, cp.pos2))
     return tuple(out)
@@ -242,7 +230,7 @@ def _sp_class(w: Word, system: RewriteSystem, max_nodes: int,
             raise ResourceLimitError(f"{what} exceeded its node budget",
                                      cap=max_nodes)
         try:
-            got = frozenset(_closure(w, system._steps.undirected, max_nodes, what))
+            got = frozenset(_closure(w, system._undirected_steps, max_nodes, what))
         except ResourceLimitError:
             overflows[w] = max_nodes
             raise
@@ -276,7 +264,7 @@ def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
     try:
         return v in _sp_class(u, system, max_nodes, "sp_equivalent")
     except ResourceLimitError:
-        return v in _closure(u, system._steps.undirected, max_nodes,
+        return v in _closure(u, system._undirected_steps, max_nodes,
                              "sp_equivalent", target=(v,))
 
 
@@ -286,7 +274,7 @@ def descendant_closure(word: Word, system: RewriteSystem,
     included, within the budget."""
     w = tuple(word)
     system._check_symbols(w)
-    return frozenset(_closure(w, system._steps.all, max_nodes,
+    return frozenset(_closure(w, system._all_steps, max_nodes,
                               "descendant closure"))
 
 
@@ -377,7 +365,7 @@ class _Signatures:
     def __init__(self, system: RewriteSystem, max_nodes: int):
         self.system = system
         self.max_nodes = max_nodes
-        self.steps = system._steps.reducing
+        self.steps = system._reducing_steps
         self.of_word: Dict[Word, Tuple[Optional[_Sig], int]] = {}
         self.desc: Dict[Word, FrozenSet[Word]] = {}
         self.shared: Dict[_Sig, _Sig] = {}  # one object per signature
@@ -462,14 +450,14 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
     so.
 
     A group (rule1, l2, pos1, pos2) is a placement of a distinct lhs l2
-    from the grouped view of the system's overlap index: z, x and x's
+    from the system's lhs-group keys: z, x and x's
     signature come once per group, and only y per rule of l2.  Two equal
     pairs of one rule1 share z, x and rule2, so l2; a group's pairs are
     compared one by one with those of earlier groups only when an
     earlier group of the same rule1 had its (x, z, l2).
     """
     get, side, max_nodes = sigs.of_word.get, sigs.side, sigs.max_nodes
-    grouped = system._overlaps.grouped
+    grouped = system._group_overlaps
     checked = 0
     for r1 in system.reducing:
         l1, rh1 = r1.lhs, r1.rhs
@@ -528,11 +516,11 @@ def check_geodesically_perfect(system: RewriteSystem,
     there, that is the verdict.  Otherwise, at a failing pair, a side
     without a signature or a budget error, the check starts again in
     the order of _pairs' stream, keeping the signatures formed: the
-    first failing pair is the witness, the only pair built as a
-    CriticalPair.  A side whose signature needs a class over the budget
-    gets no signature, and its pairs get _holds_lazily's test, on
-    descendant sets closed once per side, so every budget error and
-    capped answer is that of a check pair by pair.
+    first failing pair is the witness.  A side whose signature needs a
+    class over the budget gets no signature, and its pairs get
+    _holds_lazily's test, on descendant sets closed once per side, so
+    every budget error and capped answer is that of a check pair by
+    pair.
 
     By default a rule's overlaps with its own shifts are skipped, so a
     verdict that holds does not license preperfect_wp: fixtures/gpex.rws
@@ -554,7 +542,7 @@ def check_geodesically_perfect(system: RewriteSystem,
     checked = 0
     for pair in _pairs(system, include_same_rule_overlaps, None):
         checked += 1
-        x, y = pair[1], pair[2]
+        x, y = pair.x, pair.y
         sx = side(x)
         sy = side(y)
         if sx is not None and sy is not None:
@@ -567,7 +555,7 @@ def check_geodesically_perfect(system: RewriteSystem,
                 lazy[(x, y)] = lazy[(y, x)] = ok
         if not ok:
             return GpVerdict(False, checked, FailedPair(
-                _critical_pair(pair), descendants(x), descendants(y)))
+                pair, descendants(x), descendants(y)))
     return GpVerdict(True, checked, None)
 
 
@@ -589,7 +577,7 @@ def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
     du = descendant_closure(u, system, max_nodes)
     w = tuple(v)
     system._check_symbols(w)
-    met = _closure(w, system._steps.all, max_nodes,
+    met = _closure(w, system._all_steps, max_nodes,
                    "descendant closure", target=du)
     return not du.isdisjoint(met)
 

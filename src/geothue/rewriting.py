@@ -15,7 +15,8 @@ each contraction.
 
 The closures (dehn_wp here, the descendant and preserving-class
 searches in ``confluence``, and the interleave search in ``pregroup``)
-are breadth-first over a step set: the system's cached step index, or
+are breadth-first over a step set: one of the system's cached step sets
+(RewriteSystem._reducing_steps, _all_steps or _undirected_steps), or
 the pregroup's slide table.  A word's children come by left-hand side
 length, then position, then right-hand side in rule order.  The node
 budget is an int; it applies to each closure on its own and counts the
@@ -207,8 +208,8 @@ def _closure(start: Word, steps, max_nodes: int, what: str,
              target: Collection[Word] = ()) -> Set[Word]:
     """Every word reachable from start by steps, breadth-first.
 
-    steps is a step set, of a system's index or a pregroup's slide
-    table; the order and the budget are as in the module docstring.
+    steps is a step set, of a system or a pregroup's slide table; the
+    order and the budget are as in the module docstring.
     target is a collection of stop words, () for none: the search stops
     at the first word in it, start included, and the partial closure
     then contains that word.  what names the search in the budget error.
@@ -260,5 +261,5 @@ def dehn_wp(word: Word, system: RewriteSystem,
     if system.preserving:
         warnings.warn("dehn_wp ignores the preserving rules of this system",
                       stacklevel=2)
-    return EMPTY in _closure(w, system._steps.reducing, max_nodes, "dehn_wp",
+    return EMPTY in _closure(w, system._reducing_steps, max_nodes, "dehn_wp",
                              target=(EMPTY,))

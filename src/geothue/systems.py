@@ -10,6 +10,15 @@ An optional inverse pairing turns the system into a group system; the
 constructor then insists that x x^-1 -> 1 and x^-1 x -> 1 are present
 for every letter.
 
+The structures that the searches compile from the rules are lazy
+attributes of the system, each built on first use and kept with it:
+the step sets of the bounded closures (_reducing_steps, _all_steps and
+_undirected_steps), the automaton of the reducing left-hand sides
+behind reduce_lr (_automaton), and the left-hand sides by their factors
+behind the critical pairs, rule by rule (_rule_overlaps) and by
+distinct lhs (_group_overlaps).  with_rules builds a system that
+compiles its own; it hands on only the preserving classes found so far.
+
 The system and rule-list files are read by the directive reader of
 ``words``; their grammar is under "File formats" in the README.
 """
@@ -129,9 +138,24 @@ class RewriteSystem:
         return self.inverse_pairing is not None
 
     @cached_property
-    def _steps(self) -> "_StepIndex":
-        """The one-step rewrites searched by the bounded closures."""
-        return _StepIndex(self)
+    def _reducing_steps(self) -> "_StepSet":
+        """The forward reducing steps, behind the reducing-descendant
+        closures."""
+        return _step_set((r.lhs, r.rhs) for r in self.reducing)
+
+    @cached_property
+    def _all_steps(self) -> "_StepSet":
+        """The forward steps of every rule, behind descendant_closure."""
+        return _step_set((r.lhs, r.rhs) for r in self.rules)
+
+    @cached_property
+    def _undirected_steps(self) -> "_StepSet":
+        """The preserving steps taken both ways, behind the preserving
+        classes; on a symmetric system the forward ones, in rule order."""
+        if self.sp_symmetric:
+            return _step_set((r.lhs, r.rhs) for r in self.preserving)
+        return _step_set(step for r in self.preserving
+                         for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
 
     @cached_property
     def _automaton(self) -> "_Automaton":
@@ -139,10 +163,27 @@ class RewriteSystem:
         return _lhs_automaton(self.reducing, len(self.alphabet))
 
     @cached_property
-    def _overlaps(self) -> "_OverlapIndex":
-        """The left-hand sides of every rule by their factors, behind the
-        critical pairs of confluence."""
-        return _OverlapIndex(self.rules)
+    def _rule_overlaps(self) -> "_OverlapKeys":
+        """The rules by the factors of their left-hand sides, in rule
+        order, behind the stream of critical pairs."""
+        return _overlap_keys(self.rules)
+
+    @cached_property
+    def _group_overlaps(self) -> "_OverlapKeys":
+        """An _LhsGroup per distinct left-hand side, in the order of its
+        first rule, by the factors of the lhs, behind the grouped walk of
+        check_geodesically_perfect."""
+        rules_of: Dict[Word, List[Rule]] = {}
+        for rule in self.rules:
+            rules_of.setdefault(rule.lhs, []).append(rule)
+        keys = _overlap_keys([_LhsGroup(lhs, tuple(rules))
+                              for lhs, rules in rules_of.items()])
+        # kept with the system, so tuples, which hold no spare room; the
+        # keys of a phase's new rules, built once and dropped, skip this
+        for table in keys[:4]:
+            for key, items in table.items():
+                table[key] = tuple(items)
+        return keys
 
     @cached_property
     def _sp_memo(self) -> Tuple[Dict[Word, FrozenSet[Word]], Dict[Word, int]]:
@@ -203,34 +244,6 @@ def _step_set(steps: Iterable[Tuple[Word, Word]]) -> _StepSet:
                     tuple(sorted({len(k) for k in table})))
 
 
-class _StepIndex:
-    """The forward reducing steps, the forward steps of every rule, and
-    the preserving steps taken both ways, each built on first use; the
-    latter are the forward preserving steps themselves, in rule order,
-    when the system is symmetric."""
-
-    def __init__(self, system: RewriteSystem):
-        # the rules, not the system, so that no cycle keeps a system alive
-        self._reducing, self._preserving = system.reducing, system.preserving
-        self._symmetric = system.sp_symmetric
-
-    @cached_property
-    def reducing(self) -> _StepSet:
-        return _step_set((r.lhs, r.rhs) for r in self._reducing)
-
-    @cached_property
-    def all(self) -> _StepSet:
-        return _step_set((r.lhs, r.rhs)
-                         for r in self._reducing + self._preserving)
-
-    @cached_property
-    def undirected(self) -> _StepSet:
-        if self._symmetric:
-            return _step_set((r.lhs, r.rhs) for r in self._preserving)
-        return _step_set(step for r in self._preserving
-                         for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
-
-
 class _LhsGroup(NamedTuple):
     """A left-hand side and its rules, in rule order."""
 
@@ -248,34 +261,6 @@ class _OverlapKeys(NamedTuple):
     by_lhs: Dict[Word, Sequence]
     of_len: Dict[int, Sequence]
     lengths: List[int]  # ascending
-
-
-class _OverlapIndex:
-    """Some rules by their left-hand sides, for critical pairs, in two
-    views built on first use: ordered, the rules themselves in rule
-    order, and grouped, an _LhsGroup per distinct lhs, in the order of
-    its first rule."""
-
-    def __init__(self, rules: Iterable[Rule]):
-        self._rules = tuple(rules)
-
-    @cached_property
-    def ordered(self) -> _OverlapKeys:
-        return _overlap_keys(self._rules)
-
-    @cached_property
-    def grouped(self) -> _OverlapKeys:
-        rules_of: Dict[Word, List[Rule]] = {}
-        for rule in self._rules:
-            rules_of.setdefault(rule.lhs, []).append(rule)
-        keys = _overlap_keys([_LhsGroup(lhs, tuple(rules))
-                              for lhs, rules in rules_of.items()])
-        # kept with the system, so tuples, which hold no spare room; the
-        # ordered view, built once per completion phase, skips this pass
-        for table in keys[:4]:
-            for key, items in table.items():
-                table[key] = tuple(items)
-        return keys
 
 
 def _overlap_keys(items) -> _OverlapKeys:

@@ -35,13 +35,10 @@ class WeightResult:
     weights: Optional[Dict[int, int]]  # symbol id -> weight, when feasible
     bound: int
 
-    def to_dict(self, alphabet=None):
+    def to_dict(self, alphabet):
         w = None
         if self.weights is not None:
-            if alphabet is None:
-                w = {str(k): v for k, v in self.weights.items()}
-            else:
-                w = {alphabet.name(k): v for k, v in sorted(self.weights.items())}
+            w = {alphabet.name(k): v for k, v in sorted(self.weights.items())}
         return {"status": self.status.value, "weights": w, "bound": self.bound}
 
 
@@ -119,23 +116,19 @@ def _fourier_motzkin(constraints, n):
     return tuple(values)
 
 
-def weight_assignment(rules, bound: int = DEFAULT_BOUND,
-                      alphabet_size: Optional[int] = None) -> WeightResult:
+def weight_assignment(rules, alphabet_size: int,
+                      bound: int = DEFAULT_BOUND) -> WeightResult:
     """Search an integer weighting in [1, bound] for the given rules.
 
     rules is an iterable of raw (lhs, rhs) pairs of letter ids, so
     length-increasing pairs, which a Thue system cannot hold, are
-    admitted.  The letters are 0 .. alphabet_size - 1, by default up to
-    the largest id used.  A bound below 1 admits no weighting and raises
-    PreconditionError.
+    admitted.  The letters are 0 .. alphabet_size - 1.  A bound below 1
+    admits no weighting and raises PreconditionError.
     """
     if bound < 1:
         raise PreconditionError(f"weight bound must be at least 1, got {bound}")
     pairs = [(tuple(l), tuple(r)) for l, r in rules]
-    if alphabet_size is None:
-        n = max((max(l + r) + 1 for l, r in pairs if l + r), default=0)
-    else:
-        n = alphabet_size
+    n = alphabet_size
 
     if not pairs:
         return WeightResult(WeightStatus.FEASIBLE, {s: 1 for s in range(n)}, bound)

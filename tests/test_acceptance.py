@@ -9,7 +9,6 @@ budgets they were written against.
 import gc
 import itertools
 import random
-import statistics
 import time
 
 from geothue.builders import build_britton_system, build_hnn_system
@@ -258,12 +257,14 @@ def test_10_reference_oracle_cross_validation(
 
 
 def test_11_leftmost_reducer_scales_linearly(free_ab):
+    # the fastest of five interleaved runs per size: a run is only ever
+    # slowed by the rest of the machine, so the minimum is the least noisy
     rng = random.Random(1101)
     sizes = (10 ** 6, 2 * 10 ** 6)
     timings = {n: [] for n in sizes}
     gc.disable()
     try:
-        for _ in range(3):
+        for _ in range(5):
             for n in sizes:
                 word = tuple(rng.choices(range(len(free_ab.alphabet)), k=n))
                 t0 = time.perf_counter()
@@ -271,9 +272,9 @@ def test_11_leftmost_reducer_scales_linearly(free_ab):
                 timings[n].append(time.perf_counter() - t0)
     finally:
         gc.enable()
-    medians = {n: statistics.median(timings[n]) for n in sizes}
-    ratio = medians[sizes[1]] / medians[sizes[0]]
-    assert ratio <= 2.5, (medians, ratio)
+    fastest = {n: min(timings[n]) for n in sizes}
+    ratio = fastest[sizes[1]] / fastest[sizes[0]]
+    assert ratio <= 2.5, (fastest, ratio)
     _ok("11", f"doubling the input scales the reducer by {ratio:.2f}x "
               "(limit 2.5x)")
 
@@ -281,13 +282,13 @@ def test_11_leftmost_reducer_scales_linearly(free_ab):
 def test_12_weight_search_settles_both_canonical_inputs():
     abc = Alphabet(("a", "b", "c"))
     shrinking = [(abc.word("a b"), abc.word("c c"))]
-    found = weight_assignment(shrinking)
+    found = weight_assignment(shrinking, alphabet_size=len(abc))
     assert found.status is WeightStatus.FEASIBLE
     assert is_weight_reducing(shrinking, found.weights)
 
     ab = Alphabet(("a", "b"))
     padding = [(ab.word("a"), ab.word("a b"))]
-    proved = weight_assignment(padding)
+    proved = weight_assignment(padding, alphabet_size=len(ab))
     assert proved.status is WeightStatus.PROVABLY_INFEASIBLE
     assert proved.weights is None
     _ok("12", "weight search produces a checked witness for ab -> cc and "

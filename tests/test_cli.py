@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -28,6 +29,31 @@ def test_reduce_empty_result(capsys):
     code, out, _ = run(capsys, "reduce", fixture_path("z2z2.rws"), "a a")
     assert code == 0
     assert "reduced: ." in out
+
+
+def test_reduce_random_follows_its_seed(capsys):
+    # the leftmost reduction of d d d d d is f f d
+    for seed, reduced in ((0, "d f f"), (2, "f f d"), (0, "d f f")):
+        code, out, _ = run_json(capsys, "reduce", fixture_path("gpex.rws"),
+                                "d d d d d", "--random", "--seed", seed)
+        assert code == 0
+        assert out["reduced"] == reduced
+
+
+def test_successors(capsys):
+    code, out, _ = run_json(capsys, "successors", fixture_path("tits_d3.rws"),
+                            "a b a b")
+    assert code == 0
+    assert out["successors"] == ["b a b b", "a a b a"]
+
+
+@pytest.mark.parametrize("flags, arrow", [((), "<->"), (("--directed",), "->")])
+def test_resolve(capsys, flags, arrow):
+    code, out, _ = run(capsys, "resolve", fixture_path("z2_convergent.rules"),
+                       *flags)
+    assert code == 0
+    assert "rule x X -> .\n" in out
+    assert f"rule y x {arrow} x y\n" in out
 
 
 def test_check_gp_positive_example(capsys):
@@ -118,6 +144,13 @@ def test_pregroup_check(capsys):
     assert out["ok"] is True
 
 
+def test_pregroup_to_system(capsys):
+    code, out, _ = run(capsys, "pregroup", "to-system",
+                       fixture_path("amalgam_z4z6.pg"))
+    assert code == 0
+    assert out.startswith("alphabet 1 r r2 r3 s s2 s4 s5\nrule 1 -> .\n")
+
+
 def test_pregroup_to_system_and_back(capsys, tmp_path):
     out_path = tmp_path / "sprime.rws"
     code, _, _ = run(capsys, "pregroup", "to-system-prime",
@@ -159,6 +192,18 @@ def test_build_hnn_example(capsys):
     assert "rule t 123 -> 12 t 23" in out
 
 
+def test_build_hnn_from_files(capsys):
+    code, out, _ = run(capsys, "build", "hnn",
+                       "--group", fixture_path("s3.grp"),
+                       "--subgroup-a", fixture_path("z2h.grp"),
+                       "--subgroup-b", fixture_path("z2h.grp"),
+                       "--map-a", fixture_path("hnn_emb.map"),
+                       "--map-b", fixture_path("hnn_emb.map"),
+                       "--iso", fixture_path("hnn_phi.map"))
+    assert code == 0
+    assert out.startswith("alphabet t T 12 13 23 123 132\nrule t T -> .\n")
+
+
 def test_build_britton_example(capsys):
     code, out, _ = run(capsys, "build", "britton", "--example")
     assert code == 0
@@ -180,12 +225,65 @@ def test_oracle_wp_unknown_exit(capsys):
     assert out["verdict"] == "unknown"
 
 
+def test_oracle_geodesics(capsys):
+    path = fixture_path("tits_d3.rws")
+    code, out, _ = run_json(capsys, "oracle", "geodesics", path, "a b a b")
+    assert code == 0
+    assert out["geodesics"] == ["b a"] and out["certified"] is True
+    code, out, _ = run_json(capsys, "oracle", "geodesics", path, "a b a b",
+                            "--caps", "nodes=2")
+    assert code == 2
+    assert out["certified"] is False
+
+
 def test_oracle_count(capsys):
     code, out, _ = run_json(capsys, "oracle", "count",
                             fixture_path("tits_d3.rws"),
                             "--max-word-length", "5")
     assert code == 0
     assert out["count"] == 6
+
+
+def test_a_file_is_read_from_stdin(capsys, monkeypatch):
+    text = fixture_path("geoper_T.rws").read_text(encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run_json(capsys, "check-gp", "-")
+    assert code == 0
+    assert out["holds"] is True
+
+
+def test_human_format_shows_booleans_none_and_nested_lists(capsys):
+    gpex = fixture_path("gpex.rws")
+    code, out, _ = run(capsys, "check-gp", gpex)
+    assert (code, out) == (0, "holds: true\npairs_checked: 0\nwitness: -\n")
+    code, out, _ = run(capsys, "check-gp", gpex, "--same-rule-overlaps")
+    assert code == 0
+    assert out == """\
+holds: false
+pairs_checked: 1
+witness:
+  pair:
+    z: d d d
+    x: f d
+    y: d f
+    rule1:
+      - d d
+      - f
+    rule2:
+      - d d
+      - f
+    pos1: 0
+    pos2: 1
+    kind: left-overlap
+  descendants_x:
+    - f d
+  descendants_y:
+    - d f
+"""
+    code, out, _ = run(capsys, "critical-pairs", fixture_path("tits_d3.rws"),
+                       "--limit", "1")
+    assert code == 0
+    assert out.startswith("count: 4\npairs:\n  -\n    z: a a b a\n")
 
 
 def test_unknown_letter_is_data_error(capsys):

@@ -6,7 +6,7 @@ from geothue.confluence import check_geodesically_perfect, critical_pairs
 from geothue.errors import PreconditionError
 from geothue.oracle import class_partition
 from geothue.rewriting import successors
-from geothue.systems import RuleKind
+from geothue.systems import RuleKind, parse_system
 
 
 def test_z2z2_group_completes(z2z2_group):
@@ -96,6 +96,18 @@ def test_resolve_actions(geoper_S, geoper_T):
     assert res_t.action is ResolutionAction.SP_EQUIVALENT
     assert res_t.rule is None
     assert res_t.chain == ()  # only a pair that adds a rule is traced
+
+
+def test_a_longer_normal_form_of_either_side_becomes_the_lhs():
+    S = parse_system("alphabet a b c d\nrule a b c -> d d\nrule b c -> .\n")
+    fmt = S.alphabet.format
+    # both pairs of a b c, x = d d from a b c -> d d first, then x = a
+    resolved = [resolve_pair(p, S) for p in critical_pairs(S)]
+    assert [r.action for r in resolved] == [ResolutionAction.ADD_REDUCING] * 2
+    assert [(fmt(r.rule.lhs), fmt(r.rule.rhs)) for r in resolved] == \
+        [("d d", "a")] * 2
+    assert [[fmt(w) for w in r.chain] for r in resolved] == \
+        [["d d", "a b c", "a"], ["a", "a b c", "d d"]]
 
 
 def test_geoper_completion_grows_one_equation_per_phase(geoper_S):

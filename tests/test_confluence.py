@@ -16,8 +16,8 @@ from geothue.errors import DEFAULT_MAX_NODES, ResourceLimitError
 from geothue.oracle import WpVerdict, oracle_wp
 from geothue.pregroup import universal_system
 from geothue.rewriting import _closure, successors
-from geothue.systems import (RewriteSystem, RuleKind, load_system, preserving,
-                             reducing)
+from geothue.systems import (RewriteSystem, RuleKind, load_system,
+                             parse_system, preserving, reducing)
 from geothue.words import Alphabet
 from tests.conftest import (fixture_path, overlapping_system, sub_system,
                             words_of)
@@ -247,7 +247,7 @@ def _pairwise_gp(system, include_same_rule_overlaps=False,
     def rdesc(w):
         got = rdesc_cache.get(w)
         if got is None:
-            got = frozenset(_closure(w, system._steps.reducing, max_nodes,
+            got = frozenset(_closure(w, system._reducing_steps, max_nodes,
                                      "descendant closure"))
             rdesc_cache[w] = got
         return got
@@ -300,6 +300,18 @@ def _outcome(check, system, same_rule, max_nodes):
 CAPPED = RewriteSystem(Alphabet("ab"), [reducing((0, 1, 0), (0, 1)),
                                         preserving((0, 1), (1, 0)),
                                         reducing((0,), ())])
+# at max_nodes=2 the side c c has its own class, {c c}, within the budget
+# but not that of its reducing child a, {a, b, d}; so c c, and likewise
+# e e, gets no signature, and the pair (c c, e e) of g h k is decided by
+# the pairwise test, which meets a in both sides
+CHILD_CAPPED = parse_system("""alphabet a b d c e g h k
+rule g h k -> c c
+rule g h k -> e e
+rule c c -> a
+rule e e -> a
+rule a <-> b
+rule b <-> d
+""")
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,6 +319,8 @@ CAPPED = RewriteSystem(Alphabet("ab"), [reducing((0, 1, 0), (0, 1)),
        st.sampled_from((1, 2, 3, 5, None)))
 @example(CAPPED, False, 5)
 @example(CAPPED, True, 5)
+@example(CHILD_CAPPED, False, 2)
+@example(CHILD_CAPPED, True, 2)
 def test_gp_check_matches_its_pairwise_twin(S, same_rule, max_nodes):
     # each check on its own copy, so neither reads the other's classes
     twin = RewriteSystem(S.alphabet, S.rules)
@@ -325,7 +339,7 @@ def _ordinary_gp(system, include_same_rule_overlaps=False,
 
     def descendants(w):
         if w not in desc:
-            desc[w] = frozenset(_closure(w, system._steps.reducing, max_nodes,
+            desc[w] = frozenset(_closure(w, system._reducing_steps, max_nodes,
                                          "descendant closure"))
         return desc[w]
 
@@ -347,7 +361,7 @@ def _ordinary_gp(system, include_same_rule_overlaps=False,
     checked = 0
     for pair in confluence._pairs(system, include_same_rule_overlaps, None):
         checked += 1
-        x, y = pair[1], pair[2]
+        x, y = pair.x, pair.y
         sx, sy = signature(x), signature(y)
         if sx is not None and sy is not None:
             ok = not sx.isdisjoint(sy)
@@ -358,7 +372,7 @@ def _ordinary_gp(system, include_same_rule_overlaps=False,
                 descendants(x), descendants(y), system, max_nodes)
         if not ok:
             return GpVerdict(False, checked, FailedPair(
-                confluence._critical_pair(pair), descendants(x), descendants(y)))
+                pair, descendants(x), descendants(y)))
     return GpVerdict(True, checked, None)
 
 
@@ -387,16 +401,30 @@ REPEATED_HOLDS = RewriteSystem(Alphabet("abc"), REPEATED.rules + (
 @example(REPEATED_HOLDS, False, None, random.Random(0))
 @example(REPEATED_HOLDS, True, None, random.Random(0))
 @example(CAPPED, True, 5, random.Random(0))
+@example(CHILD_CAPPED, False, 2, random.Random(0))
+@example(CHILD_CAPPED, True, 2, random.Random(0))
 def test_grouped_gp_check_matches_its_ordinary_order_twin(
         S, same_rule, max_nodes, rng):
     # @example systems keep their order; drawn ones get a seeded one
     rules = list(S.rules)
-    if S not in (INTERLEAVED, REPEATED, REPEATED_HOLDS, CAPPED):
+    if S not in (INTERLEAVED, REPEATED, REPEATED_HOLDS, CAPPED, CHILD_CAPPED):
         rng.shuffle(rules)
     S = RewriteSystem(S.alphabet, rules)
     twin = RewriteSystem(S.alphabet, S.rules)
     assert _outcome(check_geodesically_perfect, S, same_rule, max_nodes) == \
         _outcome(_ordinary_gp, twin, same_rule, max_nodes)
+
+
+def test_a_side_with_a_child_class_over_the_budget_has_no_signature():
+    S = RewriteSystem(CHILD_CAPPED.alphabet, CHILD_CAPPED.rules)
+    assert check_geodesically_perfect(S, max_nodes=2) == \
+        GpVerdict(True, 2, None)
+    # c c -> a meets itself in c c c, whose sides a c and c a each have a
+    # class of three words
+    with pytest.raises(ResourceLimitError,
+                       match="preserving-class closure") as err:
+        check_geodesically_perfect(S, True, max_nodes=2)
+    assert err.value.cap == 2
 
 
 def test_the_witness_is_the_streams_first_failing_pair():
