@@ -16,12 +16,17 @@ in the phase before.  The run stops successfully the first time a phase
 contributes nothing new; the result need not be finite in general, so
 both a phase budget and a rule budget apply.
 
-A pair is resolved by reducing both sides with reduce_lr, memoised on
-the phase's system, and, when the normal forms differ but have one
-length, asking sp_equivalent, which reads the system's preserving
-classes, handed on by with_rules while the preserving rules stay the
-same.  Only a pair that adds a rule is reduced again with
-reduce_lr_trace, for the certificate chain that kb_complete keeps.
+A pair is classified by the key (lhs, rhs) of the rule it would add, or
+none: both sides are reduced with the reducer's loop, memoised on the
+phase's system, and, when the normal forms differ but have one length,
+sp_equivalent is asked, which reads the system's preserving classes,
+handed on by with_rules while the preserving rules stay the same.  A
+phase classifies every fresh pair, in order, and keeps a rule only when
+the phase holds neither its key nor, for a preserving rule, the mirror
+key; only a kept pair is passed to resolve_pair, which classifies it
+again, builds its Rule and traces its certificate chain with
+reduce_lr_trace.  So a pair whose rule the phase already holds is never
+traced.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .errors import DEFAULT_MAX_NODES, PreconditionError
-from .rewriting import _check_budget, reduce_lr, reduce_lr_trace
-from .systems import Rule, RuleKind, RewriteSystem, preserving, reducing
+from .rewriting import _check_budget, _reduce_lr, reduce_lr_trace
+from .systems import Rule, RewriteSystem, preserving, reducing
 from .words import Word
 
 DEFAULT_MAX_PHASES = 32
@@ -87,38 +92,57 @@ def _chain(pair: CriticalPair, system: RewriteSystem) -> Tuple[Word, ...]:
 
 
 def _normal_form(w: Word, system: RewriteSystem) -> Word:
-    """reduce_lr(w, system), read from or added to the system's memo."""
+    """reduce_lr(w, system), read from or added to the system's memo; w
+    is a word over the system's alphabet, not checked again here."""
     memo = system._reduce_lr_memo
     got = memo.get(w)
     if got is None:
-        got = memo[w] = reduce_lr(w, system)
+        got = memo[w] = _reduce_lr(w, system, None)
     return got
+
+
+def _rule_key(x_hat: Word, y_hat: Word, system: RewriteSystem,
+              max_nodes: int) -> Optional[Tuple[Word, Word]]:
+    """(lhs, rhs) of the rule that a pair with normal forms x_hat and
+    y_hat adds, or None when they are equal or S_P-equivalent.  Unequal
+    lengths give a reducing rule from the longer normal form, equal ones
+    the preserving rule x_hat <-> y_hat.  The key is never one of the
+    system's rules: a reducing lhs is a normal form, a preserving rule
+    joins two inequivalent ones."""
+    if x_hat == y_hat:
+        return None
+    if len(x_hat) == len(y_hat):
+        if sp_equivalent(x_hat, y_hat, system, max_nodes=max_nodes):
+            return None
+        return x_hat, y_hat
+    if len(x_hat) > len(y_hat):
+        return x_hat, y_hat
+    return y_hat, x_hat
 
 
 def resolve_pair(pair: CriticalPair, system: RewriteSystem,
                  max_nodes: int = DEFAULT_MAX_NODES) -> Resolution:
-    """Normalize both sides and classify what, if anything, must be added;
-    only a pair that adds a rule is traced again for its chain.  The
-    normal forms are memoised on the system, so the pairs of one
-    completion phase share them.  max_nodes is sp_equivalent's budget.
+    """Classify the pair by the rule it adds (_rule_key) and, for a pair
+    that adds one, trace its chain.  The normal forms are memoised on
+    the system, so the pairs of one completion phase share them;
+    kb_complete passes only the pairs whose rule it keeps.  max_nodes is
+    sp_equivalent's budget.
     """
     _check_budget(max_nodes)
+    system._check_symbols(pair.x)
+    system._check_symbols(pair.y)
     x_hat = _normal_form(pair.x, system)
     y_hat = _normal_form(pair.y, system)
-    if x_hat == y_hat:
-        return Resolution(pair, ResolutionAction.JOINED, x_hat, y_hat, None, ())
-    if len(x_hat) == len(y_hat):
-        if sp_equivalent(x_hat, y_hat, system, max_nodes=max_nodes):
-            return Resolution(pair, ResolutionAction.SP_EQUIVALENT,
-                              x_hat, y_hat, None, ())
-        action = ResolutionAction.ADD_PRESERVING
-        rule = preserving(x_hat, y_hat)
+    key = _rule_key(x_hat, y_hat, system, max_nodes)
+    if key is None:
+        action = (ResolutionAction.JOINED if x_hat == y_hat
+                  else ResolutionAction.SP_EQUIVALENT)
+        return Resolution(pair, action, x_hat, y_hat, None, ())
+    lhs, rhs = key
+    if len(lhs) == len(rhs):
+        action, rule = ResolutionAction.ADD_PRESERVING, preserving(lhs, rhs)
     else:
-        action = ResolutionAction.ADD_REDUCING
-        if len(x_hat) > len(y_hat):
-            rule = reducing(x_hat, y_hat)
-        else:
-            rule = reducing(y_hat, x_hat)
+        action, rule = ResolutionAction.ADD_REDUCING, reducing(lhs, rhs)
     return Resolution(pair, action, x_hat, y_hat, rule, _chain(pair, system))
 
 
@@ -185,29 +209,22 @@ def kb_complete(system: RewriteSystem,
 
     for index in range(1, max_phases + 1):
         fresh = critical_pairs(current, include_same_rule_overlaps, _new=new)
-        added: List[Rule] = []
-        # resolve_pair returns no rule of the system: a reducing lhs is a
-        # normal form, a preserving rule joins two inequivalent ones
+        # a kept key is filed with its mirror: a preserving rule's mirror
+        # is the same equation, and a reducing key's is never a key
         added_keys: Set[Tuple[Word, Word]] = set()
-        n_red = n_pres = 0
+        kept: List[Resolution] = []
         for pair in fresh:
-            res = resolve_pair(pair, current, max_nodes=max_nodes)
-            rule = res.rule
-            if rule is None:
-                continue
-            key = (rule.lhs, rule.rhs)
-            mirror_key = ((rule.rhs, rule.lhs)
-                          if rule.kind is RuleKind.PRESERVING else None)
-            if key in added_keys or mirror_key in added_keys:
+            key = _rule_key(_normal_form(pair.x, current),
+                            _normal_form(pair.y, current), current, max_nodes)
+            if key is None or key in added_keys:
                 continue
             added_keys.add(key)
-            if mirror_key is not None:
-                added_keys.add(mirror_key)
-                n_pres += 1
-            else:
-                n_red += 1
-            added.append(rule)
-            certificates.append(res)
+            added_keys.add(key[::-1])
+            kept.append(resolve_pair(pair, current, max_nodes=max_nodes))
+        certificates += kept
+        added = [res.rule for res in kept]
+        n_pres = sum(res.action is ResolutionAction.ADD_PRESERVING for res in kept)
+        n_red = len(kept) - n_pres
         if added:
             extended = current.with_rules(added)
             new = set(extended.rules).difference(current.rules)

@@ -11,7 +11,11 @@ is one transition, whatever the number of rules, and a contraction
 pops its states with its letters; the reduction is linear in |w| for a
 fixed system (Book's algorithm for length-reducing systems).
 reduce_lr_trace runs the same loop and also records the word before
-each contraction.
+each contraction.  The two public entry points turn the word into a
+tuple and reject a symbol outside the system's alphabet; the loop
+itself, _reduce_lr, checks nothing, so completion's memo of normal
+forms calls it directly on the sides of critical pairs, which are built
+from the system's own rules.
 
 The closures (dehn_wp here, the descendant and preserving-class
 searches in ``confluence``, and the interleave search in ``pregroup``)
@@ -93,6 +97,8 @@ def successors(word: Word, system: RewriteSystem) -> Tuple[Word, ...]:
 
 def reduce_lr(word: Word, system: RewriteSystem) -> Word:
     """Reduce with S_R only, leftmost reduction point, first rule wins."""
+    word = tuple(word)
+    system._check_symbols(word)
     return _reduce_lr(word, system, None)
 
 
@@ -105,6 +111,8 @@ def reduce_lr_trace(word: Word, system: RewriteSystem):
     earliest end position of any reducing match; ties between rules
     ending there go to system rule order.
     """
+    word = tuple(word)
+    system._check_symbols(word)
     steps: list = []
     return _reduce_lr(word, system, steps), steps
 
@@ -120,10 +128,9 @@ def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word
     lhs ends at x, and since u is irreducible a match can only end at x,
     so it ends earliest in the word.  A contraction pops |lhs| - 1
     letters and states and pushes the rhs back onto pending.  With a
-    steps list, each contraction appends (word_before, pos, rule).
+    steps list, each contraction appends (word_before, pos, rule).  word
+    is a tuple over the system's alphabet; it is not checked here.
     """
-    word = tuple(word)
-    system._check_symbols(word)
     delta, first = system._automaton
     u: List[int] = []
     append = u.append

@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import pytest
@@ -25,6 +26,40 @@ def sub_system(system, rules):
     ones), with its alphabet and its sp_symmetric."""
     return RewriteSystem(system.alphabet, rules,
                          symmetrize=system.sp_symmetric)
+
+
+class CountingRow(list):
+    """An automaton row that counts the transitions read from it, and
+    fails the test once they pass CountingRow.limit."""
+
+    reads = 0
+    limit = math.inf
+
+    def __getitem__(self, x):
+        CountingRow.reads += 1
+        if CountingRow.reads > CountingRow.limit:
+            raise AssertionError(f"more than {CountingRow.limit} transitions")
+        return list.__getitem__(self, x)
+
+
+def counting(system):
+    """system with its reducer's automaton rows replaced by counting ones."""
+    delta, first = system._automaton
+    system._automaton = type(system._automaton)(
+        tuple(CountingRow(row) for row in delta), first)
+    return system
+
+
+def transitions(reduce, word, system, limit=math.inf):
+    """(automaton transitions read, result) of reduce(word, system), for a
+    system with counting rows; a read past limit fails at once, so a
+    superlinear reducer is stopped early."""
+    CountingRow.reads, CountingRow.limit = 0, limit
+    try:
+        result = reduce(word, system)
+    finally:
+        CountingRow.limit = math.inf
+    return CountingRow.reads, result
 
 
 @st.composite

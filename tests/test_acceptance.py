@@ -20,9 +20,11 @@ from geothue.pregroup import (check_axioms, interleave_equivalent,
                               reduce_random_seq, table_isomorphic,
                               universal_system, universal_system_prime, up_wp)
 from geothue.rewriting import apply_rule, reduce_lr
+from geothue.systems import load_system
 from geothue.triangular import pregroup_from_system, reducing_part
 from geothue.weights import WeightStatus, is_weight_reducing, weight_assignment
 from geothue.words import Alphabet
+from tests.conftest import counting, fixture_path, transitions
 
 
 def _ok(tag: str, detail: str) -> None:
@@ -257,6 +259,15 @@ def test_10_reference_oracle_cross_validation(
 
 
 def test_11_leftmost_reducer_scales_linearly(free_ab):
+    # first a count, so that a superlinear reducer fails at once rather
+    # than after the timed rounds: free_ab's rules all have an empty rhs,
+    # so no contraction puts letters back and each letter is read once;
+    # a transition past len(word) fails the test
+    counted = counting(load_system(fixture_path("free_ab.rws")))
+    assert not any(rule.rhs for rule in counted.reducing)
+    word = tuple(random.Random(1104).choices(range(len(free_ab.alphabet)),
+                                             k=2 * 10 ** 4))
+    transitions(reduce_lr, word, counted, limit=len(word))
     # the fastest of five interleaved runs per size: a run is only ever
     # slowed by the rest of the machine, so the minimum is the least noisy
     rng = random.Random(1101)

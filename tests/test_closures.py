@@ -12,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from geothue import builders, confluence
 from geothue.completion import kb_complete, resolve_pair
-from geothue.confluence import (check_geodesically_perfect, critical_pairs,
-                                descendant_closure, geodesics_of,
+from geothue.confluence import (CriticalPair, check_geodesically_perfect,
+                                critical_pairs, descendant_closure, geodesics_of,
                                 preperfect_wp, sp_equivalent)
 from geothue.errors import (DEFAULT_MAX_NODES, AlphabetError,
                             PreconditionError, ResourceLimitError)
 from geothue.oracle import class_closure, oracle_geodesics, oracle_wp
 from geothue.pregroup import interleave_equivalent, universal_system
-from geothue.rewriting import dehn_wp, is_irreducible, successors
+from geothue.rewriting import (dehn_wp, is_irreducible, reduce_lr_trace,
+                               successors)
 from geothue.systems import (RewriteSystem, load_system, preserving,
                              reducing)
 from geothue.words import Alphabet
@@ -344,6 +345,11 @@ ENTRY_POINTS = {
     "class_closure": lambda S: class_closure(OUTSIDE, S),
     "oracle_wp": lambda S: oracle_wp(OUTSIDE, (98,), S),
     "oracle_geodesics": lambda S: oracle_geodesics(OUTSIDE, S),
+    "reduce_lr_trace": lambda S: reduce_lr_trace(OUTSIDE, S),
+    "resolve_pair": lambda S: resolve_pair(
+        CriticalPair(OUTSIDE, OUTSIDE, (0,), S.rules[0], S.rules[0], 0, 0), S),
+    "resolve_pair of y": lambda S: resolve_pair(
+        CriticalPair(OUTSIDE, (0,), OUTSIDE, S.rules[0], S.rules[0], 0, 0), S),
 }
 
 

@@ -1,12 +1,20 @@
-import pytest
+from collections import Counter
 
-from geothue.completion import (DEFAULT_MAX_PHASES, CompletionStatus,
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from geothue import completion
+from geothue.builders import CommutationGraph, build_graph_group
+from geothue.completion import (DEFAULT_MAX_PHASES, DEFAULT_MAX_RULES,
+                                CompletionResult, CompletionStatus, PhaseStats,
                                 ResolutionAction, kb_complete, resolve_pair)
 from geothue.confluence import check_geodesically_perfect, critical_pairs
-from geothue.errors import PreconditionError
+from geothue.errors import (DEFAULT_MAX_NODES, PreconditionError,
+                            ResourceLimitError)
 from geothue.oracle import class_partition
 from geothue.rewriting import successors
-from geothue.systems import RuleKind, parse_system
+from geothue.systems import RewriteSystem, RuleKind, load_system, parse_system
+from tests.conftest import FIXTURES, overlapping_system
 
 
 def test_z2z2_group_completes(z2z2_group):
@@ -134,3 +142,127 @@ def test_phase_pair_profiles(z2_graph, gpex, z2z2_group):
     assert profile(gpex, max_phases=6, include_same_rule_overlaps=True) == \
         [2, 2, 10, 14, 18, 22]
     assert profile(z2z2_group) == [16, 12, 12]
+
+
+def _resolve_every_pair(system, max_phases, include_same_rule_overlaps=False,
+                        max_nodes=DEFAULT_MAX_NODES):
+    """kb_complete as it was before it classified pairs by key:
+    resolve_pair on every fresh pair, the first pair of each rule key and
+    mirror key kept, with its Resolution as the certificate."""
+    current, new, phases, certificates = system, None, [], []
+    for index in range(1, max_phases + 1):
+        fresh = critical_pairs(current, include_same_rule_overlaps, _new=new)
+        added, added_keys = [], set()
+        n_red = n_pres = 0
+        for pair in fresh:
+            res = completion.resolve_pair(pair, current, max_nodes=max_nodes)
+            rule = res.rule
+            if rule is None:
+                continue
+            key = (rule.lhs, rule.rhs)
+            mirror_key = ((rule.rhs, rule.lhs)
+                          if rule.kind is RuleKind.PRESERVING else None)
+            if key in added_keys or mirror_key in added_keys:
+                continue
+            added_keys.add(key)
+            if mirror_key is not None:
+                added_keys.add(mirror_key)
+                n_pres += 1
+            else:
+                n_red += 1
+            added.append(rule)
+            certificates.append(res)
+        if added:
+            extended = current.with_rules(added)
+            new = set(extended.rules).difference(current.rules)
+            current = extended
+        phases.append(PhaseStats(index, len(fresh), n_red, n_pres,
+                                 len(current.rules)))
+        status = (CompletionStatus.COMPLETED if not added
+                  else CompletionStatus.RULE_LIMIT
+                  if len(current.rules) > DEFAULT_MAX_RULES else None)
+        if status is not None:
+            break
+    else:
+        status = CompletionStatus.PHASE_LIMIT
+    return CompletionResult(current, status, tuple(phases), tuple(certificates))
+
+
+def _completion(complete, S, same_rule, max_phases, max_nodes):
+    """The result's dict and final system, or the text and cap of the
+    budget error, on a fresh copy of S."""
+    try:
+        res = complete(RewriteSystem(S.alphabet, S.rules), max_phases=max_phases,
+                       include_same_rule_overlaps=same_rule, max_nodes=max_nodes)
+    except ResourceLimitError as err:
+        return str(err), err.cap
+    return res.to_dict(), res.system
+
+
+FIXTURE_SYSTEMS = {path.stem: load_system(path)
+                   for path in sorted(FIXTURES.glob("*.rws"))}
+PATH_ABC = build_graph_group(CommutationGraph(("a", "b", "c"),
+                                              (("a", "b"), ("b", "c"))))
+SQUARE_ABCD = build_graph_group(CommutationGraph(
+    ("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"))))
+
+# the pairs of a a give b <-> a, then its mirror, whose sp_equivalent
+# query starts from a and meets a's class {a, c} over a budget of 1: a
+# phase that skipped the query for a key it already keeps would not raise
+REPEATED_KEY = parse_system("alphabet a b c\nrule a a -> b\nrule a a -> a\n"
+                            "rule a <-> c\n")
+
+
+# budgets are never None, the default: a drawn system with long
+# preserving rules can close classes of 2^17 words under it
+@settings(max_examples=200, deadline=None)
+@given(overlapping_system(with_preserving=True), st.booleans(),
+       st.integers(1, 3), st.sampled_from((1, 2, 3, 5, 50)))
+@example(FIXTURE_SYSTEMS["free_ab"], False, 3, 50)
+@example(FIXTURE_SYSTEMS["geoper_S"], False, 3, 50)
+@example(FIXTURE_SYSTEMS["geoper_S"], True, 3, 1)
+@example(FIXTURE_SYSTEMS["geoper_T"], False, 3, 50)
+@example(FIXTURE_SYSTEMS["geoper_T"], True, 2, 2)
+@example(FIXTURE_SYSTEMS["gpex"], True, 3, 50)
+@example(FIXTURE_SYSTEMS["tits_d3"], False, 3, 50)
+@example(FIXTURE_SYSTEMS["tits_d3"], True, 3, 3)
+@example(FIXTURE_SYSTEMS["z2_graph"], False, 3, 50)
+@example(FIXTURE_SYSTEMS["z2z2"], True, 3, 50)
+@example(FIXTURE_SYSTEMS["z2z2_group"], False, 3, 50)
+@example(FIXTURE_SYSTEMS["z2z2_group"], True, 3, 1)
+@example(PATH_ABC, False, 3, 50)
+@example(SQUARE_ABCD, True, 2, 5)
+@example(REPEATED_KEY, False, 1, 1)
+def test_completion_matches_its_resolve_every_pair_twin(S, same_rule,
+                                                         max_phases, max_nodes):
+    assert _completion(kb_complete, S, same_rule, max_phases, max_nodes) == \
+        _completion(_resolve_every_pair, S, same_rule, max_phases, max_nodes)
+
+
+def test_only_the_kept_rules_are_resolved_and_traced(z2_graph, monkeypatch):
+    # deterministic companion of the twin: one resolve_pair and two
+    # traced reductions per certificate, where the twin resolves every
+    # fresh pair and traces every pair that adds a rule
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(completion, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(completion, name, counted)
+
+    count("resolve_pair")
+    count("reduce_lr_trace")
+    res = kb_complete(RewriteSystem(z2_graph.alphabet, z2_graph.rules),
+                      max_phases=5)
+    kept = len(res.certificates)
+    assert calls == {"resolve_pair": kept, "reduce_lr_trace": 2 * kept}
+    calls.clear()
+    twin = _resolve_every_pair(RewriteSystem(z2_graph.alphabet, z2_graph.rules), 5)
+    assert twin.to_dict() == res.to_dict()
+    # 1,112 fresh pairs, of which 80 add one of the 40 kept rules
+    assert (kept, sum(p.new_pairs for p in res.phases)) == (40, 1112)
+    assert calls == {"resolve_pair": 1112, "reduce_lr_trace": 2 * 80}

@@ -12,7 +12,8 @@ from geothue.rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                                successors, thue_resolution)
 from geothue.systems import RewriteSystem, RuleKind, load_system, reducing
 from geothue.words import Alphabet
-from tests.conftest import FIXTURES, overlapping_system, sub_system, words_of
+from tests.conftest import (FIXTURES, counting, overlapping_system,
+                            sub_system, transitions, words_of)
 
 
 def test_apply_rule_at_position():
@@ -187,30 +188,6 @@ def test_reduce_rejects_foreign_symbols(z2z2):
         reduce_lr((0, 9), z2z2)
 
 
-class _CountingRow(list):
-    """An automaton row that counts the transitions read from it."""
-
-    reads = 0
-
-    def __getitem__(self, x):
-        _CountingRow.reads += 1
-        return list.__getitem__(self, x)
-
-
-def _counting(system):
-    """system with its reducer's automaton rows replaced by counting ones."""
-    delta, first = system._automaton
-    system._automaton = type(system._automaton)(
-        tuple(_CountingRow(row) for row in delta), first)
-    return system
-
-
-def _transitions(reduce, word, system):
-    _CountingRow.reads = 0
-    result = reduce(word, system)
-    return _CountingRow.reads, result
-
-
 def _inverse_letters(system, P=None):
     """Each letter's inverse: the system's pairing, or the pregroup's."""
     if P is None:
@@ -233,8 +210,8 @@ def counted_systems(hnn_pregroup):
     automata, each with its letters' inverses."""
     free = load_system(FIXTURES / "free_ab.rws")
     universal = universal_system(hnn_pregroup)
-    return [(_counting(free), _inverse_letters(free)),
-            (_counting(universal), _inverse_letters(universal, hnn_pregroup))]
+    return [(counting(free), _inverse_letters(free)),
+            (counting(universal), _inverse_letters(universal, hnn_pregroup))]
 
 
 def test_reduce_lr_makes_one_transition_per_letter_read(counted_systems):
@@ -246,8 +223,8 @@ def test_reduce_lr_makes_one_transition_per_letter_read(counted_systems):
         for word in _long_words(inverse, 3000, rng):
             final, steps = reduce_lr_trace(word, system)
             expected = len(word) + sum(len(rule.rhs) for _, _, rule in steps)
-            assert _transitions(reduce_lr, word, system) == (expected, final)
-            assert _transitions(reduce_lr_trace, word, system)[0] == expected
+            assert transitions(reduce_lr, word, system) == (expected, final)
+            assert transitions(reduce_lr_trace, word, system)[0] == expected
 
 
 def test_reduce_lr_transitions_are_linear_on_long_words(counted_systems):
@@ -257,5 +234,5 @@ def test_reduce_lr_transitions_are_linear_on_long_words(counted_systems):
     for system, inverse in counted_systems:
         longest_rhs = max(len(rule.rhs) for rule in system.reducing)
         for word in _long_words(inverse, 10 ** 5, rng):
-            reads, _ = _transitions(reduce_lr, word, system)
+            reads, _ = transitions(reduce_lr, word, system)
             assert len(word) <= reads <= (1 + longest_rhs) * len(word)
