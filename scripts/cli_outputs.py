@@ -9,11 +9,13 @@ though no pair needs it and on a copy of each failing .rws fixture with
 its rule lines in reverse order (so the witness is pinned to the order
 of the pairs whatever order the check walks them in), 6- and 12-phase
 completion with certificates (and 16-phase on z2_graph and geoper_S, and
-3-phase on the graph groups of a path and a square, built by build graph),
-completion under node caps that one target search meets and one it
-exceeds, critical pairs with and without --same-rule-overlaps, seeded
-samples of wp, geodesics, dehn-wp and reduce queries, and one long
-reduce word per fixture, all at default caps and in JSON; then at least
+3-phase on the graph groups of a path and a square, built by build
+graph), 6-phase completion with certificates and --same-rule-overlaps
+on every .rws fixture, completion under node caps that one target
+search meets and one it exceeds, critical pairs with and without
+--same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp and
+reduce queries, and one long reduce word per fixture, all at default
+caps and in JSON; then at least
 one run of every subcommand in JSON and in the human format, the build
 subcommands from the fixture group and map files and from --example,
 malformed input files (an unknown directive in every format; a
@@ -251,6 +253,8 @@ def invocations(tmp: pathlib.Path, seed: int):
         for phases in ("6", "12"):
             yield ["complete", str(path), "--certificates", "--format", "json",
                    "--max-phases", phases]
+        yield ["complete", str(path), "--same-rule-overlaps", "--certificates",
+               "--format", "json", "--max-phases", "6"]
         yield ["critical-pairs", str(path), "--format", "json"]
         yield ["critical-pairs", str(path), "--same-rule-overlaps", "--format", "json"]
     for name in ("z2_graph.rws", "geoper_S.rws"):

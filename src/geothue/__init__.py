@@ -40,9 +40,8 @@ from .pregroup import (AxiomCheck, AxiomReport, Pregroup, check_axioms,
                        load_pregroup, p_reduce, parse_pregroup,
                        reduce_random_seq, save_pregroup, table_isomorphic,
                        universal_system, universal_system_prime, up_wp)
-from .triangular import (LetterClasses, TriangularClassification,
-                         TriangularKind, classify_triangular, letter_classes,
-                         pregroup_from_system, reducing_part)
+from .triangular import (LetterClasses, TriangularKind, classify_triangular,
+                         letter_classes, pregroup_from_system, reducing_part)
 from .groups import (FiniteGroup, GroupIso, SubgroupEmbedding, coset_decompose,
                      cyclic_group, format_group, format_map, parse_group,
                      parse_map, save_group, symmetric_group, transversal)

@@ -17,23 +17,23 @@ contributes nothing new; the result need not be finite in general, so
 both a phase budget and a rule budget apply.
 
 A pair is classified by the key (lhs, rhs) of the rule it would add, or
-none: both sides are reduced with the reducer's loop, memoised on the
-phase's system, and, when the normal forms differ but have one length,
+none: both sides are reduced with the reducer's loop, each distinct side
+once per phase, and, when the normal forms differ but have one length,
 sp_equivalent is asked, which reads the system's preserving classes,
 handed on by with_rules while the preserving rules stay the same.  A
 phase classifies every fresh pair, in order, and keeps a rule only when
 the phase holds neither its key nor, for a preserving rule, the mirror
-key; only a kept pair is passed to resolve_pair, which classifies it
-again, builds its Rule and traces its certificate chain with
-reduce_lr_trace.  So a pair whose rule the phase already holds is never
-traced.
+key; only a kept pair is passed to resolve_pair, which reduces both
+sides with reduce_lr_trace and reads the normal forms, the key and the
+certificate chain off those two traces.  So a pair whose rule the phase
+already holds is never traced.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
 from .errors import DEFAULT_MAX_NODES, PreconditionError
@@ -82,25 +82,6 @@ class Resolution:
         }
 
 
-def _chain(pair: CriticalPair, system: RewriteSystem) -> Tuple[Word, ...]:
-    """The certificate of a pair: x's reduction reversed, z, y's reduction."""
-    sides = []
-    for side in (pair.x, pair.y):
-        final, steps = reduce_lr_trace(side, system)
-        sides.append(tuple(before for before, _pos, _rule in steps) + (final,))
-    return sides[0][::-1] + (pair.z,) + sides[1]
-
-
-def _normal_form(w: Word, system: RewriteSystem) -> Word:
-    """reduce_lr(w, system), read from or added to the system's memo; w
-    is a word over the system's alphabet, not checked again here."""
-    memo = system._reduce_lr_memo
-    got = memo.get(w)
-    if got is None:
-        got = memo[w] = _reduce_lr(w, system, None)
-    return got
-
-
 def _rule_key(x_hat: Word, y_hat: Word, system: RewriteSystem,
               max_nodes: int) -> Optional[Tuple[Word, Word]]:
     """(lhs, rhs) of the rule that a pair with normal forms x_hat and
@@ -122,17 +103,14 @@ def _rule_key(x_hat: Word, y_hat: Word, system: RewriteSystem,
 
 def resolve_pair(pair: CriticalPair, system: RewriteSystem,
                  max_nodes: int = DEFAULT_MAX_NODES) -> Resolution:
-    """Classify the pair by the rule it adds (_rule_key) and, for a pair
-    that adds one, trace its chain.  The normal forms are memoised on
-    the system, so the pairs of one completion phase share them;
-    kb_complete passes only the pairs whose rule it keeps.  max_nodes is
-    sp_equivalent's budget.
+    """Reduce both sides with reduce_lr_trace, classify the pair by the
+    rule its normal forms add (_rule_key) and, for a pair that adds one,
+    read its chain off the same two traces.  kb_complete passes only the
+    pairs whose rule it keeps.  max_nodes is sp_equivalent's budget.
     """
     _check_budget(max_nodes)
-    system._check_symbols(pair.x)
-    system._check_symbols(pair.y)
-    x_hat = _normal_form(pair.x, system)
-    y_hat = _normal_form(pair.y, system)
+    x_hat, x_steps = reduce_lr_trace(pair.x, system)
+    y_hat, y_steps = reduce_lr_trace(pair.y, system)
     key = _rule_key(x_hat, y_hat, system, max_nodes)
     if key is None:
         action = (ResolutionAction.JOINED if x_hat == y_hat
@@ -143,7 +121,11 @@ def resolve_pair(pair: CriticalPair, system: RewriteSystem,
         action, rule = ResolutionAction.ADD_PRESERVING, preserving(lhs, rhs)
     else:
         action, rule = ResolutionAction.ADD_REDUCING, reducing(lhs, rhs)
-    return Resolution(pair, action, x_hat, y_hat, rule, _chain(pair, system))
+    # x's reduction reversed, z, y's reduction
+    down_x = [before for before, _pos, _rule in x_steps] + [x_hat]
+    down_y = [before for before, _pos, _rule in y_steps] + [y_hat]
+    chain = tuple(down_x[::-1]) + (pair.z,) + tuple(down_y)
+    return Resolution(pair, action, x_hat, y_hat, rule, chain)
 
 
 class CompletionStatus(enum.Enum):
@@ -213,9 +195,13 @@ def kb_complete(system: RewriteSystem,
         # is the same equation, and a reducing key's is never a key
         added_keys: Set[Tuple[Word, Word]] = set()
         kept: List[Resolution] = []
+        normal_forms: Dict[Word, Word] = {}
         for pair in fresh:
-            key = _rule_key(_normal_form(pair.x, current),
-                            _normal_form(pair.y, current), current, max_nodes)
+            for side in (pair.x, pair.y):
+                if side not in normal_forms:
+                    normal_forms[side] = _reduce_lr(side, current, None)
+            key = _rule_key(normal_forms[pair.x], normal_forms[pair.y],
+                            current, max_nodes)
             if key is None or key in added_keys:
                 continue
             added_keys.add(key)

@@ -13,9 +13,9 @@ fixed system (Book's algorithm for length-reducing systems).
 reduce_lr_trace runs the same loop and also records the word before
 each contraction.  The two public entry points turn the word into a
 tuple and reject a symbol outside the system's alphabet; the loop
-itself, _reduce_lr, checks nothing, so completion's memo of normal
-forms calls it directly on the sides of critical pairs, which are built
-from the system's own rules.
+itself, _reduce_lr, checks nothing, so completion calls it directly,
+once per distinct side in a phase, on the sides of critical pairs,
+which are built from the system's own rules.
 
 The closures (dehn_wp here, the descendant and preserving-class
 searches in ``confluence``, and the interleave search in ``pregroup``)

@@ -192,11 +192,6 @@ class RewriteSystem:
         filled by confluence._sp_class and handed on by with_rules."""
         return {}, {}
 
-    @cached_property
-    def _reduce_lr_memo(self) -> Dict[Word, Word]:
-        """Normal forms under reduce_lr; filled by completion._normal_form."""
-        return {}
-
     def _check_symbols(self, word: Word) -> None:
         """Reject a word with a symbol outside this system's alphabet."""
         if not self._symbols.issuperset(word):

@@ -29,31 +29,21 @@ class TriangularKind(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass
-class TriangularClassification:
-    kind: TriangularKind
-    trivial_rules: Tuple[Rule, ...]
-
-
-def classify_triangular(system: RewriteSystem) -> TriangularClassification:
-    trivial: List[Rule] = []
-    shape_ok = True
+def classify_triangular(system: RewriteSystem) -> TriangularKind:
+    """TRIANGULAR when every rule rewrites two letters to at most one,
+    ALMOST_TRIANGULAR when some rule erases one letter instead and every
+    other rule is of the first shape, and NEITHER otherwise."""
+    trivial = False
     for rule in system.rules:
         if len(rule.lhs) == 2 and len(rule.rhs) <= 1:
             continue
         if len(rule.lhs) == 1 and len(rule.rhs) == 0:
-            trivial.append(rule)
+            trivial = True
             continue
-        shape_ok = False
-        break
-    if not shape_ok:
-        kind = TriangularKind.NEITHER
-        trivial = []
-    elif trivial:
-        kind = TriangularKind.ALMOST_TRIANGULAR
-    else:
-        kind = TriangularKind.TRIANGULAR
-    return TriangularClassification(kind, tuple(trivial))
+        return TriangularKind.NEITHER
+    if trivial:
+        return TriangularKind.ALMOST_TRIANGULAR
+    return TriangularKind.TRIANGULAR
 
 
 def reducing_part(system: RewriteSystem) -> RewriteSystem:
@@ -156,8 +146,7 @@ def pregroup_from_system(system: RewriteSystem) -> Pregroup:
     the pregroup conditions.  Any violation raises, as evidence the
     input was not a geodesic triangular system.
     """
-    cls = classify_triangular(system)
-    if cls.kind is TriangularKind.NEITHER:
+    if classify_triangular(system) is TriangularKind.NEITHER:
         raise PreconditionError("system is not triangular or almost triangular")
     if not system.is_group_system:
         raise PreconditionError("pregroup construction requires a group system")

@@ -7,13 +7,17 @@ from geothue import completion
 from geothue.builders import CommutationGraph, build_graph_group
 from geothue.completion import (DEFAULT_MAX_PHASES, DEFAULT_MAX_RULES,
                                 CompletionResult, CompletionStatus, PhaseStats,
-                                ResolutionAction, kb_complete, resolve_pair)
-from geothue.confluence import check_geodesically_perfect, critical_pairs
+                                Resolution, ResolutionAction, kb_complete,
+                                resolve_pair)
+from geothue.confluence import (check_geodesically_perfect, critical_pairs,
+                                sp_equivalent)
 from geothue.errors import (DEFAULT_MAX_NODES, PreconditionError,
                             ResourceLimitError)
 from geothue.oracle import class_partition
-from geothue.rewriting import successors
-from geothue.systems import RewriteSystem, RuleKind, load_system, parse_system
+from geothue.rewriting import (_check_budget, reduce_lr, reduce_lr_trace,
+                               successors)
+from geothue.systems import (RewriteSystem, RuleKind, load_system,
+                             parse_system, preserving, reducing)
 from tests.conftest import FIXTURES, overlapping_system
 
 
@@ -241,8 +245,8 @@ def test_completion_matches_its_resolve_every_pair_twin(S, same_rule,
 
 def test_only_the_kept_rules_are_resolved_and_traced(z2_graph, monkeypatch):
     # deterministic companion of the twin: one resolve_pair and two
-    # traced reductions per certificate, where the twin resolves every
-    # fresh pair and traces every pair that adds a rule
+    # traced reductions per certificate, where the twin resolves, and so
+    # traces, every fresh pair
     calls = Counter()
 
     def count(name):
@@ -263,6 +267,93 @@ def test_only_the_kept_rules_are_resolved_and_traced(z2_graph, monkeypatch):
     calls.clear()
     twin = _resolve_every_pair(RewriteSystem(z2_graph.alphabet, z2_graph.rules), 5)
     assert twin.to_dict() == res.to_dict()
-    # 1,112 fresh pairs, of which 80 add one of the 40 kept rules
+    # 1,112 fresh pairs, each resolved on both of its sides
     assert (kept, sum(p.new_pairs for p in res.phases)) == (40, 1112)
-    assert calls == {"resolve_pair": 1112, "reduce_lr_trace": 2 * 80}
+    assert calls == {"resolve_pair": 1112, "reduce_lr_trace": 2 * 1112}
+
+
+def test_a_phase_reduces_each_distinct_side_once(z2_graph, monkeypatch):
+    reduced, phases = [], []
+    reduce_loop = completion._reduce_lr
+    enumerate_pairs = completion.critical_pairs
+
+    def recorded_reduce(word, system, steps):
+        reduced.append((id(system), word))
+        return reduce_loop(word, system, steps)
+
+    def recorded_pairs(system, *args, **kwargs):
+        # the system is kept, so no later phase's system can take its id
+        pairs = enumerate_pairs(system, *args, **kwargs)
+        phases.append((system, pairs))
+        return pairs
+
+    monkeypatch.setattr(completion, "_reduce_lr", recorded_reduce)
+    monkeypatch.setattr(completion, "critical_pairs", recorded_pairs)
+    kb_complete(RewriteSystem(z2_graph.alphabet, z2_graph.rules), max_phases=5)
+    assert len(phases) == 5
+    assert len(reduced) == len(set(reduced))
+    words_of = {id(system): set() for system, _pairs in phases}
+    for system_id, word in reduced:
+        words_of[system_id].add(word)
+    assert words_of == {id(system): {side for pair in pairs
+                                     for side in (pair.x, pair.y)}
+                        for system, pairs in phases}
+
+
+def _resolve_pair_twin(pair, system, max_nodes=DEFAULT_MAX_NODES):
+    """resolve_pair as it was before it read its normal forms off its
+    traces: the symbols checked first, the normal forms from reduce_lr,
+    its own branches, and a chain from two more traced reductions."""
+    _check_budget(max_nodes)
+    system._check_symbols(pair.x)
+    system._check_symbols(pair.y)
+    x_hat = reduce_lr(pair.x, system)
+    y_hat = reduce_lr(pair.y, system)
+    if x_hat == y_hat:
+        return Resolution(pair, ResolutionAction.JOINED, x_hat, y_hat, None, ())
+    if len(x_hat) == len(y_hat):
+        if sp_equivalent(x_hat, y_hat, system, max_nodes=max_nodes):
+            return Resolution(pair, ResolutionAction.SP_EQUIVALENT, x_hat,
+                              y_hat, None, ())
+        action, rule = ResolutionAction.ADD_PRESERVING, preserving(x_hat, y_hat)
+    elif len(x_hat) > len(y_hat):
+        action, rule = ResolutionAction.ADD_REDUCING, reducing(x_hat, y_hat)
+    else:
+        action, rule = ResolutionAction.ADD_REDUCING, reducing(y_hat, x_hat)
+    sides = []
+    for side in (pair.x, pair.y):
+        final, steps = reduce_lr_trace(side, system)
+        sides.append(tuple(before for before, _pos, _rule in steps) + (final,))
+    chain = sides[0][::-1] + (pair.z,) + sides[1]
+    return Resolution(pair, action, x_hat, y_hat, rule, chain)
+
+
+def _resolution(resolve, pair, system, max_nodes):
+    """The Resolution, or the text and cap of the budget error."""
+    try:
+        return resolve(pair, system, max_nodes=max_nodes)
+    except ResourceLimitError as err:
+        return str(err), err.cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_system(with_preserving=True), st.booleans(),
+       st.sampled_from((1, 2, 3, 5, 50)))
+@example(FIXTURE_SYSTEMS["free_ab"], False, 50)
+@example(FIXTURE_SYSTEMS["geoper_S"], True, 1)
+@example(FIXTURE_SYSTEMS["geoper_T"], False, 1)
+@example(FIXTURE_SYSTEMS["geoper_T"], True, 50)
+@example(FIXTURE_SYSTEMS["gpex"], True, 50)
+@example(FIXTURE_SYSTEMS["tits_d3"], True, 3)
+@example(FIXTURE_SYSTEMS["z2_graph"], False, 50)
+@example(FIXTURE_SYSTEMS["z2z2"], True, 50)
+@example(FIXTURE_SYSTEMS["z2z2_group"], False, 1)
+@example(FIXTURE_SYSTEMS["z2z2_group"], True, 50)
+@example(REPEATED_KEY, True, 1)
+def test_resolve_pair_matches_its_slow_twin(S, same_rule, max_nodes):
+    # each side on its own copy, so neither reads the other's classes
+    fast = RewriteSystem(S.alphabet, S.rules)
+    slow = RewriteSystem(S.alphabet, S.rules)
+    for pair in critical_pairs(S, same_rule):
+        assert _resolution(resolve_pair, pair, fast, max_nodes) == \
+            _resolution(_resolve_pair_twin, pair, slow, max_nodes)

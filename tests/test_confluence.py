@@ -314,9 +314,12 @@ rule b <-> d
 """)
 
 
+# a budget of 1000 words, not the default, so that a drawn system with
+# long preserving rules (a class of 2^17 words) stops at once in both
+# checks rather than closing its classes in full
 @settings(max_examples=300, deadline=None)
 @given(overlapping_system(with_preserving=True), st.booleans(),
-       st.sampled_from((1, 2, 3, 5, None)))
+       st.sampled_from((1, 2, 3, 5, 1000)))
 @example(CAPPED, False, 5)
 @example(CAPPED, True, 5)
 @example(CHILD_CAPPED, False, 2)

@@ -11,10 +11,8 @@ from geothue.triangular import (TriangularKind, classify_triangular,
 
 def test_classify_triangular_free_group(free_ab):
     system = reducing_part(free_ab)
-    cls = classify_triangular(system)
-    assert cls.kind is TriangularKind.TRIANGULAR
+    assert classify_triangular(system) is TriangularKind.TRIANGULAR
     assert system.is_group_system
-    assert not cls.trivial_rules
 
 
 def test_classify_almost_triangular():
@@ -25,20 +23,17 @@ def test_classify_almost_triangular():
     rule A a -> .
     rule e -> .
     """)
-    cls = classify_triangular(sys_)
-    assert cls.kind is TriangularKind.ALMOST_TRIANGULAR
-    assert len(cls.trivial_rules) == 1
+    assert classify_triangular(sys_) is TriangularKind.ALMOST_TRIANGULAR
 
 
 def test_classify_neither_for_long_lhs(geoper_S):
-    assert classify_triangular(geoper_S).kind is TriangularKind.NEITHER
+    assert classify_triangular(geoper_S) is TriangularKind.NEITHER
 
 
 def test_sprime_reducing_part_is_triangular(amalgam_pregroup, hnn_pregroup):
     for P in (amalgam_pregroup, hnn_pregroup):
         S = reducing_part(universal_system_prime(P))
-        cls = classify_triangular(S)
-        assert cls.kind is TriangularKind.TRIANGULAR
+        assert classify_triangular(S) is TriangularKind.TRIANGULAR
         assert S.is_group_system
 
 
