@@ -5,27 +5,28 @@ Covers check-gp on every .rws fixture and on the universal systems of
 both .pg fixtures, check-gp with --same-rule-overlaps on every .rws
 fixture and on the universal systems of amalgam_z4z6.pg, check-gp in
 both overlap modes under a node cap that some preserving class exceeds
-though no pair needs it and on a copy of each failing .rws fixture with
-its rule lines in reverse order (so the witness is pinned to the order
-of the pairs whatever order the check walks them in), 6- and 12-phase
-completion with certificates (and 16-phase on z2_graph and geoper_S, and
-3-phase on the graph groups of a path and a square, built by build
-graph), 6-phase completion with certificates and --same-rule-overlaps
-on every .rws fixture, completion under node caps that one target
-search meets and one it exceeds, critical pairs with and without
---same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp and
-reduce queries, and one long reduce word per fixture, all at default
-caps and in JSON; then at least
-one run of every subcommand in JSON and in the human format, the build
-subcommands from the fixture group and map files and from --example,
-malformed input files (an unknown directive in every format; a
-misshapen line and a conflicting entry in every format; a repeated
-letter in a system; a repeated and a missing single line in a pregroup
-and a group; a pregroup element that cannot be a letter), unusable and
-unread caps, integer options below their minimum, --example with a file
-option, a closed stdout, and --help for every subcommand.  Each line is
-the sha256 of exit code, stdout, stderr and any file written, followed
-by the command.
+though no pair needs it, on a system whose descendant counts summed over
+children exceed its closures' sizes at caps of 2 to 5 nodes (below and
+above the least cap that holds), and on a copy of each failing .rws
+fixture with its rule lines in reverse order (so the witness is pinned
+to the order of the pairs whatever order the check walks them in), 6-
+and 12-phase completion with certificates (and 16-phase on z2_graph and
+geoper_S, and 3-phase on the graph groups of a path and a square, built
+by build graph), 6-phase completion with certificates and
+--same-rule-overlaps on every .rws fixture, completion under node caps
+that one target search meets and one it exceeds, critical pairs with and
+without --same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp
+and reduce queries, and one long reduce word per fixture, all at default
+caps and in JSON; then at least one run of every subcommand in JSON and
+in the human format, the build subcommands from the fixture group and
+map files and from --example, malformed input files (an unknown
+directive in every format; a misshapen line and a conflicting entry in
+every format; a repeated letter in a system; a repeated and a missing
+single line in a pregroup and a group; a pregroup element that cannot be
+a letter), unusable and unread caps, integer options below their
+minimum, --example with a file option, a closed stdout, and --help for
+every subcommand.  Each line is the sha256 of exit code, stdout, stderr
+and any file written, followed by the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -134,6 +135,9 @@ def each_subcommand(tmp: pathlib.Path):
 
 
 CAPPED_GP = "alphabet a b\nrule a b a -> a b\nrule a b <-> b a\nrule a -> .\n"
+# d d d has four reducing descendants, but a sum over its children, which
+# share d, counts six
+OVERCOUNTED_GP = "alphabet a b c d\nrule d d d -> d\nrule a -> .\nrule d -> .\n"
 
 # the .rws fixtures that fail check-gp in at least one overlap mode
 FAILING_GP = ("geoper_S", "gpex", "tits_d3", "z2_graph", "z2z2_group")
@@ -242,6 +246,12 @@ def invocations(tmp: pathlib.Path, seed: int):
     for mode in ([], ["--same-rule-overlaps"]):
         yield ["check-gp", str(capped), *mode, "--caps", "nodes=5",
                "--format", "json"]
+    overcounted = tmp / "overcounted.rws"
+    overcounted.write_text(OVERCOUNTED_GP, encoding="utf-8")
+    for mode in ([], ["--same-rule-overlaps"]):
+        for nodes in range(2, 6):
+            yield ["check-gp", str(overcounted), *mode, "--caps",
+                   f"nodes={nodes}", "--format", "json"]
     for name in FAILING_GP:
         flipped = tmp / f"{name}.reversed.rws"
         flipped.write_text(_reversed_rules(

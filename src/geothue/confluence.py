@@ -236,8 +236,7 @@ def _sp_class(w: Word, system: RewriteSystem, max_nodes: int,
             raise
         for m in got:
             classes[m] = got
-    # a closure raises only when it adds a word, so never at one word
-    elif len(got) > max_nodes and len(got) > 1:
+    elif len(got) > max_nodes:
         raise ResourceLimitError(f"{what} exceeded its node budget",
                                  cap=max_nodes)
     return got
@@ -351,22 +350,23 @@ class _Signatures:
     A word's signature is its own preserving class together with the
     signatures of its distinct reducing children, or None when one of
     these classes is over the budget; so it is the set of classes of its
-    reducing descendants.  Beside it, bound = 1 + the children's bounds
-    is at least the number of those descendants; a bound over the
-    budget is kept as max_nodes + 1, and so is the bound of a word with
-    no signature.  Each word's children are listed once per check.  A
-    side that lists more than max_nodes new words raises the error of
-    its descendant closure, which holds at least as many words.  A side
-    whose bound is over the budget is closed exactly, once, so it raises
-    where its closure raises and the pairwise test has its descendants;
-    a closure that fits makes its size the bound.
+    reducing descendants.  Each word's children are listed once per
+    check, and a word gets a signature only after all its children have
+    one, so a side with a signature has its whole descendant closure
+    among the keys of of_word.  While they number at most max_nodes, no
+    such side is over the budget; past that, and for a side with no
+    signature, side closes the word exactly, once, so it raises where
+    its closure raises and the pairwise test has its descendants.  A
+    side that lists more than max_nodes new words raises its closure's
+    error before listing them all.  So a side over the budget raises at
+    its first side call, and a memoised signature needs no check.
     """
 
     def __init__(self, system: RewriteSystem, max_nodes: int):
         self.system = system
         self.max_nodes = max_nodes
         self.steps = system._reducing_steps
-        self.of_word: Dict[Word, Tuple[Optional[_Sig], int]] = {}
+        self.of_word: Dict[Word, Optional[_Sig]] = {}
         self.desc: Dict[Word, FrozenSet[Word]] = {}
         self.shared: Dict[_Sig, _Sig] = {}  # one object per signature
 
@@ -379,19 +379,16 @@ class _Signatures:
 
     def side(self, w: Word) -> Optional[_Sig]:
         """w's signature, or None; raises where w's closure raises."""
-        sig, bound = self._word(w)
-        if bound > self.max_nodes:
-            size = len(self.descendants(w))
-            if sig is not None:
-                self.of_word[w] = (sig, size)
+        sig = self._word(w)
+        if sig is None or len(self.of_word) > self.max_nodes:
+            self.descendants(w)
         return sig
 
-    def _word(self, top: Word) -> Tuple[Optional[_Sig], int]:
-        """(signature, bound) of top, each word below it done before it."""
+    def _word(self, top: Word) -> Optional[_Sig]:
+        """The signature of top, each word below it done before it."""
         of_word = self.of_word
-        got = of_word.get(top)
-        if got is not None:
-            return got
+        if top in of_word:
+            return of_word[top]
         system, max_nodes, steps = self.system, self.max_nodes, self.steps
         shared = self.shared
         listed: Dict[Word, tuple] = {}  # class and children, until done
@@ -410,7 +407,7 @@ class _Signatures:
                     cls = _sp_class(w, system, max_nodes,
                                     "preserving-class closure")
                 except ResourceLimitError:
-                    of_word[w] = (None, max_nodes + 1)
+                    of_word[w] = None
                     todo.pop()
                     continue
                 if not left:
@@ -426,20 +423,16 @@ class _Signatures:
                     continue
             todo.pop()
             sig = {cls}
-            bound = 1
             for c in kids:
-                s, b = of_word[c]
+                s = of_word[c]
                 if s is None:
                     sig = None
                     break
                 sig.update(s)
-                bound += b
-            if sig is None:
-                of_word[w] = (None, max_nodes + 1)
-            else:
+            if sig is not None:
                 sig = frozenset(sig)
-                of_word[w] = (shared.setdefault(sig, sig),
-                              min(bound, max_nodes + 1))
+                sig = shared.setdefault(sig, sig)
+            of_word[w] = sig
         return of_word[top]
 
 
@@ -456,7 +449,9 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
     compared one by one with those of earlier groups only when an
     earlier group of the same rule1 had its (x, z, l2).
     """
-    get, side, max_nodes = sigs.of_word.get, sigs.side, sigs.max_nodes
+    # side itself marks a word with no memoised signature; a memoised
+    # one needs no budget check (_Signatures)
+    get, side = sigs.of_word.get, sigs.side
     grouped = system._group_overlaps
     checked = 0
     for r1 in system.reducing:
@@ -469,8 +464,9 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
             L2 = len(l2)
             z = l1 + l2[L1 - pos2:] if pos1 == 0 else l2 + l1[L2 - pos1:]
             x = z[:pos1] + rh1 + z[pos1 + L1:]
-            got = get(x)
-            sx = got[0] if got is not None and got[1] <= max_nodes else side(x)
+            sx = get(x, side)
+            if sx is side:
+                sx = side(x)
             if sx is None:
                 return None
             head, tail = z[:pos2], z[pos2 + L2:]
@@ -494,9 +490,9 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
                         continue
                     seen.add((y, id(r2)))
                 checked += 1
-                got = get(y)
-                sy = (got[0] if got is not None and got[1] <= max_nodes
-                      else side(y))
+                sy = get(y, side)
+                if sy is side:
+                    sy = side(y)
                 if sy is None or isdisjoint(sy):
                     return None
     return checked

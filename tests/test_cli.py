@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from geothue import builders
 from geothue.cli import main
+from geothue.confluence import check_geodesically_perfect
 from tests.conftest import fixture_path
 
 
@@ -184,6 +186,25 @@ def test_build_amalgam_from_files(capsys):
                        "--map-b", fixture_path("amalgam_b.map"))
     assert code == 0
     assert "rule s4 r3 <-> s r" in out
+
+
+def test_a_directed_system_file_reads_back_undirected(capsys, tmp_path):
+    # a system file gives every preserving rule both ways, so the file of
+    # a directed system is checked as its undirected twin, not with the
+    # 384 pairs of the library's directed system
+    reports = []
+    for flags in ((), ("--directed",)):
+        path = tmp_path / f"amalgam{''.join(flags)}.rws"
+        code, _, _ = run(capsys, "build", "amalgam", "--example", *flags,
+                         "--out", path)
+        assert code == 0
+        reports.append(run(capsys, "check-gp", path))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and "pairs_checked: 448" in reports[0][1]
+    data = builders.example_amalgam()
+    directed = builders.build_amalgam_system(data.A, data.B, data.embA,
+                                             data.embB, symmetrize=False)
+    assert check_geodesically_perfect(directed).pairs_checked == 384
 
 
 def test_build_hnn_example(capsys):

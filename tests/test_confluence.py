@@ -312,6 +312,15 @@ rule e e -> a
 rule a <-> b
 rule b <-> d
 """)
+# d d d has four reducing descendants (itself, d d, d and the empty
+# word), but its children d d and d share d, so a sum over children
+# counts six; the grouped walk meets d d d as the x of d d d -> d over
+# a copy of itself two letters on, in both overlap modes
+OVERCOUNTED = parse_system("""alphabet a b c d
+rule d d d -> d
+rule a -> .
+rule d -> .
+""")
 
 
 # a budget of 1000 words, not the default, so that a drawn system with
@@ -324,6 +333,8 @@ rule b <-> d
 @example(CAPPED, True, 5)
 @example(CHILD_CAPPED, False, 2)
 @example(CHILD_CAPPED, True, 2)
+@example(OVERCOUNTED, False, 4)
+@example(OVERCOUNTED, True, 4)
 def test_gp_check_matches_its_pairwise_twin(S, same_rule, max_nodes):
     # each check on its own copy, so neither reads the other's classes
     twin = RewriteSystem(S.alphabet, S.rules)
@@ -406,11 +417,14 @@ REPEATED_HOLDS = RewriteSystem(Alphabet("abc"), REPEATED.rules + (
 @example(CAPPED, True, 5, random.Random(0))
 @example(CHILD_CAPPED, False, 2, random.Random(0))
 @example(CHILD_CAPPED, True, 2, random.Random(0))
+@example(OVERCOUNTED, False, 4, random.Random(0))
+@example(OVERCOUNTED, True, 4, random.Random(0))
 def test_grouped_gp_check_matches_its_ordinary_order_twin(
         S, same_rule, max_nodes, rng):
     # @example systems keep their order; drawn ones get a seeded one
     rules = list(S.rules)
-    if S not in (INTERLEAVED, REPEATED, REPEATED_HOLDS, CAPPED, CHILD_CAPPED):
+    if S not in (INTERLEAVED, REPEATED, REPEATED_HOLDS, CAPPED, CHILD_CAPPED,
+                 OVERCOUNTED):
         rng.shuffle(rules)
     S = RewriteSystem(S.alphabet, rules)
     twin = RewriteSystem(S.alphabet, S.rules)
@@ -465,11 +479,9 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("same_rule, pairs", [(False, 10), (True, 12)])
-def test_capped_gp_check_holds_without_the_classes_it_skips(
-        same_rule, pairs, monkeypatch):
-    S = RewriteSystem(CAPPED.alphabet, CAPPED.rules)
-    listed = _counting(monkeypatch, "_children")
+def _closing(monkeypatch):
+    """List the start word of each descendant closure that confluence
+    runs."""
     closed = []
 
     def counted(w, steps, max_nodes, what, *args, **kwargs):
@@ -478,11 +490,21 @@ def test_capped_gp_check_holds_without_the_classes_it_skips(
         return _closure(w, steps, max_nodes, what, *args, **kwargs)
 
     monkeypatch.setattr(confluence, "_closure", counted)
+    return closed
+
+
+@pytest.mark.parametrize("same_rule, pairs", [(False, 10), (True, 12)])
+def test_capped_gp_check_holds_without_the_classes_it_skips(
+        same_rule, pairs, monkeypatch):
+    S = RewriteSystem(CAPPED.alphabet, CAPPED.rules)
+    listed = _counting(monkeypatch, "_children")
+    closed = _closing(monkeypatch)
     v = check_geodesically_perfect(S, same_rule, max_nodes=5)
     monkeypatch.undo()
     assert v.holds and v.pairs_checked == pairs
     # each word's children are listed once, and a side is closed exactly
-    # at most once, for a bound over the budget or the pairwise test
+    # at most once, once the check has listed more than max_nodes words
+    # or for the pairwise test
     sides = {w for cp in iter_critical_pairs(S, same_rule) for w in (cp.x, cp.y)}
     assert max(Counter(listed).values()) == 1
     assert set(listed) <= {d for w in sides for d in descendant_closure(
@@ -510,3 +532,24 @@ def test_gp_check_walks_groups_and_lists_each_descendant_once(
     union = set().union(*(descendant_closure(w, sub_system(S, S.reducing))
                           for w in sides))
     assert len(listed) == len(set(listed)) == len(union)
+
+
+@pytest.mark.parametrize("same_rule, pairs, fits", [(False, 2, 3), (True, 4, 4)])
+def test_a_side_is_closed_only_when_the_check_may_exceed_the_budget(
+        same_rule, pairs, fits, monkeypatch):
+    closed = _closing(monkeypatch)
+
+    def check(max_nodes):
+        S = RewriteSystem(OVERCOUNTED.alphabet, OVERCOUNTED.rules)
+        return check_geodesically_perfect(S, same_rule, max_nodes=max_nodes)
+
+    # every side has a signature, and at most four words are listed
+    for max_nodes in (4, 5):
+        closed.clear()
+        assert check(max_nodes) == GpVerdict(True, pairs, None)
+        assert closed == []
+    with pytest.raises(ResourceLimitError,
+                       match="descendant closure exceeded its node budget") as err:
+        check(fits - 1)
+    assert err.value.cap == fits - 1
+    assert check(fits) == GpVerdict(True, pairs, None)

@@ -404,3 +404,30 @@ def test_up_wp_decides_long_hnn_s3_pairs(hnn_pregroup):
         # unreduced spellings of the same elements: a split and a cancelling pair
         a = u[0]
         assert up_wp([P.eps, a, P.inv[a]] + u + [P.eps], v, P)
+
+
+class _CountedTable(dict):
+    """A product table that counts its lookups by get."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
+def test_up_wp_makes_at_most_six_lookups_per_element(n, hnn_pregroup,
+                                                     monkeypatch):
+    # p_reduce makes at most two per element of each input (one that
+    # contracts and one that stops), and the carry pass two per position
+    P = hnn_pregroup
+    rng = random.Random(n)
+    u = _random_reduced(P, rng, n)
+    v = _slid(P, u, rng, n)
+    w = _swapped(P, v, rng)
+    for other, equal in ((v, True), (w, False)):
+        table = _CountedTable(P.mult)
+        monkeypatch.setattr(P, "mult", table)
+        assert up_wp(u, other, P) is equal
+        assert table.lookups <= 6 * n
