@@ -7,7 +7,10 @@ fixture and on the universal systems of amalgam_z4z6.pg, check-gp in
 both overlap modes under a node cap that some preserving class exceeds
 though no pair needs it, on a system whose descendant counts summed over
 children exceed its closures' sizes at caps of 2 to 5 nodes (below and
-above the least cap that holds), and on a copy of each failing .rws
+above the least cap that holds), on both universal systems of
+amalgam_z4z6.pg at caps just below and at the least that lets the
+check take the normal forms of sides of 1, 2 and 3 letters, and on a
+copy of each failing .rws
 fixture with its rule lines in reverse order (so the witness is pinned
 to the order of the pairs whatever order the check walks them in), 6-
 and 12-phase completion with certificates (and 16-phase on z2_graph and
@@ -49,12 +52,23 @@ MAX_LEN = 6
 LONG_LEN = 2000  # letters of the long reduce word
 
 
-def _names(path: pathlib.Path):
+def _names(path: pathlib.Path, directive: str = "alphabet"):
     for line in path.read_text(encoding="utf-8").splitlines():
         tokens = line.split("#", 1)[0].split()
-        if tokens and tokens[0] == "alphabet":
+        if tokens and tokens[0] == directive:
             return tokens[1:]
-    raise SystemExit(f"{path}: no alphabet line")
+    raise SystemExit(f"{path}: no {directive} line")
+
+
+def _side_caps(k: int):
+    """The node caps just below and at the least cap, 1 + k + ... + k^n,
+    at which check-gp takes the normal forms of sides of n = 1, 2 and 3
+    letters over k letters."""
+    caps, total = [], 1
+    for n in range(1, 4):
+        total += k ** n
+        caps += [total - 1, total]
+    return caps
 
 
 def _word(rng: random.Random, names, n=None) -> str:
@@ -252,6 +266,15 @@ def invocations(tmp: pathlib.Path, seed: int):
         for nodes in range(2, 6):
             yield ["check-gp", str(overcounted), *mode, "--caps",
                    f"nodes={nodes}", "--format", "json"]
+    # the universal systems have one letter per element, the primed ones
+    # one fewer
+    k = len(_names(FIXTURES / "amalgam_z4z6.pg", "elements"))
+    for sub, letters in (("to-system", k), ("to-system-prime", k - 1)):
+        path = tmp / f"amalgam_z4z6.{sub}.rws"
+        for mode in ([], ["--same-rule-overlaps"]):
+            for nodes in _side_caps(letters):
+                yield ["check-gp", str(path), *mode, "--caps",
+                       f"nodes={nodes}", "--format", "json"]
     for name in FAILING_GP:
         flipped = tmp / f"{name}.reversed.rws"
         flipped.write_text(_reversed_rules(

@@ -25,22 +25,35 @@ critical_pairs (so also completion) return this stream.  Completion
 enumerates only the pairs that use a new rule: a new rule1 is looked up
 in the keys of every rule, an old one in keys of the new rules alone.
 
-check_geodesically_perfect decides a pair from the signatures of its
-two sides, a side's signature being the set of preserving classes of
-its reducing descendants: the pair passes iff the two signatures
-intersect.  A word's signature is its own class with the signatures of
-its reducing children, memoised per word for one check, so each word
-below a side has its children listed once, and a pair costs one
-isdisjoint.  The check walks the lhs-group keys, one placement group
-(rule1, l2, pos1, pos2) at a time: z, x and x's signature once per
-group, only y per rule of l2.  When every pair passes there, that is
-the verdict.  A failing pair, a side without a signature or a budget
-error sends it back to the start of _pairs' stream, keeping the
-signatures formed, and there the first failing pair is the witness.  A
-signature that needs a class over the budget is not formed; a pair with
-such a side is decided by the pairwise test, which closes classes only
-until its first match, so the witness, the count, the budget errors and
-capped answers are those of a check pair by pair in stream order.
+check_geodesically_perfect decides a pair first by the normal forms
+of its two sides, the Knuth-Bendix test taken modulo the preserving
+rules: reduce_lr takes a side to a reducing descendant, so when the
+two normal forms share a preserving class, the pair passes.  A pair
+that this leaves open is decided by the signatures of its sides, a
+side's signature being the set of preserving classes of its reducing
+descendants: the pair passes iff the two signatures intersect.  A
+word's signature is its own class with the signatures of its
+reducing children, memoised per word for one check, so each word
+below a side has its children listed once.  The check walks the
+lhs-group keys, one placement group (rule1, l2, pos1, pos2) at a
+time: z, x and x's normal-form class once per group, only y per rule
+of l2, each side reduced once per check.  When every pair passes
+there, that is the verdict.  A failing pair, a side without a
+signature or a budget error sends it back to the start of _pairs'
+stream, keeping the signatures formed, and there the first failing
+pair is the witness.  A signature that needs a class over the budget
+is not formed; a pair with such a side is decided by the pairwise
+test, which closes classes only until its first match, so the
+witness, the count, the budget errors and capped answers are those
+of a check pair by pair in stream order.
+
+The normal-form test is taken only for sides short enough that no
+search below them can meet the budget: over k letters, a side w with
+1 + k + ... + k^|w| <= max_nodes.  No rule lengthens a word, so such a
+side's descendant closure and every preserving class below it fit the
+budget, and the test settles nothing that the signatures would not
+settle without a budget error.  A longer side goes to the signatures,
+with x's formed up front.
 
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
@@ -71,7 +84,7 @@ from typing import (AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Set,
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .oracle import oracle_geodesics
-from .rewriting import _check_budget, _closure, is_irreducible
+from .rewriting import _check_budget, _closure, _reduce_lr, is_irreducible
 from .systems import Rule, RewriteSystem, _OverlapKeys, _overlap_keys
 from .words import Word, lenlex_key
 
@@ -350,7 +363,9 @@ class _Signatures:
     A word's signature is its own preserving class together with the
     signatures of its distinct reducing children, or None when one of
     these classes is over the budget; so it is the set of classes of its
-    reducing descendants.  Each word's children are listed once per
+    reducing descendants.  The check forms them only for the pairs that
+    the normal forms of their sides leave open (_walk_groups), and for
+    its replay in stream order.  Each word's children are listed once per
     check, and a word gets a signature only after all its children have
     one, so a side with a signature has its whole descendant closure
     among the keys of of_word.  While they number at most max_nodes, no
@@ -359,7 +374,9 @@ class _Signatures:
     its closure raises and the pairwise test has its descendants.  A
     side that lists more than max_nodes new words raises its closure's
     error before listing them all.  So a side over the budget raises at
-    its first side call, and a memoised signature needs no check.
+    its first side call, and a memoised signature needs no check: the
+    answers are those of a check pair by pair, in whatever order the
+    sides come.
     """
 
     def __init__(self, system: RewriteSystem, max_nodes: int):
@@ -436,22 +453,55 @@ class _Signatures:
         return of_word[top]
 
 
+def _fits_below(k: int, max_nodes: int) -> int:
+    """The largest n with 1 + k + ... + k^n <= max_nodes, for k >= 1
+    letters: every closure below a word of length n fits the budget."""
+    if k == 1:
+        return max_nodes - 1
+    n, total, power = -1, 0, 1  # at most log_k(max_nodes) + 1 rounds
+    while total + power <= max_nodes:
+        total += power
+        power *= k
+        n += 1
+    return n
+
+
 def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
                  sigs: _Signatures) -> Optional[int]:
-    """The number of critical pairs when every pair's two signatures
-    meet, or None at the first placement group with a pair that is not
-    so.
+    """The number of critical pairs when every pair passes, or None at
+    the first placement group with a pair that neither test passes.
 
     A group (rule1, l2, pos1, pos2) is a placement of a distinct lhs l2
-    from the system's lhs-group keys: z, x and x's
-    signature come once per group, and only y per rule of l2.  Two equal
-    pairs of one rule1 share z, x and rule2, so l2; a group's pairs are
-    compared one by one with those of earlier groups only when an
-    earlier group of the same rule1 had its (x, z, l2).
+    from the system's lhs-group keys: z, x and x's normal-form class
+    come once per group, and only y per rule of l2.  A pair whose two
+    sides have normal forms in one preserving class passes; x's
+    signature is formed only for a pair that this leaves open, and up
+    front when x is too long for the test.  Two equal pairs of one
+    rule1 share z, x and rule2, so l2; a group's pairs are compared one
+    by one with those of earlier groups only when an earlier group of
+    the same rule1 had its (x, z, l2).
     """
-    # side itself marks a word with no memoised signature; a memoised
-    # one needs no budget check (_Signatures)
+    # side itself marks a word with no memoised signature or class; a
+    # memoised signature needs no budget check (_Signatures)
     get, side = sigs.of_word.get, sigs.side
+    max_nodes = sigs.max_nodes
+    longest = _fits_below(len(system.alphabet), max_nodes)
+    # a side's normal-form class, or None for a side over longest
+    classes: Dict[Word, Optional[FrozenSet[Word]]] = {}
+    class_of = classes.get
+
+    def nf_class(w: Word) -> Optional[FrozenSet[Word]]:
+        got = None
+        if len(w) <= longest:
+            got = _sp_class(_reduce_lr(w, system, None), system, max_nodes,
+                            "preserving-class closure")
+        classes[w] = got
+        return got
+
+    def signature(w: Word) -> Optional[_Sig]:
+        got = get(w, side)
+        return side(w) if got is side else got
+
     grouped = system._group_overlaps
     checked = 0
     for r1 in system.reducing:
@@ -464,11 +514,14 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
             L2 = len(l2)
             z = l1 + l2[L1 - pos2:] if pos1 == 0 else l2 + l1[L2 - pos1:]
             x = z[:pos1] + rh1 + z[pos1 + L1:]
-            sx = get(x, side)
-            if sx is side:
-                sx = side(x)
-            if sx is None:
-                return None
+            cx = class_of(x, side)
+            if cx is side:
+                cx = nf_class(x)
+            sx = None
+            if cx is None:
+                sx = signature(x)
+                if sx is None:
+                    return None
             head, tail = z[:pos2], z[pos2 + L2:]
             # r1 is in rules only when l2 = l1
             skip = r1 if pos1 == pos2 or not include_same_rule_overlaps else None
@@ -480,7 +533,6 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
                 h, t, s = seen
                 seen = firsts[key] = {(h + r.rhs + t, id(r))
                                       for r in rules if r is not s}
-            isdisjoint = sx.isdisjoint
             for r2 in rules:
                 if r2 is skip:
                     continue
@@ -490,10 +542,15 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
                         continue
                     seen.add((y, id(r2)))
                 checked += 1
-                sy = get(y, side)
-                if sy is side:
-                    sy = side(y)
-                if sy is None or isdisjoint(sy):
+                cy = class_of(y, side)
+                if cy is side:
+                    cy = nf_class(y)
+                if cy is cx and cx is not None:
+                    continue
+                if sx is None:
+                    sx = signature(x)
+                sy = signature(y)
+                if sy is None or sx.isdisjoint(sy):
                     return None
     return checked
 
@@ -503,20 +560,23 @@ def check_geodesically_perfect(system: RewriteSystem,
                                max_nodes: int = DEFAULT_MAX_NODES) -> GpVerdict:
     """Decide the critical-pair criterion over full reducing-descendant sets.
 
-    A side's signature is the set of preserving classes of its reducing
-    descendants.  A class has one length and holds its own members, so a
-    pair passes iff the signatures of its two sides intersect.
-    Signatures are memoised per word over its reducing children
-    (_Signatures), so a pair costs one isdisjoint.  The pairs are first
-    walked by placement group (_walk_groups).  When every pair passes
-    there, that is the verdict.  Otherwise, at a failing pair, a side
-    without a signature or a budget error, the check starts again in
-    the order of _pairs' stream, keeping the signatures formed: the
-    first failing pair is the witness.  A side whose signature needs a
-    class over the budget gets no signature, and its pairs get
-    _holds_lazily's test, on descendant sets closed once per side, so
-    every budget error and capped answer is that of a check pair by
-    pair.
+    A pair passes when some reducing descendants of its two sides are
+    connected by preserving rules alone.  The pairs are first walked by
+    placement group (_walk_groups), where a pair passes at once when
+    reduce_lr takes its two sides into one preserving class, and
+    otherwise when their signatures intersect: a side's signature is the
+    set of preserving classes of its reducing descendants, memoised per
+    word over its reducing children (_Signatures).  The normal-form test
+    is taken only for a side whose length keeps every search below it
+    within max_nodes, so it raises no budget error and passes no pair
+    that the signatures would fail.  When every pair passes there, that
+    is the verdict.  Otherwise, at a failing pair, a side without a
+    signature or a budget error, the check starts again in the order of
+    _pairs' stream, keeping the signatures formed: the first failing
+    pair is the witness.  A side whose signature needs a class over the
+    budget gets no signature, and its pairs get _holds_lazily's test, on
+    descendant sets closed once per side, so every budget error and
+    capped answer is that of a check pair by pair.
 
     By default a rule's overlaps with its own shifts are skipped, so a
     verdict that holds does not license preperfect_wp: fixtures/gpex.rws

@@ -52,9 +52,13 @@ def _step_tables(system: RewriteSystem):
         # O(rules)
         fwd: Dict[Word, List] = {}
         bwd: Dict[Word, List] = {}
+        sides = {(rule.lhs, rule.rhs) for rule in system.rules}
         for rule in system.rules:
             fwd.setdefault(rule.lhs, []).append(rule)
-            bwd.setdefault(rule.rhs, []).append(rule)
+            # the backward step of a rule whose reverse is a rule is the
+            # reverse's forward step, which _neighbors yields first
+            if (rule.rhs, rule.lhs) not in sides:
+                bwd.setdefault(rule.rhs, []).append(rule)
         tables = system._oracle_tables = (fwd, sorted({len(k) for k in fwd}),
                                           bwd, sorted({len(k) for k in bwd}))
     return tables

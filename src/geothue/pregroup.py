@@ -8,8 +8,8 @@ an inverse pairing.  Reduced sequences represent universal-group
 elements; two reduced sequences represent the same element exactly when
 a chain of mediator slides a b -> (a*c)(c^-1*b) connects them.
 
-Each pregroup tabulates its slides once, at construction: the table
-maps every pair (a, b) to its distinct slides, in element order of the
+Each pregroup tabulates its slides once, on first use: the table maps
+every pair (a, b) to its distinct slides, in element order of the
 mediator c.  The preserving rules of both universal systems are read
 off it, and interleave_equivalent searches it with the bounded closure
 of ``rewriting``.  up_wp answers the same question without a search:
@@ -40,13 +40,15 @@ class Pregroup:
     """Finite partial multiplication table with identity and involution.
 
     Products implied by the identity and inverse laws are materialized at
-    construction; explicit entries contradicting them are rejected.  So
-    is the slide table, in the step-set shape of the bounded closure:
-    _slides.rhs_of maps each pair (a, b) to the pairs (a*c, c^-1*b) for
-    the mediators c in element order, without repeats or (a, b) itself.
+    construction; explicit entries contradicting them are rejected.  The
+    slide table is tabulated on first use, in the step-set shape of the
+    bounded closure: _slides.rhs_of maps each pair (a, b) to the pairs
+    (a*c, c^-1*b) for the mediators c in element order, without repeats
+    or (a, b) itself.
     """
 
-    __slots__ = ("elements", "eps", "inv", "mult", "index", "_right", "_slides")
+    __slots__ = ("elements", "eps", "inv", "mult", "index", "_right",
+                 "_slide_table")
 
     def __init__(self, elements: Sequence[str], eps: str,
                  inv: Dict[str, str], mult: Dict[Tuple[str, str], str]):
@@ -100,19 +102,26 @@ class Pregroup:
         self._right = {a: tuple(sorted(bs, key=order.__getitem__))
                        for a, bs in right.items()}
 
+        self._slide_table = None
+
+    @property
+    def _slides(self):
+        """The slide table, tabulated on first use."""
+        if self._slide_table is None:
+            self._slide_table = _step_set(self._each_slide())
+        return self._slide_table
+
+    def _each_slide(self):
+        table, inv, right = self.mult, self.inv, self._right
         pairs: Dict[Seq, Seq] = {}  # one tuple per distinct slide result
-
-        def slides():
-            for a in elements:
-                via = [(table[(a, c)], inv[c]) for c in self._right[a]]
-                for b in elements:
-                    for ac, c_inv in via:
-                        cb = table.get((c_inv, b))
-                        if cb is not None and (ac, cb) != (a, b):
-                            pair = (ac, cb)
-                            yield (a, b), pairs.setdefault(pair, pair)
-
-        self._slides = _step_set(slides())
+        for a in self.elements:
+            via = [(table[(a, c)], inv[c]) for c in right[a]]
+            for b in self.elements:
+                for ac, c_inv in via:
+                    cb = table.get((c_inv, b))
+                    if cb is not None and (ac, cb) != (a, b):
+                        pair = (ac, cb)
+                        yield (a, b), pairs.setdefault(pair, pair)
 
     def defined(self, a: str, b: str) -> bool:
         return (a, b) in self.mult

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from geothue import builders
+from geothue.groups import GroupIso, SubgroupEmbedding, cyclic_group
 from geothue.pregroup import load_pregroup
 from geothue.systems import RewriteSystem, load_system, preserving, reducing
 from geothue.words import Alphabet
@@ -26,6 +27,30 @@ def sub_system(system, rules):
     ones), with its alphabet and its sp_symmetric."""
     return RewriteSystem(system.alphabet, rules,
                          symmetrize=system.sp_symmetric)
+
+
+def _cyclic_embedding(H, G):
+    """The cyclic group H as the subgroup of its order of the cyclic G."""
+    step = len(G) // len(H)
+    return SubgroupEmbedding(H, G, {h: G.elements[i * step]
+                                    for i, h in enumerate(H.elements)})
+
+
+def _cyclic_amalgam(m, n, k):
+    """Z/m *_{Z/k} Z/n, for k dividing m and n."""
+    A, B, H = cyclic_group(m, "r"), cyclic_group(n, "s"), cyclic_group(k, "h")
+    return builders.build_amalgam_pregroup(A, B, _cyclic_embedding(H, A),
+                                           _cyclic_embedding(H, B))
+
+
+def _cyclic_hnn(n, k, e):
+    """The HNN extension of Z/n whose stable letter acts on its subgroup
+    Z/k as x -> x**e, for k dividing n and e prime to k."""
+    G, H = cyclic_group(n, "r"), cyclic_group(k, "h")
+    emb = _cyclic_embedding(H, G)
+    phi = GroupIso(H, H, {h: H.elements[i * e % k]
+                          for i, h in enumerate(H.elements)})
+    return builders.build_hnn_pregroup(G, emb, emb, phi)
 
 
 class CountingRow(list):

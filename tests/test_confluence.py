@@ -14,13 +14,15 @@ from geothue.confluence import (FailedPair, GpVerdict, OverlapKind,
                                 sp_equivalent, GeodesicCheckStatus)
 from geothue.errors import DEFAULT_MAX_NODES, ResourceLimitError
 from geothue.oracle import WpVerdict, oracle_wp
-from geothue.pregroup import universal_system
+from geothue.pregroup import (check_axioms, table_isomorphic, universal_system,
+                              universal_system_prime)
 from geothue.rewriting import _closure, successors
 from geothue.systems import (RewriteSystem, RuleKind, load_system,
                              parse_system, preserving, reducing)
+from geothue.triangular import pregroup_from_system, reducing_part
 from geothue.words import Alphabet
-from tests.conftest import (fixture_path, overlapping_system, sub_system,
-                            words_of)
+from tests.conftest import (_cyclic_amalgam, _cyclic_hnn, fixture_path,
+                            overlapping_system, sub_system, words_of)
 
 
 def test_geoper_S_has_exactly_the_shared_lhs_pairs(geoper_S):
@@ -335,6 +337,19 @@ rule d -> .
 @example(CHILD_CAPPED, True, 2)
 @example(OVERCOUNTED, False, 4)
 @example(OVERCOUNTED, True, 4)
+# the normal-form test takes a side of n letters over k from a budget
+# of 1 + k + ... + k^n: OVERCOUNTED's sides of 1 letter from 5, CAPPED's
+# of 1 and 2 letters from 3 and 7
+@example(OVERCOUNTED, False, 5)
+@example(OVERCOUNTED, True, 5)
+@example(CAPPED, False, 2)
+@example(CAPPED, True, 2)
+@example(CAPPED, False, 3)
+@example(CAPPED, True, 3)
+@example(CAPPED, False, 6)
+@example(CAPPED, True, 6)
+@example(CAPPED, False, 7)
+@example(CAPPED, True, 7)
 def test_gp_check_matches_its_pairwise_twin(S, same_rule, max_nodes):
     # each check on its own copy, so neither reads the other's classes
     twin = RewriteSystem(S.alphabet, S.rules)
@@ -419,6 +434,19 @@ REPEATED_HOLDS = RewriteSystem(Alphabet("abc"), REPEATED.rules + (
 @example(CHILD_CAPPED, True, 2, random.Random(0))
 @example(OVERCOUNTED, False, 4, random.Random(0))
 @example(OVERCOUNTED, True, 4, random.Random(0))
+# the normal-form test takes a side of n letters over k from a budget
+# of 1 + k + ... + k^n: OVERCOUNTED's sides of 1 letter from 5, CAPPED's
+# of 1 and 2 letters from 3 and 7
+@example(OVERCOUNTED, False, 5, random.Random(0))
+@example(OVERCOUNTED, True, 5, random.Random(0))
+@example(CAPPED, False, 2, random.Random(0))
+@example(CAPPED, True, 2, random.Random(0))
+@example(CAPPED, False, 3, random.Random(0))
+@example(CAPPED, True, 3, random.Random(0))
+@example(CAPPED, False, 6, random.Random(0))
+@example(CAPPED, True, 6, random.Random(0))
+@example(CAPPED, False, 7, random.Random(0))
+@example(CAPPED, True, 7, random.Random(0))
 def test_grouped_gp_check_matches_its_ordinary_order_twin(
         S, same_rule, max_nodes, rng):
     # @example systems keep their order; drawn ones get a seeded one
@@ -514,11 +542,12 @@ def test_capped_gp_check_holds_without_the_classes_it_skips(
 
 
 @pytest.mark.parametrize("same_rule, pairs", [(False, 3991), (True, 4006)])
-def test_gp_check_walks_groups_and_lists_each_descendant_once(
+def test_gp_check_walks_groups_and_settles_pairs_by_normal_forms(
         same_rule, pairs, amalgam_pregroup, monkeypatch):
     S = universal_system(amalgam_pregroup)
     walked = _counting(monkeypatch, "_placements")
     listed = _counting(monkeypatch, "_children")
+    reduced = _counting(monkeypatch, "_reduce_lr")
     assert check_geodesically_perfect(S, same_rule) == GpVerdict(True, pairs, None)
     monkeypatch.undo()
     stream = list(iter_critical_pairs(S, same_rule))
@@ -528,10 +557,28 @@ def test_gp_check_walks_groups_and_lists_each_descendant_once(
     assert len(walked) == 849
     assert {(cp.rule1.lhs, cp.rule2.lhs, cp.pos1, cp.pos2) for cp in stream} <= \
         {(l1, group.lhs, pos1, pos2) for l1, (group, pos1, pos2) in walked}
+    # every pair is settled by the normal forms of its sides, each word
+    # reduced once: the 536 sides and the x of one group without a pair
+    assert listed == []
     sides = {w for cp in stream for w in (cp.x, cp.y)}
-    union = set().union(*(descendant_closure(w, sub_system(S, S.reducing))
-                          for w in sides))
-    assert len(listed) == len(set(listed)) == len(union)
+    assert len(reduced) == len(set(reduced)) == 537
+    assert set(reduced) >= sides
+
+
+@pytest.mark.parametrize("same_rule, pairs", [(False, 3991), (True, 4006)])
+def test_gp_check_lists_descendants_once_where_no_side_fits(
+        same_rule, pairs, amalgam_pregroup, monkeypatch):
+    # with 8 letters, 1 + 8 words of length at most 1 exceed a budget of
+    # 8, so only the empty word has its normal form taken and every other
+    # side goes to the signatures, as before the normal-form test
+    S = universal_system(amalgam_pregroup)
+    listed = _counting(monkeypatch, "_children")
+    reduced = _counting(monkeypatch, "_reduce_lr")
+    assert check_geodesically_perfect(S, same_rule, max_nodes=8) == \
+        GpVerdict(True, pairs, None)
+    monkeypatch.undo()
+    assert not any(reduced)
+    assert listed and len(listed) == len(set(listed))
 
 
 @pytest.mark.parametrize("same_rule, pairs, fits", [(False, 2, 3), (True, 4, 4)])
@@ -543,7 +590,8 @@ def test_a_side_is_closed_only_when_the_check_may_exceed_the_budget(
         S = RewriteSystem(OVERCOUNTED.alphabet, OVERCOUNTED.rules)
         return check_geodesically_perfect(S, same_rule, max_nodes=max_nodes)
 
-    # every side has a signature, and at most four words are listed
+    # every side that the normal forms leave open has a signature, and at
+    # most four words are listed
     for max_nodes in (4, 5):
         closed.clear()
         assert check(max_nodes) == GpVerdict(True, pairs, None)
@@ -553,3 +601,31 @@ def test_a_side_is_closed_only_when_the_check_may_exceed_the_budget(
         check(fits - 1)
     assert err.value.cap == fits - 1
     assert check(fits) == GpVerdict(True, pairs, None)
+
+
+# Generated pregroups: Z/m *_{Z/k} Z/n, free products (k = 1) included,
+# and the HNN extensions of Z/3, Z/4 and Z/6 over a subgroup, the stable
+# letter acting as the identity or by inversion.  Z/6 over its proper
+# subgroups is left out: its twin checks take 7-56 s each.
+GENERATED = {
+    **{f"z{m}_z{k}_z{n}": (_cyclic_amalgam, m, n, k)
+       for m, n, k in ((2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 2), (4, 4, 2),
+                       (4, 6, 2), (6, 6, 3), (6, 9, 3))},
+    **{f"hnn_z{n}_z{k}" + ("_inv" if e < 0 else ""): (_cyclic_hnn, n, k, e)
+       for n, k, e in ((3, 1, 1), (3, 3, 1), (3, 3, -1), (4, 2, 1),
+                       (4, 4, 1), (4, 4, -1), (6, 6, 1), (6, 6, -1))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_pregroups_give_gp_systems_that_lead_back(name):
+    build, *args = GENERATED[name]
+    P = build(*args)
+    assert check_axioms(P).ok
+    for universal in (universal_system, universal_system_prime):
+        for same_rule in (False, True):
+            verdict = check_geodesically_perfect(universal(P), same_rule)
+            assert verdict.holds
+            assert verdict == _pairwise_gp(universal(P), same_rule)
+    recovered = pregroup_from_system(reducing_part(universal_system_prime(P)))
+    assert table_isomorphic(P, recovered)

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from geothue import builders
 from geothue.errors import (FormatError, PreconditionError, ResourceLimitError,
                             StructureError)
-from geothue.groups import GroupIso, SubgroupEmbedding, cyclic_group
 from geothue.pregroup import (Pregroup, check_axioms, format_pregroup,
                               interleave_equivalent, is_reduced, load_pregroup,
                               p_reduce, parse_pregroup, reduce_random_seq,
                               table_isomorphic, universal_system,
                               universal_system_prime, up_wp)
 from geothue.systems import RewriteSystem, preserving
-from tests.conftest import fixture_path
+from tests.conftest import _cyclic_amalgam, _cyclic_hnn, fixture_path
 
 Z4_TEXT = """
 elements 1 a a2 a3
@@ -197,30 +196,6 @@ def _hnn(d):
     return builders.build_hnn_pregroup(d.G, d.embA, d.embB, d.phi)
 
 
-def _cyclic_embedding(H, G):
-    """The cyclic group H as the subgroup of its order of the cyclic G."""
-    step = len(G) // len(H)
-    return SubgroupEmbedding(H, G, {h: G.elements[i * step]
-                                    for i, h in enumerate(H.elements)})
-
-
-def _cyclic_amalgam(m, n, k):
-    """Z/m *_{Z/k} Z/n, for k dividing m and n."""
-    A, B, H = cyclic_group(m, "r"), cyclic_group(n, "s"), cyclic_group(k, "h")
-    return builders.build_amalgam_pregroup(A, B, _cyclic_embedding(H, A),
-                                           _cyclic_embedding(H, B))
-
-
-def _cyclic_hnn(n, k, e):
-    """The HNN extension of Z/n whose stable letter acts on its subgroup
-    Z/k as x -> x**e, for k dividing n and e prime to k."""
-    G, H = cyclic_group(n, "r"), cyclic_group(k, "h")
-    emb = _cyclic_embedding(H, G)
-    phi = GroupIso(H, H, {h: H.elements[i * e % k]
-                          for i, h in enumerate(H.elements)})
-    return builders.build_hnn_pregroup(G, emb, emb, phi)
-
-
 PREGROUPS = {
     "amalgam_z4z6.pg": lambda: load_pregroup(fixture_path("amalgam_z4z6.pg")),
     "hnn_s3.pg": lambda: load_pregroup(fixture_path("hnn_s3.pg")),
@@ -361,6 +336,25 @@ def _swapped(P, seq, rng):
 @pytest.mark.parametrize("name", sorted(CARRY_PREGROUPS))
 def test_carry_pregroups_satisfy_the_axioms(name):
     assert check_axioms(CARRY_PREGROUPS[name]).ok
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_PREGROUPS))
+def test_the_slide_table_is_tabulated_on_first_use(name):
+    P = CARRY_PREGROUPS[name]
+    fresh = Pregroup(P.elements, P.eps, P.inv, P.mult)
+    assert fresh._slide_table is None
+    # every pair (a, b) in element order, then its distinct slides
+    # (a*c, c^-1*b) by the mediator c in element order
+    table = {}
+    for a in P.elements:
+        for b in P.elements:
+            for c in P.elements:
+                ac, cb = P.mult.get((a, c)), P.mult.get((P.inv[c], b))
+                if ac is not None and cb is not None and (ac, cb) != (a, b):
+                    table.setdefault((a, b), {})[(ac, cb)] = None
+    assert list(fresh._slides.rhs_of.items()) == \
+        [(ab, tuple(slides)) for ab, slides in table.items()]
+    assert fresh._slides is fresh._slides
 
 
 @settings(max_examples=300, deadline=None)
