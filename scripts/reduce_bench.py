@@ -2,7 +2,8 @@
 
 Reports wall time and nanoseconds per input letter for each size, so a
 linear implementation shows a flat right-hand column.  The system is a
-.rws file, or a .pg pregroup file whose universal system is used.
+.rws file, or a .pg pregroup file whose universal system is used; then
+a first line gives the time to build that system and its rule count.
 
 With --up-wp it times the word problem of a pregroup's universal group
 instead (up_wp, default fixtures/hnn_s3.pg, 10^3 to 10^5 elements): an
@@ -105,7 +106,12 @@ def main(argv=None) -> int:
     args.system = args.system or ROOT / "fixtures" / "free_ab.rws"
     args.sizes = args.sizes or [10 ** 5, 10 ** 6, 2 * 10 ** 6]
     if args.system.suffix == ".pg":
-        system = universal_system(load_pregroup(args.system))
+        P = load_pregroup(args.system)
+        t0 = time.perf_counter()
+        system = universal_system(P)
+        print(f"universal system built in "
+              f"{(time.perf_counter() - t0) * 1e3:.1f} ms, "
+              f"{len(system.rules)} rules")
     else:
         system = load_system(args.system)
     rng = random.Random(args.seed)

@@ -8,13 +8,15 @@ an inverse pairing.  Reduced sequences represent universal-group
 elements; two reduced sequences represent the same element exactly when
 a chain of mediator slides a b -> (a*c)(c^-1*b) connects them.
 
-Each pregroup tabulates its slides once, on first use: the table maps
-every pair (a, b) to its distinct slides, in element order of the
-mediator c.  The preserving rules of both universal systems are read
-off it, and interleave_equivalent searches it with the bounded closure
-of ``rewriting``.  up_wp answers the same question without a search:
-two reduced sequences are equal exactly when they interleave, and one
-left-to-right pass over the pair computes the only possible carries.
+The preserving rules of both universal systems are read straight from
+the pregroup's slide generator, each unordered pair of sides once.
+Only the slide search tabulates the slides: on its first use the table
+maps every pair (a, b) to its distinct slides, in element order of the
+mediator c, and interleave_equivalent searches it with the bounded
+closure of ``rewriting``.  up_wp answers the same question without a
+search: two reduced sequences are equal exactly when they interleave,
+and one left-to-right pass over the pair computes the only possible
+carries.
 
 Pregroup files are read by the directive reader of ``words``; their
 grammar is under "File formats" in the README.
@@ -40,11 +42,12 @@ class Pregroup:
     """Finite partial multiplication table with identity and involution.
 
     Products implied by the identity and inverse laws are materialized at
-    construction; explicit entries contradicting them are rejected.  The
-    slide table is tabulated on first use, in the step-set shape of the
-    bounded closure: _slides.rhs_of maps each pair (a, b) to the pairs
-    (a*c, c^-1*b) for the mediators c in element order, without repeats
-    or (a, b) itself.
+    construction; explicit entries contradicting them are rejected.
+    _each_slide generates the slides, which the universal systems read.
+    The slide table is tabulated only for interleave_equivalent, on its
+    first use, in the step-set shape of the bounded closure:
+    _slides.rhs_of maps each pair (a, b) to the pairs (a*c, c^-1*b) for
+    the mediators c in element order, without repeats or (a, b) itself.
     """
 
     __slots__ = ("elements", "eps", "inv", "mult", "index", "_right",
@@ -237,19 +240,31 @@ def _sorted_products(P: Pregroup):
                                                  P.index[kv[0][1]]))
 
 
+def _slide_pairs(P: Pregroup):
+    """The slides of P straight from its generator, each unordered pair
+    once, in the direction met first: RewriteSystem adds the mirrors."""
+    emitted = set()
+    for pair in P._each_slide():
+        lhs, rhs = pair
+        if (rhs, lhs) in emitted or pair in emitted:
+            continue
+        emitted.add(pair)
+        yield pair
+
+
 def universal_system(P: Pregroup) -> RewriteSystem:
     """Thue system over all elements, the identity kept as a letter.
 
     Reducing rules erase the identity letter and contract every defined
-    product.  Preserving rules are the slides of the pregroup's table.
+    product.  Preserving rules are the pregroup's slides, read from its
+    generator without tabulating them.
     """
     ids = P.index
     rules = [reducing((ids[P.eps],), ())]
     for (a, b), c in _sorted_products(P):
         rules.append(reducing((ids[a], ids[b]), (ids[c],)))
-    for (a, b), slides in P._slides.rhs_of.items():
-        for x, y in slides:
-            rules.append(preserving((ids[a], ids[b]), (ids[x], ids[y])))
+    for (a, b), (x, y) in _slide_pairs(P):
+        rules.append(preserving((ids[a], ids[b]), (ids[x], ids[y])))
     return RewriteSystem(Alphabet(P.elements), rules)
 
 
@@ -259,7 +274,7 @@ def universal_system_prime(P: Pregroup) -> RewriteSystem:
     All rule sides avoid the identity letter, so the system is a group
     presentation system: cancellations, contractions of defined products
     with non-trivial result, and the slides with no identity on either
-    side.
+    side, read from the generator as in universal_system.
     """
     eps = P.eps
     gamma = tuple(a for a in P.elements if a != eps)
@@ -268,12 +283,9 @@ def universal_system_prime(P: Pregroup) -> RewriteSystem:
     for (a, b), c in _sorted_products(P):
         if eps not in (a, b, c):
             rules.append(reducing((ids[a], ids[b]), (ids[c],)))
-    for (a, b), slides in P._slides.rhs_of.items():
-        if eps in (a, b):
-            continue
-        for x, y in slides:
-            if eps not in (x, y):
-                rules.append(preserving((ids[a], ids[b]), (ids[x], ids[y])))
+    for (a, b), (x, y) in _slide_pairs(P):
+        if eps not in (a, b, x, y):
+            rules.append(preserving((ids[a], ids[b]), (ids[x], ids[y])))
     pairing = {ids[a]: ids[P.inv[a]] for a in gamma}
     return RewriteSystem(Alphabet(gamma), rules, inverse_pairing=pairing)
 

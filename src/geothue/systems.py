@@ -2,8 +2,9 @@
 
 A system splits into reducing rules (|lhs| > |rhs|) and preserving rules
 (|lhs| = |rhs|).  Preserving rules are symmetric: the constructor inserts
-the mirror of any one-directional entry right after it, unless the
-system is explicitly built with symmetrize=False (used only for the
+the mirror of a preserving rule right after it when the system lacks
+that mirror so far, and drops a rule it already has, unless the system
+is explicitly built with symmetrize=False (used only for the
 direction-only amalgam variant; such systems record sp_symmetric=False).
 
 An optional inverse pairing turns the system into a group system; the
@@ -41,7 +42,7 @@ class RuleKind(enum.Enum):
     PRESERVING = "preserving"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     lhs: Word
     rhs: Word
@@ -95,9 +96,11 @@ class RewriteSystem:
             key = (rule.lhs, rule.rhs)
             if key in seen:
                 return
-            for s in rule.lhs + rule.rhs:
-                if not 0 <= s < n:
-                    raise StructureError(f"rule symbol {s} outside alphabet")
+            if not (self._symbols.issuperset(rule.lhs)
+                    and self._symbols.issuperset(rule.rhs)):
+                for s in rule.lhs + rule.rhs:
+                    if not 0 <= s < n:
+                        raise StructureError(f"rule symbol {s} outside alphabet")
             seen.add(key)
             if rule.kind is RuleKind.REDUCING:
                 red.append(rule)
@@ -106,7 +109,8 @@ class RewriteSystem:
 
         for rule in rules:
             add(rule)
-            if rule.kind is RuleKind.PRESERVING and symmetrize:
+            if (rule.kind is RuleKind.PRESERVING and symmetrize
+                    and (rule.rhs, rule.lhs) not in seen):
                 add(rule.mirror())
 
         self.reducing = tuple(red)

@@ -53,6 +53,20 @@ def _cyclic_hnn(n, k, e):
     return builders.build_hnn_pregroup(G, emb, emb, phi)
 
 
+# Generated pregroups: Z/m *_{Z/k} Z/n, free products (k = 1) included,
+# and the HNN extensions of Z/3, Z/4 and Z/6 over a subgroup, the stable
+# letter acting as the identity or by inversion.  Z/6 over its proper
+# subgroups is left out: its twin checks take 7-56 s each.
+GENERATED = {
+    **{f"z{m}_z{k}_z{n}": (_cyclic_amalgam, m, n, k)
+       for m, n, k in ((2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 2), (4, 4, 2),
+                       (4, 6, 2), (6, 6, 3), (6, 9, 3))},
+    **{f"hnn_z{n}_z{k}" + ("_inv" if e < 0 else ""): (_cyclic_hnn, n, k, e)
+       for n, k, e in ((3, 1, 1), (3, 3, 1), (3, 3, -1), (4, 2, 1),
+                       (4, 4, 1), (4, 4, -1), (6, 6, 1), (6, 6, -1))},
+}
+
+
 class CountingRow(list):
     """An automaton row that counts the transitions read from it, and
     fails the test once they pass CountingRow.limit."""

@@ -21,8 +21,8 @@ from geothue.systems import (RewriteSystem, RuleKind, load_system,
                              parse_system, preserving, reducing)
 from geothue.triangular import pregroup_from_system, reducing_part
 from geothue.words import Alphabet
-from tests.conftest import (_cyclic_amalgam, _cyclic_hnn, fixture_path,
-                            overlapping_system, sub_system, words_of)
+from tests.conftest import (GENERATED, fixture_path, overlapping_system,
+                            sub_system, words_of)
 
 
 def test_geoper_S_has_exactly_the_shared_lhs_pairs(geoper_S):
@@ -601,20 +601,6 @@ def test_a_side_is_closed_only_when_the_check_may_exceed_the_budget(
         check(fits - 1)
     assert err.value.cap == fits - 1
     assert check(fits) == GpVerdict(True, pairs, None)
-
-
-# Generated pregroups: Z/m *_{Z/k} Z/n, free products (k = 1) included,
-# and the HNN extensions of Z/3, Z/4 and Z/6 over a subgroup, the stable
-# letter acting as the identity or by inversion.  Z/6 over its proper
-# subgroups is left out: its twin checks take 7-56 s each.
-GENERATED = {
-    **{f"z{m}_z{k}_z{n}": (_cyclic_amalgam, m, n, k)
-       for m, n, k in ((2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 2), (4, 4, 2),
-                       (4, 6, 2), (6, 6, 3), (6, 9, 3))},
-    **{f"hnn_z{n}_z{k}" + ("_inv" if e < 0 else ""): (_cyclic_hnn, n, k, e)
-       for n, k, e in ((3, 1, 1), (3, 3, 1), (3, 3, -1), (4, 2, 1),
-                       (4, 4, 1), (4, 4, -1), (6, 6, 1), (6, 6, -1))},
-}
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))

@@ -11,8 +11,9 @@ from geothue.pregroup import (Pregroup, check_axioms, format_pregroup,
                               p_reduce, parse_pregroup, reduce_random_seq,
                               table_isomorphic, universal_system,
                               universal_system_prime, up_wp)
-from geothue.systems import RewriteSystem, preserving
-from tests.conftest import _cyclic_amalgam, _cyclic_hnn, fixture_path
+from geothue.systems import RewriteSystem, Rule, preserving
+from tests.conftest import (GENERATED, _cyclic_amalgam, _cyclic_hnn,
+                            fixture_path)
 
 Z4_TEXT = """
 elements 1 a a2 a3
@@ -355,6 +356,66 @@ def test_the_slide_table_is_tabulated_on_first_use(name):
     assert list(fresh._slides.rhs_of.items()) == \
         [(ab, tuple(slides)) for ab, slides in table.items()]
     assert fresh._slides is fresh._slides
+
+
+def _universal_twin(P, S):
+    """S rebuilt the slow way: its reducing rules, then every distinct
+    slide of P._slides.rhs_of between letters of S, each mirrored by
+    RewriteSystem."""
+    ids = S.alphabet.index
+    slides = [preserving((ids[a], ids[b]), (ids[x], ids[y]))
+              for (a, b), rhs in P._slides.rhs_of.items()
+              if a in ids and b in ids
+              for x, y in rhs if x in ids and y in ids]
+    return RewriteSystem(S.alphabet, S.reducing + tuple(slides),
+                         inverse_pairing=S.inverse_pairing)
+
+
+@pytest.mark.parametrize("name",
+                         sorted(CARRY_PREGROUPS.keys() | GENERATED.keys()))
+def test_universal_systems_read_the_slides_without_the_table(name):
+    if name in CARRY_PREGROUPS:
+        Q = CARRY_PREGROUPS[name]
+    else:
+        build, *args = GENERATED[name]
+        Q = build(*args)
+    P = Pregroup(Q.elements, Q.eps, Q.inv, Q.mult)
+    systems = (universal_system(P), universal_system_prime(P))
+    assert P._slide_table is None
+    a = next(a for a in P.elements if a != P.eps)
+    assert interleave_equivalent((a,), (a,), P)
+    assert P._slide_table is not None
+    for S in systems:
+        assert S.rules == _universal_twin(P, S).rules
+
+
+def test_universal_systems_build_each_rule_once(monkeypatch):
+    P = load_pregroup(fixture_path("hnn_s3.pg"))
+    built = 0
+    post_init = Rule.__post_init__
+
+    def counting(rule):
+        nonlocal built
+        built += 1
+        post_init(rule)
+
+    monkeypatch.setattr(Rule, "__post_init__", counting)
+    for build, size in ((universal_system, 14_689),
+                        (universal_system_prime, 12_201)):
+        built = 0
+        S = build(P)
+        assert len(S.rules) == size == built
+    assert P._slide_table is None
+    # a table that fails the axioms: the mediators c and d give one slide
+    Q = Pregroup("eacdpq", "e",
+                 {"a": "a", "c": "c", "d": "d", "p": "q", "q": "p"},
+                 {("a", "c"): "p", ("a", "d"): "p",
+                  ("c", "a"): "q", ("d", "a"): "q"})
+    assert list(Q._each_slide()).count((("a", "a"), ("p", "q"))) == 2
+    for build in (universal_system, universal_system_prime):
+        built = 0
+        S = build(Q)
+        assert len(S.rules) == built
 
 
 @settings(max_examples=300, deadline=None)

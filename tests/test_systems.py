@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geothue.errors import FormatError, StructureError
 from geothue.groups import parse_group, parse_map
@@ -34,6 +35,88 @@ def test_directed_system_keeps_orientation():
     sys_ = RewriteSystem(ab, [preserving((0, 1), (1, 0))], symmetrize=False)
     assert len(sys_.preserving) == 1
     assert not sys_.sp_symmetric
+
+
+def _constructed_twin(alphabet, rules, symmetrize):
+    """The constructor's rule loop without its shortcuts: mirror every
+    preserving rule, drop repeated (lhs, rhs) keys, and range-check each
+    symbol.  Returns (reducing, preserving, sp_symmetric)."""
+    n = len(alphabet)
+    red, pres, seen = [], [], set()
+
+    def add(rule):
+        key = (rule.lhs, rule.rhs)
+        if key in seen:
+            return
+        for s in rule.lhs + rule.rhs:
+            if not 0 <= s < n:
+                raise StructureError(f"rule symbol {s} outside alphabet")
+        seen.add(key)
+        (red if rule.kind is RuleKind.REDUCING else pres).append(rule)
+
+    for rule in rules:
+        add(rule)
+        if rule.kind is RuleKind.PRESERVING and symmetrize:
+            add(rule.mirror())
+    return tuple(red), tuple(pres), symmetrize
+
+
+@st.composite
+def _rule_lists(draw):
+    """(alphabet size, rules): a few distinct rules, some with a symbol
+    out of range, then a list of them with repeats, preserving rules
+    taken either way round."""
+    n = draw(st.integers(1, 3))
+    lo, hi = (-1, n) if draw(st.booleans()) else (0, n - 1)
+    symbol = st.integers(lo, hi)
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(st.lists(symbol, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            rhs = draw(st.lists(symbol, max_size=len(lhs) - 1))
+            pool.append(reducing(lhs, rhs))
+        else:
+            rhs = draw(st.lists(symbol, min_size=len(lhs), max_size=len(lhs)))
+            if rhs != lhs:
+                pool.append(preserving(lhs, rhs))
+    if not pool:
+        return n, []
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                          max_size=8))
+    return n, [rule.mirror() if flip and rule.kind is RuleKind.PRESERVING
+               else rule for rule, flip in picks]
+
+
+# the examples: repeats and both directions of one preserving rule at
+# different places; a symbol equal to the alphabet size; a negative one;
+# a bad symbol on the rhs, which is the lhs of the mirror; and two bad
+# symbols that the rule and its mirror meet in opposite orders
+AB_SWAP = preserving((0, 1), (1, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rule_lists(), symmetrize=st.booleans())
+@example(case=(2, [AB_SWAP, reducing((0, 0), ()), AB_SWAP, AB_SWAP.mirror(),
+                   reducing((0, 0), ()), preserving((0, 0), (1, 1))]),
+         symmetrize=True)
+@example(case=(2, [AB_SWAP.mirror(), reducing((1, 1), (0,)), AB_SWAP,
+                   AB_SWAP.mirror()]), symmetrize=False)
+@example(case=(2, [AB_SWAP, reducing((0, 2), ())]), symmetrize=True)
+@example(case=(2, [reducing((1, -1), (0,))]), symmetrize=False)
+@example(case=(2, [AB_SWAP, preserving((0, 1), (1, 2))]), symmetrize=True)
+@example(case=(2, [preserving((0, 3), (-1, 1))]), symmetrize=True)
+def test_system_construction_matches_its_slow_twin(case, symmetrize):
+    n, rules = case
+    alphabet = Alphabet("abc"[:n])
+    try:
+        want = _constructed_twin(alphabet, rules, symmetrize)
+    except StructureError as exc:
+        with pytest.raises(StructureError) as got:
+            RewriteSystem(alphabet, rules, symmetrize=symmetrize)
+        assert str(got.value) == str(exc)
+        return
+    S = RewriteSystem(alphabet, rules, symmetrize=symmetrize)
+    assert (S.reducing, S.preserving, S.sp_symmetric) == want
 
 
 def test_parse_system_splits_and_pairs():
