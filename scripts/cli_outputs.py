@@ -27,9 +27,10 @@ directive in every format; a misshapen line and a conflicting entry in
 every format; a repeated letter in a system; a repeated and a missing
 single line in a pregroup and a group; a pregroup element that cannot be
 a letter), unusable and unread caps, integer options below their
-minimum, --example with a file option, a closed stdout, and --help for
-every subcommand.  Each line is the sha256 of exit code, stdout, stderr
-and any file written, followed by the command.
+minimum, a wrong number of names for build coxeter, --example with a
+file option, a closed stdout, and --help for every subcommand.  Each
+line is the sha256 of exit code, stdout, stderr and any file written,
+followed by the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -133,6 +134,8 @@ def each_subcommand(tmp: pathlib.Path):
     yield ["build", "graph", "--vertices", "a", "b", "c", "--edges", "a-b", "b-c"]
     yield ["build", "coxeter", "--matrix", "1,3;3,1"]
     yield ["build", "coxeter", "--matrix", "1,2;2,1", "--names", "x", "y"]
+    yield ["build", "coxeter", "--matrix", "1,3;3,1", "--names", "a", "b", "c"]
+    yield ["build", "coxeter", "--matrix", "1,3;3,1", "--names", "a"]
     for name in ("amalgam", "amalgam-pregroup"):
         yield ["build", name, *AMALGAM_FILES]
         yield ["build", name, "--example"]

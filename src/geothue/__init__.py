@@ -26,20 +26,18 @@ from .rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                         successors, thue_resolution)
 from .weights import (WeightResult, WeightStatus, is_weight_reducing,
                       weight_assignment, word_weight)
-from .confluence import (CriticalPair, FailedPair, GeodesicCheck,
-                         GeodesicCheckStatus, GpVerdict, OverlapKind,
+from .confluence import (CriticalPair, FailedPair, GpVerdict, OverlapKind,
                          check_geodesically_perfect, critical_pairs,
-                         descendant_closure, geodesic_bounded_check,
-                         geodesics_of, iter_critical_pairs, preperfect_wp,
-                         sp_equivalent)
+                         descendant_closure, geodesics_of, iter_critical_pairs,
+                         preperfect_wp, sp_equivalent)
 from .completion import (CompletionResult, CompletionStatus, PhaseStats,
                          Resolution, ResolutionAction, kb_complete,
                          resolve_pair)
 from .pregroup import (AxiomCheck, AxiomReport, Pregroup, check_axioms,
                        format_pregroup, interleave_equivalent, is_reduced,
-                       load_pregroup, p_reduce, parse_pregroup,
-                       reduce_random_seq, save_pregroup, table_isomorphic,
-                       universal_system, universal_system_prime, up_wp)
+                       load_pregroup, p_reduce, parse_pregroup, save_pregroup,
+                       table_isomorphic, universal_system,
+                       universal_system_prime, up_wp)
 from .triangular import (LetterClasses, TriangularKind, classify_triangular,
                          letter_classes, pregroup_from_system, reducing_part)
 from .groups import (FiniteGroup, GroupIso, SubgroupEmbedding, coset_decompose,
@@ -51,8 +49,9 @@ from .builders import (AmalgamData, CommutationGraph, CoxeterMatrix, HnnData,
                        build_graph_group, build_hnn_pregroup,
                        build_hnn_system, build_tits_system, example_amalgam,
                        example_hnn, format_rule_program, parse_rule_program)
-from .oracle import (ClassClosure, QuotientCount, WpVerdict, class_closure,
-                     class_partition, enumerate_quotient, oracle_geodesics,
-                     oracle_wp, replay_path)
+from .oracle import (ClassClosure, GeodesicCheck, GeodesicCheckStatus,
+                     QuotientCount, WpVerdict, class_closure, class_partition,
+                     enumerate_quotient, geodesic_bounded_check,
+                     oracle_geodesics, oracle_wp, replay_path)
 
 __version__ = "0.1.0"

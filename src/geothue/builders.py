@@ -11,7 +11,9 @@ three read one derivation of the stable-letter data (_StableLetter):
 the input checks, the alphabet, the isomorphism on the subgroup images
 both ways, the right transversals, the products of the base group and
 the inverse of every letter.  The pregroup derives it once and reads
-the program's normal forms.
+the program's normal forms.  A program evaluates leftmost first
+(normal_form) only; the tests rewrite it at random matches.  A Coxeter
+system needs one name per generator, or takes a, b, ... up to rank 26.
 """
 
 from __future__ import annotations
@@ -127,6 +129,9 @@ def build_tits_system(M: CoxeterMatrix,
         if n > 26:
             raise PreconditionError("supply names for rank above 26")
         names = [chr(ord("a") + i) for i in range(n)]
+    elif len(names) != n:
+        raise PreconditionError(
+            f"rank {n} needs {n} names, got {len(names)}")
     alphabet = Alphabet(names)
     rules = []
     for i in range(n):
@@ -319,11 +324,6 @@ class RuleProgram:
         self.rules = tuple(checked)
         self._longest_lhs = max((len(l) for l, _ in self.rules), default=1)
 
-    def is_irreducible(self, word: Word) -> bool:
-        word = tuple(word)
-        return not any(word[i:i + len(l)] == l
-                       for i in range(len(word)) for l, _ in self.rules)
-
     def normal_form(self, word: Word, max_steps: int = 10 ** 6) -> Word:
         w = tuple(word)
         steps = 0
@@ -342,21 +342,6 @@ class RuleProgram:
             else:
                 i += 1
         return w
-
-    def reduce_random(self, word: Word, rng, max_steps: int = 10 ** 6) -> Word:
-        w = tuple(word)
-        steps = 0
-        while True:
-            options = [(i, lhs, rhs) for i in range(len(w))
-                       for lhs, rhs in self.rules if w[i:i + len(lhs)] == lhs]
-            if not options:
-                return w
-            i, lhs, rhs = options[rng.randrange(len(options))]
-            w = w[:i] + rhs + w[i + len(lhs):]
-            steps += 1
-            if steps > max_steps:
-                raise ResourceLimitError(
-                    "random reduction exceeded the step budget", cap=max_steps)
 
 
 def format_rule_program(program: RuleProgram) -> str:

@@ -24,9 +24,8 @@ from typing import Dict, Optional, Tuple
 from . import builders, oracle
 from .completion import (DEFAULT_MAX_PHASES, DEFAULT_MAX_RULES,
                          CompletionStatus, kb_complete)
-from .confluence import (GeodesicCheckStatus, check_geodesically_perfect,
-                         critical_pairs, geodesic_bounded_check, geodesics_of,
-                         preperfect_wp)
+from .confluence import (check_geodesically_perfect, critical_pairs,
+                         geodesics_of, preperfect_wp)
 from .errors import DEFAULT_MAX_NODES, FormatError, GeothueError, ResourceLimitError
 from .groups import GroupIso, SubgroupEmbedding, parse_group, parse_map
 from .pregroup import (check_axioms, format_pregroup, parse_pregroup,
@@ -225,9 +224,10 @@ def _cmd_geodesics(args, caps) -> Tuple[dict, int]:
 
 def _cmd_geodesic_check(args, caps) -> Tuple[dict, int]:
     system = args.system
-    check = geodesic_bounded_check(system, args.max_len, slack=args.slack,
-                                   max_nodes=caps["nodes"])
-    code = UNDECIDED if check.status is GeodesicCheckStatus.UNDECIDED else OK
+    check = oracle.geodesic_bounded_check(system, args.max_len, args.slack,
+                                          caps["nodes"])
+    code = (UNDECIDED if check.status is oracle.GeodesicCheckStatus.UNDECIDED
+            else OK)
     return check.to_dict(system.alphabet), code
 
 

@@ -73,6 +73,9 @@ large: the memo also holds, per word, the largest budget its class
 overflowed.
 sp_equivalent then falls back to a search that stops at its target,
 with the same budget, so a target reached within it is answered.
+
+The brute-force semi-test of geodesy is geodesic_bounded_check in
+``oracle``, the reference these searches are tested against.
 """
 
 from __future__ import annotations
@@ -83,10 +86,9 @@ from typing import (AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Set,
                     Tuple)
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
-from .oracle import oracle_geodesics
-from .rewriting import _check_budget, _closure, _reduce_lr, is_irreducible
+from .rewriting import _check_budget, _closure, _reduce_lr
 from .systems import Rule, RewriteSystem, _OverlapKeys, _overlap_keys
-from .words import Word, lenlex_key
+from .words import Word
 
 
 class OverlapKind(enum.Enum):
@@ -645,49 +647,3 @@ def geodesics_of(word: Word, system: RewriteSystem,
     best = min(len(w) for w in closure)
     return frozenset(w for w in closure if len(w) == best)
 
-
-class GeodesicCheckStatus(enum.Enum):
-    CONSISTENT = "consistent-up-to"
-    COUNTEREXAMPLE = "counterexample"
-    UNDECIDED = "undecided"
-
-
-@dataclass
-class GeodesicCheck:
-    status: GeodesicCheckStatus
-    max_len: int
-    counterexample: Optional[Tuple[Word, Word]] = None  # (irreducible, shorter equal word)
-
-    def to_dict(self, alphabet):
-        ce = None
-        if self.counterexample:
-            ce = [alphabet.format(self.counterexample[0]),
-                  alphabet.format(self.counterexample[1])]
-        return {"status": self.status.value, "max_len": self.max_len,
-                "counterexample": ce}
-
-
-def geodesic_bounded_check(system: RewriteSystem, max_len: int,
-                           slack: Optional[int] = None,
-                           max_nodes: int = DEFAULT_MAX_NODES) -> GeodesicCheck:
-    """Semi-test of the geodesic property.
-
-    Every reducing-irreducible word up to max_len is compared against the
-    shortest members of its bounded class closure (oracle_geodesics): a
-    strictly shorter one, the length-lex least, refutes geodesy.  Capped
-    closures downgrade a clean sweep to undecided.
-    """
-    all_complete = True
-    for w in system.alphabet.words_upto(max_len):
-        if not is_irreducible(w, system):
-            continue
-        geos, complete = oracle_geodesics(w, system, slack, max_nodes)
-        shortest = min(geos, key=lenlex_key)
-        if len(shortest) < len(w):
-            return GeodesicCheck(GeodesicCheckStatus.COUNTEREXAMPLE, max_len,
-                                 (w, shortest))
-        if not complete:
-            all_complete = False
-    if all_complete:
-        return GeodesicCheck(GeodesicCheckStatus.CONSISTENT, max_len)
-    return GeodesicCheck(GeodesicCheckStatus.UNDECIDED, max_len)

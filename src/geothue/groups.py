@@ -89,14 +89,14 @@ class FiniteGroup:
         return f"FiniteGroup({len(self.elements)} elements)"
 
 
-def cyclic_group(n: int, gen: str = "a", identity: str = "1") -> FiniteGroup:
+def cyclic_group(n: int, gen: str = "a") -> FiniteGroup:
     """Z/n with elements named 1, gen, gen2, ..."""
     if n < 1:
         raise StructureError("order must be positive")
-    names = [identity] + [gen if k == 1 else f"{gen}{k}" for k in range(1, n)]
+    names = ["1"] + [gen if k == 1 else f"{gen}{k}" for k in range(1, n)]
     table = {(names[i], names[j]): names[(i + j) % n]
              for i in range(n) for j in range(n)}
-    return FiniteGroup(names, identity, table)
+    return FiniteGroup(names, "1", table)
 
 
 def _perm_name(perm: Tuple[int, ...]) -> str:

@@ -8,7 +8,9 @@ the node budget was not hit; verdicts derived from closures say so
 relative to those caps and never overclaim beyond them.  A budget counts
 the start word, so every entry point refuses one below 1, as the fast
 searches do, with a check of its own: the oracle stays independent of
-them.
+them, and imports only the errors, the systems and the words.  Its
+semi-test of the geodesic property, geodesic_bounded_check, finds the
+words that no reducing rule matches in its own step tables.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import DEFAULT_MAX_NODES, PreconditionError
 from .systems import RewriteSystem
-from .words import EMPTY, Word, lenlex_key
+from .words import Word, lenlex_key
 
 
 def default_horizon(*words: Word) -> int:
@@ -194,6 +196,62 @@ def oracle_geodesics(word: Word, system: RewriteSystem,
     best = min(len(m) for m in closure.members)
     geos = frozenset(m for m in closure.members if len(m) == best)
     return geos, closure.complete
+
+
+def _reducible(word: Word, tables) -> bool:
+    """Whether the lhs of some reducing rule is a factor of word."""
+    fwd, fwd_lengths = tables[:2]
+    return any(len(rule.rhs) < L
+               for L in fwd_lengths for i in range(len(word) - L + 1)
+               for rule in fwd.get(word[i:i + L], ()))
+
+
+class GeodesicCheckStatus(enum.Enum):
+    CONSISTENT = "consistent-up-to"
+    COUNTEREXAMPLE = "counterexample"
+    UNDECIDED = "undecided"
+
+
+@dataclass
+class GeodesicCheck:
+    status: GeodesicCheckStatus
+    max_len: int
+    counterexample: Optional[Tuple[Word, Word]] = None  # (irreducible, shorter equal word)
+
+    def to_dict(self, alphabet):
+        ce = None
+        if self.counterexample:
+            ce = [alphabet.format(self.counterexample[0]),
+                  alphabet.format(self.counterexample[1])]
+        return {"status": self.status.value, "max_len": self.max_len,
+                "counterexample": ce}
+
+
+def geodesic_bounded_check(system: RewriteSystem, max_len: int,
+                           slack: Optional[int] = None,
+                           max_nodes: int = DEFAULT_MAX_NODES) -> GeodesicCheck:
+    """Semi-test of the geodesic property.
+
+    Every reducing-irreducible word up to max_len is compared against the
+    shortest members of its bounded class closure (oracle_geodesics): a
+    strictly shorter one, the length-lex least, refutes geodesy.  Capped
+    closures downgrade a clean sweep to undecided.
+    """
+    tables = _step_tables(system)
+    all_complete = True
+    for w in system.alphabet.words_upto(max_len):
+        if _reducible(w, tables):
+            continue
+        geos, complete = oracle_geodesics(w, system, slack, max_nodes)
+        shortest = min(geos, key=lenlex_key)
+        if len(shortest) < len(w):
+            return GeodesicCheck(GeodesicCheckStatus.COUNTEREXAMPLE, max_len,
+                                 (w, shortest))
+        if not complete:
+            all_complete = False
+    if all_complete:
+        return GeodesicCheck(GeodesicCheckStatus.CONSISTENT, max_len)
+    return GeodesicCheck(GeodesicCheckStatus.UNDECIDED, max_len)
 
 
 @dataclass

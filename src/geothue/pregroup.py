@@ -16,7 +16,9 @@ mediator c, and interleave_equivalent searches it with the bounded
 closure of ``rewriting``.  up_wp answers the same question without a
 search: two reduced sequences are equal exactly when they interleave,
 and one left-to-right pass over the pair computes the only possible
-carries.
+carries.  p_reduce is the one reduction of sequences, left to right;
+the tests contract at random spots to check that all maximal
+reductions of a sequence have one length and interleave.
 
 Pregroup files are read by the directive reader of ``words``; their
 grammar is under "File formats" in the README.
@@ -318,19 +320,6 @@ def is_reduced(seq: Sequence[str], P: Pregroup) -> bool:
     if any(a == P.eps for a in seq):
         return False
     return all(not P.defined(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
-
-
-def reduce_random_seq(seq: Sequence[str], P: Pregroup, rng) -> Seq:
-    """Contract random defined adjacent pairs until none remain."""
-    _check_elements(seq, P)
-    out = list(seq)
-    while True:
-        spots = [i for i in range(len(out) - 1) if P.defined(out[i], out[i + 1])]
-        if not spots:
-            break
-        i = rng.choice(spots)
-        out[i:i + 2] = [P.prod(out[i], out[i + 1])]
-    return tuple(a for a in out if a != P.eps)
 
 
 def interleave_equivalent(u: Sequence[str], v: Sequence[str], P: Pregroup,

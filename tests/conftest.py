@@ -5,8 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from geothue import builders
+from geothue.errors import ResourceLimitError
 from geothue.groups import GroupIso, SubgroupEmbedding, cyclic_group
-from geothue.pregroup import load_pregroup
+from geothue.pregroup import _check_elements, load_pregroup
 from geothue.systems import RewriteSystem, load_system, preserving, reducing
 from geothue.words import Alphabet
 
@@ -65,6 +66,47 @@ GENERATED = {
        for n, k, e in ((3, 1, 1), (3, 3, 1), (3, 3, -1), (4, 2, 1),
                        (4, 4, 1), (4, 4, -1), (6, 6, 1), (6, 6, -1))},
 }
+
+
+# slow twins, each compared against its fast path by the tests
+
+def reduce_random_seq(seq, P, rng):
+    """Contract random defined adjacent pairs until none remain, each
+    time a uniform choice among the defined spots."""
+    _check_elements(seq, P)
+    out = list(seq)
+    while True:
+        spots = [i for i in range(len(out) - 1) if P.defined(out[i], out[i + 1])]
+        if not spots:
+            break
+        i = rng.choice(spots)
+        out[i:i + 2] = [P.prod(out[i], out[i + 1])]
+    return tuple(a for a in out if a != P.eps)
+
+
+def program_is_irreducible(program, word):
+    """Whether no rule of the rule program matches word."""
+    word = tuple(word)
+    return not any(word[i:i + len(l)] == l
+                   for i in range(len(word)) for l, _ in program.rules)
+
+
+def program_reduce_random(program, word, rng, max_steps=10 ** 6):
+    """Rewrite at a uniformly chosen match of the rule program until
+    none is left; on a convergent program this is its normal_form."""
+    w = tuple(word)
+    steps = 0
+    while True:
+        options = [(i, lhs, rhs) for i in range(len(w))
+                   for lhs, rhs in program.rules if w[i:i + len(lhs)] == lhs]
+        if not options:
+            return w
+        i, lhs, rhs = options[rng.randrange(len(options))]
+        w = w[:i] + rhs + w[i + len(lhs):]
+        steps += 1
+        if steps > max_steps:
+            raise ResourceLimitError(
+                "random reduction exceeded the step budget", cap=max_steps)
 
 
 class CountingRow(list):

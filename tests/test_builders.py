@@ -19,7 +19,8 @@ from geothue.pregroup import (check_axioms, table_isomorphic,
 from geothue.rewriting import dehn_wp, reduce_lr
 from geothue.systems import RuleKind
 from geothue.triangular import pregroup_from_system, reducing_part
-from tests.conftest import fixture_path, words_of
+from tests.conftest import (fixture_path, program_is_irreducible,
+                            program_reduce_random)
 
 
 def test_graph_group_single_edge(z2_graph):
@@ -126,7 +127,8 @@ def test_hnn_program_normal_forms(hnn_data):
     assert prog.normal_form(w) == ab.word("t")
     assert prog.normal_form(ab.word("t T")) == ()
     assert prog.normal_form(ab.word("123 132")) == ()
-    assert prog.is_irreducible(prog.normal_form(ab.word("t 123 t 132")))
+    nf = prog.normal_form(ab.word("t 123 t 132"))
+    assert program_is_irreducible(prog, nf)
 
 
 def test_hnn_program_rules_can_grow():
@@ -165,7 +167,7 @@ def test_z2_convergent_fixture_program():
         w = tuple(rng.randrange(4) for _ in range(rng.randrange(8)))
         nf = prog.normal_form(w)
         assert prog.normal_form(nf) == nf
-        assert prog.reduce_random(w, random.Random(7)) == nf
+        assert program_reduce_random(prog, w, random.Random(7)) == nf
 
 
 def test_britton_system_shape(hnn_data):
@@ -238,7 +240,7 @@ def test_stable_letter_constructions_with_two_subgroups():
     for _ in range(300):
         w = tuple(rng.randrange(len(A)) for _ in range(rng.randint(0, 8)))
         nf = program.normal_form(w)
-        assert program.reduce_random(w, rng) == nf, w
+        assert program_reduce_random(program, w, rng) == nf, w
 
     # T a t = phi(a), so T 12 t 13 is trivial; free cancellations and
     # conjugated relators build more trivial words

@@ -177,6 +177,15 @@ def test_build_coxeter(capsys):
     assert "rule a b a <-> b a b" in out
 
 
+@pytest.mark.parametrize("names", [["a", "b", "c"], ["a"]])
+def test_build_coxeter_refuses_a_wrong_number_of_names(capsys, names):
+    code, out, err = run(capsys, "build", "coxeter", "--matrix", "1,3;3,1",
+                         "--names", *names)
+    assert code == 1
+    assert out == ""
+    assert f"rank 2 needs 2 names, got {len(names)}" in err
+
+
 def test_build_amalgam_from_files(capsys):
     code, out, _ = run(capsys, "build", "amalgam",
                        "--group-a", fixture_path("z4.grp"),

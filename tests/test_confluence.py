@@ -9,11 +9,11 @@ from geothue import confluence
 from geothue.confluence import (FailedPair, GpVerdict, OverlapKind,
                                 check_geodesically_perfect,
                                 critical_pairs, descendant_closure,
-                                geodesic_bounded_check, geodesics_of,
-                                iter_critical_pairs, preperfect_wp,
-                                sp_equivalent, GeodesicCheckStatus)
+                                geodesics_of, iter_critical_pairs,
+                                preperfect_wp, sp_equivalent)
 from geothue.errors import DEFAULT_MAX_NODES, ResourceLimitError
-from geothue.oracle import WpVerdict, oracle_wp
+from geothue.oracle import (GeodesicCheckStatus, WpVerdict,
+                            geodesic_bounded_check, oracle_wp)
 from geothue.pregroup import (check_axioms, table_isomorphic, universal_system,
                               universal_system_prime)
 from geothue.rewriting import _closure, successors

@@ -1,10 +1,10 @@
 import pytest
 
-from geothue.confluence import geodesic_bounded_check
 from geothue.errors import PreconditionError
 from geothue.oracle import (WpVerdict, _step_tables, class_closure,
                             class_partition, enumerate_quotient,
-                            oracle_geodesics, oracle_wp, replay_path)
+                            geodesic_bounded_check, oracle_geodesics,
+                            oracle_wp, replay_path)
 from geothue.rewriting import apply_rule
 from geothue.systems import load_system
 from tests.conftest import fixture_path, words_of

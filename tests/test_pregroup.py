@@ -8,12 +8,11 @@ from geothue.errors import (FormatError, PreconditionError, ResourceLimitError,
                             StructureError)
 from geothue.pregroup import (Pregroup, check_axioms, format_pregroup,
                               interleave_equivalent, is_reduced, load_pregroup,
-                              p_reduce, parse_pregroup, reduce_random_seq,
-                              table_isomorphic, universal_system,
-                              universal_system_prime, up_wp)
+                              p_reduce, parse_pregroup, table_isomorphic,
+                              universal_system, universal_system_prime, up_wp)
 from geothue.systems import RewriteSystem, Rule, preserving
 from tests.conftest import (GENERATED, _cyclic_amalgam, _cyclic_hnn,
-                            fixture_path)
+                            fixture_path, reduce_random_seq)
 
 Z4_TEXT = """
 elements 1 a a2 a3
