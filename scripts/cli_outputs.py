@@ -8,14 +8,15 @@ both overlap modes under a node cap that some preserving class exceeds
 though no pair needs it, on a system whose descendant counts summed over
 children exceed its closures' sizes at caps of 2 to 5 nodes (below and
 above the least cap that holds), on both universal systems of
-amalgam_z4z6.pg at caps just below and at the least that lets the
-check take the normal forms of sides of 1, 2 and 3 letters, and on a
-copy of each failing .rws
-fixture with its rule lines in reverse order (so the witness is pinned
-to the order of the pairs whatever order the check walks them in), 6-
-and 12-phase completion with certificates (and 16-phase on z2_graph and
-geoper_S, and 3-phase on the graph groups of a path and a square, built
-by build graph), 6-phase completion with certificates and
+amalgam_z4z6.pg at caps just below and at the least that lets the check
+take the normal forms of sides of 1, 2 and 3 letters, on both universal
+systems of hnn_s3.pg at a cap of 50000 nodes, under which every side of
+3 letters is decided by its signature, and on a copy of each failing
+.rws fixture with its rule lines in reverse order (so the witness is
+pinned to the order of the pairs whatever order the check walks them
+in), 6- and 12-phase completion with certificates (and 16-phase on
+z2_graph and geoper_S, and 3-phase on the graph groups of a path and a
+square, built by build graph), 6-phase completion with certificates and
 --same-rule-overlaps on every .rws fixture, completion under node caps
 that one target search meets and one it exceeds, critical pairs with and
 without --same-rule-overlaps, seeded samples of wp, geodesics, dehn-wp
@@ -24,13 +25,14 @@ caps and in JSON; then at least one run of every subcommand in JSON and
 in the human format, the build subcommands from the fixture group and
 map files and from --example, malformed input files (an unknown
 directive in every format; a misshapen line and a conflicting entry in
-every format; a repeated letter in a system; a repeated and a missing
-single line in a pregroup and a group; a pregroup element that cannot be
-a letter), unusable and unread caps, integer options below their
-minimum, a wrong number of names for build coxeter, --example with a
-file option, a closed stdout, and --help for every subcommand.  Each
-line is the sha256 of exit code, stdout, stderr and any file written,
-followed by the command.
+every format; a repeated letter and a rule with equal sides in a system;
+a repeated and a missing single line in a pregroup and a group; pregroup
+elements "." and "->", which cannot be letters), unusable and unread
+caps, integer options below their minimum, a wrong number of names for
+build coxeter, --example with a file option, letter names with "#" for
+build coxeter and build graph, a closed stdout, and --help for every
+subcommand.  Each line is the sha256 of exit code, stdout, stderr and any
+file written, followed by the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -173,14 +175,15 @@ def _reversed_rules(text: str) -> str:
 MALFORMED = "# the second line is not a directive\nbogus directive\n"
 
 # more malformed files, by suffix: a misshapen line and a conflicting
-# entry in every format, a repeated letter in a system, a repeated and
-# a missing single line in a pregroup and a group, and a pregroup
-# element that cannot be a letter
+# entry in every format, a repeated letter and a rule with equal sides
+# in a system, a repeated and a missing single line in a pregroup and a
+# group, and two pregroup elements that cannot be letters
 Z2_GROUP = "elements 1 h\nmult 1 1 = 1\nmult 1 h = h\nmult h 1 = h\nmult h h = 1\n"
 MALFORMED_MORE = {
     "rws": {"misshapen": "alphabet a A\ninverse a\nrule a A -> .\n",
             "conflicting": "alphabet a b c\ninverse a b\ninverse a c\n",
-            "repeated-letter": "alphabet a\nalphabet a\nrule a a -> .\n"},
+            "repeated-letter": "alphabet a\nalphabet a\nrule a a -> .\n",
+            "equal-sides": "alphabet a b\nrule a b <-> a b\n"},
     "rules": {"misshapen": "alphabet x\ninverse x\nrule x x -> .\n",
               "conflicting": "alphabet x y\ninverse x x\ninverse x y\n"
                              "rule x x -> .\n"},
@@ -189,7 +192,8 @@ MALFORMED_MORE = {
                           "mult a a = a\n",
            "repeated": "elements e a\neps e\neps a\ninv e e\n",
            "missing": "elements 1 a\ninv a a\n",
-           "not-a-letter": "elements 1 .\neps 1\ninv . .\n"},
+           "not-a-letter": "elements 1 .\neps 1\ninv . .\n",
+           "arrow-element": "elements 1 -> b\neps 1\ninv -> ->\ninv b b\n"},
     "grp": {"misshapen": "identity\n" + Z2_GROUP,
             "conflicting": "identity 1\n" + Z2_GROUP + "mult h h = h\n",
             "repeated": "identity 1\nidentity h\n" + Z2_GROUP,
@@ -241,6 +245,9 @@ def error_cases(tmp: pathlib.Path):
     yield ["build", "amalgam", "--group-a", _fixture("z4.grp")]
     yield ["build", "amalgam", "--example", "--group-a", _fixture("z4.grp")]
     yield ["build", "hnn", "--example", "--iso", _fixture("hnn_phi.map")]
+    # "#" would start a comment in the written system
+    yield ["build", "coxeter", "--matrix", "1,3;3,1", "--names", "a#", "b"]
+    yield ["build", "graph", "--vertices", "x#", "y", "--edges", "x#-y"]
 
 
 def invocations(tmp: pathlib.Path, seed: int):
@@ -253,6 +260,12 @@ def invocations(tmp: pathlib.Path, seed: int):
             systems.append(out)
     for path in systems:
         yield ["check-gp", str(path), "--format", "json"]
+    # over hnn_s3's 42 and 41 letters, 1 + k + k^2 + k^3 words exceed a
+    # budget of 50000, so every side of three letters goes to the
+    # signatures
+    for sub in ("to-system", "to-system-prime"):
+        yield ["check-gp", str(tmp / f"hnn_s3.{sub}.rws"), "--caps",
+               "nodes=50000", "--format", "json"]
     # the classical enumeration; hnn_s3's systems take about 12 s
     for path in rws + [s for s in systems if s.name.startswith("amalgam_z4z6.")]:
         yield ["check-gp", str(path), "--same-rule-overlaps", "--format", "json"]

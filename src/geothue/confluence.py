@@ -30,30 +30,29 @@ of its two sides, the Knuth-Bendix test taken modulo the preserving
 rules: reduce_lr takes a side to a reducing descendant, so when the
 two normal forms share a preserving class, the pair passes.  A pair
 that this leaves open is decided by the signatures of its sides, a
-side's signature being the set of preserving classes of its reducing
-descendants: the pair passes iff the two signatures intersect.  A
-word's signature is its own class with the signatures of its
-reducing children, memoised per word for one check, so each word
-below a side has its children listed once.  The check walks the
-lhs-group keys, one placement group (rule1, l2, pos1, pos2) at a
-time: z, x and x's normal-form class once per group, only y per rule
-of l2, each side reduced once per check.  When every pair passes
-there, that is the verdict.  A failing pair, a side without a
-signature or a budget error sends it back to the start of _pairs'
-stream, keeping the signatures formed, and there the first failing
-pair is the witness.  A signature that needs a class over the budget
-is not formed; a pair with such a side is decided by the pairwise
-test, which closes classes only until its first match, so the
-witness, the count, the budget errors and capped answers are those
-of a check pair by pair in stream order.
+side's signature being the set of preserving classes of the words of
+its reducing-descendant closure: the pair passes iff the two
+signatures intersect.  Each side is closed once per check for its
+signature, which is memoised; the closure itself is kept only for the
+pairwise test below.  The check walks the lhs-group keys, one
+placement group (rule1, l2, pos1, pos2) at a time: z, x and x's
+normal-form class once per group, only y per rule of l2, each side
+reduced once per check.  When every pair passes there, that is the
+verdict.  A failing pair, a side without a signature or a budget
+error sends it back to the start of _pairs' stream, keeping the
+signatures formed, and there the first failing pair is the witness.
+A signature that needs a class over the budget is not formed; a pair
+with such a side is decided by the pairwise test, which closes
+classes only until its first match, so the witness, the count, the
+budget errors and capped answers are those of a check pair by pair in
+stream order.
 
 The normal-form test is taken only for sides short enough that no
 search below them can meet the budget: over k letters, a side w with
 1 + k + ... + k^|w| <= max_nodes.  No rule lengthens a word, so such a
 side's descendant closure and every preserving class below it fit the
 budget, and the test settles nothing that the signatures would not
-settle without a budget error.  A longer side goes to the signatures,
-with x's formed up front.
+settle without a budget error.  A longer side goes to the signatures.
 
 Descendant closures and preserving classes are the bounded breadth-first
 closures of ``rewriting``: children by left-hand side length, then
@@ -82,8 +81,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Set,
-                    Tuple)
+from typing import AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .errors import DEFAULT_MAX_NODES, ResourceLimitError
 from .rewriting import _check_budget, _closure, _reduce_lr
@@ -343,49 +341,29 @@ def _holds_lazily(dx: FrozenSet[Word], dy: FrozenSet[Word],
 _Sig = FrozenSet[FrozenSet[Word]]
 
 
-def _children(w: Word, steps) -> Set[Word]:
-    """The distinct words that one step of a step set takes w to."""
-    rhs_of, lengths = steps
-    n = len(w)
-    out = set()
-    for L in lengths:
-        if L > n:
-            break
-        for i in range(n - L + 1):
-            rhss = rhs_of.get(w[i:i + L])
-            if rhss is not None:
-                for rhs in rhss:
-                    out.add(w[:i] + rhs + w[i + L:])
-    return out
+class _Signatures(dict):
+    """The side signatures of one check: a dict from side to signature,
+    each formed on the side's first lookup.
 
-
-class _Signatures:
-    """The side signatures of one check, from signatures memoised per word.
-
-    A word's signature is its own preserving class together with the
-    signatures of its distinct reducing children, or None when one of
-    these classes is over the budget; so it is the set of classes of its
-    reducing descendants.  The check forms them only for the pairs that
-    the normal forms of their sides leave open (_walk_groups), and for
-    its replay in stream order.  Each word's children are listed once per
-    check, and a word gets a signature only after all its children have
-    one, so a side with a signature has its whole descendant closure
-    among the keys of of_word.  While they number at most max_nodes, no
-    such side is over the budget; past that, and for a side with no
-    signature, side closes the word exactly, once, so it raises where
-    its closure raises and the pairwise test has its descendants.  A
-    side that lists more than max_nodes new words raises its closure's
-    error before listing them all.  So a side over the budget raises at
-    its first side call, and a memoised signature needs no check: the
-    answers are those of a check pair by pair, in whatever order the
-    sides come.
+    A side's signature is the set of preserving classes of the words of
+    its descendant closure under the reducing rules, or None when one of
+    these classes is over the budget.  The check forms them only for the
+    pairs that the normal forms of their sides leave open (_walk_groups),
+    and for its replay in stream order.  A side is closed once, with the
+    budget of a descendant closure, so its lookup raises exactly where
+    the side's closure raises, and a memoised signature needs no check:
+    the answers are those of a check pair by pair, in whatever order the
+    sides come.  A side with a signature keeps only the signature, one
+    object per distinct signature; a side without one keeps its closure
+    for the pairwise test and the witness, and descendants closes a side
+    with one again, once, when they need its closure too.
     """
 
     def __init__(self, system: RewriteSystem, max_nodes: int):
+        super().__init__()
         self.system = system
         self.max_nodes = max_nodes
         self.steps = system._reducing_steps
-        self.of_word: Dict[Word, Optional[_Sig]] = {}
         self.desc: Dict[Word, FrozenSet[Word]] = {}
         self.shared: Dict[_Sig, _Sig] = {}  # one object per signature
 
@@ -396,63 +374,27 @@ class _Signatures:
                 w, self.steps, self.max_nodes, "descendant closure"))
         return got
 
-    def side(self, w: Word) -> Optional[_Sig]:
-        """w's signature, or None; raises where w's closure raises."""
-        sig = self._word(w)
-        if sig is None or len(self.of_word) > self.max_nodes:
-            self.descendants(w)
-        return sig
-
-    def _word(self, top: Word) -> Optional[_Sig]:
-        """The signature of top, each word below it done before it."""
-        of_word = self.of_word
-        if top in of_word:
-            return of_word[top]
-        system, max_nodes, steps = self.system, self.max_nodes, self.steps
-        shared = self.shared
-        listed: Dict[Word, tuple] = {}  # class and children, until done
-        left = max_nodes  # the words this side may still list
-        todo = [top]
-        while todo:
-            w = todo[-1]
-            got = listed.pop(w, None)
-            if got is not None:  # second visit: every child is done
-                cls, kids = got
-            elif w in of_word:
-                todo.pop()
-                continue
-            else:  # first visit: list the children
+    def __missing__(self, w: Word) -> Optional[_Sig]:
+        system, max_nodes = self.system, self.max_nodes
+        below = _closure(w, self.steps, max_nodes, "descendant closure")
+        # the memoised classes first: a signature already shared is
+        # within the budget, and _sp_class closes the missing classes and
+        # checks any other that may be over it
+        sig = frozenset(map(system._sp_memo[0].get, below))
+        got = self.shared.get(sig)
+        if got is None:
+            if None in sig or max(map(len, sig)) > max_nodes:
                 try:
-                    cls = _sp_class(w, system, max_nodes,
-                                    "preserving-class closure")
+                    sig = frozenset([_sp_class(d, system, max_nodes,
+                                               "preserving-class closure")
+                                     for d in below])
                 except ResourceLimitError:
-                    of_word[w] = None
-                    todo.pop()
-                    continue
-                if not left:
-                    raise ResourceLimitError(
-                        "descendant closure exceeded its node budget",
-                        cap=max_nodes)
-                left -= 1
-                kids = _children(w, steps)
-                pending = [c for c in kids if c not in of_word]
-                if pending:
-                    listed[w] = (cls, kids)
-                    todo += pending
-                    continue
-            todo.pop()
-            sig = {cls}
-            for c in kids:
-                s = of_word[c]
-                if s is None:
-                    sig = None
-                    break
-                sig.update(s)
-            if sig is not None:
-                sig = frozenset(sig)
-                sig = shared.setdefault(sig, sig)
-            of_word[w] = sig
-        return of_word[top]
+                    self.desc[w] = frozenset(below)
+                    self[w] = None
+                    return None
+            got = self.shared.setdefault(sig, sig)
+        self[w] = got
+        return got
 
 
 def _fits_below(k: int, max_nodes: int) -> int:
@@ -477,18 +419,16 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
     from the system's lhs-group keys: z, x and x's normal-form class
     come once per group, and only y per rule of l2.  A pair whose two
     sides have normal forms in one preserving class passes; x's
-    signature is formed only for a pair that this leaves open, and up
-    front when x is too long for the test.  Two equal pairs of one
-    rule1 share z, x and rule2, so l2; a group's pairs are compared one
-    by one with those of earlier groups only when an earlier group of
-    the same rule1 had its (x, z, l2).
+    signature is formed at the group's first pair that this leaves
+    open, so also when x is too long for the test.  Two equal pairs of
+    one rule1 share z, x and rule2, so l2; a group's pairs are compared
+    one by one with those of earlier groups only when an earlier group
+    of the same rule1 had its (x, z, l2).
     """
-    # side itself marks a word with no memoised signature or class; a
-    # memoised signature needs no budget check (_Signatures)
-    get, side = sigs.of_word.get, sigs.side
     max_nodes = sigs.max_nodes
     longest = _fits_below(len(system.alphabet), max_nodes)
-    # a side's normal-form class, or None for a side over longest
+    # a side's normal-form class, or None for a side over longest;
+    # nf_class itself marks a side not met yet
     classes: Dict[Word, Optional[FrozenSet[Word]]] = {}
     class_of = classes.get
 
@@ -499,10 +439,6 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
                             "preserving-class closure")
         classes[w] = got
         return got
-
-    def signature(w: Word) -> Optional[_Sig]:
-        got = get(w, side)
-        return side(w) if got is side else got
 
     grouped = system._group_overlaps
     checked = 0
@@ -516,14 +452,10 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
             L2 = len(l2)
             z = l1 + l2[L1 - pos2:] if pos1 == 0 else l2 + l1[L2 - pos1:]
             x = z[:pos1] + rh1 + z[pos1 + L1:]
-            cx = class_of(x, side)
-            if cx is side:
+            cx = class_of(x, nf_class)
+            if cx is nf_class:
                 cx = nf_class(x)
-            sx = None
-            if cx is None:
-                sx = signature(x)
-                if sx is None:
-                    return None
+            sx = None  # x's signature, formed at its first open pair
             head, tail = z[:pos2], z[pos2 + L2:]
             # r1 is in rules only when l2 = l1
             skip = r1 if pos1 == pos2 or not include_same_rule_overlaps else None
@@ -544,15 +476,15 @@ def _walk_groups(system: RewriteSystem, include_same_rule_overlaps: bool,
                         continue
                     seen.add((y, id(r2)))
                 checked += 1
-                cy = class_of(y, side)
-                if cy is side:
+                cy = class_of(y, nf_class)
+                if cy is nf_class:
                     cy = nf_class(y)
                 if cy is cx and cx is not None:
                     continue
                 if sx is None:
-                    sx = signature(x)
-                sy = signature(y)
-                if sy is None or sx.isdisjoint(sy):
+                    sx = sigs[x]
+                sy = sigs[y]
+                if sx is None or sy is None or sx.isdisjoint(sy):
                     return None
     return checked
 
@@ -567,18 +499,18 @@ def check_geodesically_perfect(system: RewriteSystem,
     placement group (_walk_groups), where a pair passes at once when
     reduce_lr takes its two sides into one preserving class, and
     otherwise when their signatures intersect: a side's signature is the
-    set of preserving classes of its reducing descendants, memoised per
-    word over its reducing children (_Signatures).  The normal-form test
-    is taken only for a side whose length keeps every search below it
-    within max_nodes, so it raises no budget error and passes no pair
-    that the signatures would fail.  When every pair passes there, that
-    is the verdict.  Otherwise, at a failing pair, a side without a
-    signature or a budget error, the check starts again in the order of
-    _pairs' stream, keeping the signatures formed: the first failing
-    pair is the witness.  A side whose signature needs a class over the
-    budget gets no signature, and its pairs get _holds_lazily's test, on
-    descendant sets closed once per side, so every budget error and
-    capped answer is that of a check pair by pair.
+    set of preserving classes of its reducing-descendant closure,
+    memoised per side (_Signatures).  The normal-form test is taken only
+    for a side whose length keeps every search below it within
+    max_nodes, so it raises no budget error and passes no pair that the
+    signatures would fail.  When every pair passes there, that is the
+    verdict.  Otherwise, at a failing pair, a side without a signature
+    or a budget error, the check starts again in the order of _pairs'
+    stream, keeping the signatures formed: the first failing pair is the
+    witness.  A side whose signature needs a class over the budget gets
+    no signature, and its pairs get _holds_lazily's test, on descendant
+    sets closed once per side, so every budget error and capped answer
+    is that of a check pair by pair.
 
     By default a rule's overlaps with its own shifts are skipped, so a
     verdict that holds does not license preperfect_wp: fixtures/gpex.rws
@@ -594,15 +526,15 @@ def check_geodesically_perfect(system: RewriteSystem,
         checked = None
     if checked is not None:
         return GpVerdict(True, checked, None)
-    side, descendants = sigs.side, sigs.descendants
+    descendants = sigs.descendants
     # under a cap the lazy test's answer depends on the words themselves
     lazy: Dict[Tuple[Word, Word], bool] = {}
     checked = 0
     for pair in _pairs(system, include_same_rule_overlaps, None):
         checked += 1
         x, y = pair.x, pair.y
-        sx = side(x)
-        sy = side(y)
+        sx = sigs[x]
+        sy = sigs[y]
         if sx is not None and sy is not None:
             ok = not sx.isdisjoint(sy)
         else:

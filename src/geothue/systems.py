@@ -376,16 +376,16 @@ def parse_system(text: str) -> RewriteSystem:
     for line_no, lhs, arrow, rhs in rule_lines:
         if not lhs:
             raise FormatError("rule with empty lhs", line_no)
-        if arrow == "<->":
-            if len(lhs) != len(rhs):
-                raise FormatError("<-> rule must preserve length", line_no)
-            rules.append(preserving(lhs, rhs))
-        elif len(lhs) > len(rhs):
+        if arrow == "<->" and len(lhs) != len(rhs):
+            raise FormatError("<-> rule must preserve length", line_no)
+        if len(lhs) > len(rhs):
             rules.append(reducing(lhs, rhs))
-        elif len(lhs) == len(rhs):
-            rules.append(preserving(lhs, rhs))
-        else:
+        elif len(lhs) < len(rhs):
             raise FormatError("length-increasing rule not allowed here", line_no)
+        elif lhs == rhs:
+            raise FormatError("preserving rule with lhs = rhs", line_no)
+        else:
+            rules.append(preserving(lhs, rhs))
 
     try:
         return RewriteSystem(alphabet, rules, inverse_pairing=pairing or None)

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import PreconditionError
 from .words import Word

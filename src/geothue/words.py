@@ -25,8 +25,11 @@ EMPTY: Word = ()
 
 
 def _is_letter_name(name: str) -> bool:
-    """Non-empty, without whitespace, and not ".", the empty word."""
-    return bool(name) and name != "." and not any(c.isspace() for c in name)
+    """Non-empty, without whitespace or "#", which starts a comment in
+    every file format, and not ".", the empty word, nor "->" or "<->",
+    the arrows of a rule line: a name that a written file can hold."""
+    return (bool(name) and name not in (".", "->", "<->") and "#" not in name
+            and not any(c.isspace() for c in name))
 
 
 class Alphabet:

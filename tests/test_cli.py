@@ -186,6 +186,18 @@ def test_build_coxeter_refuses_a_wrong_number_of_names(capsys, names):
     assert f"rank 2 needs 2 names, got {len(names)}" in err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("a#", ("coxeter", "--matrix", "1,3;3,1", "--names", "a#", "b")),
+    ("x#", ("graph", "--vertices", "x#", "y", "--edges", "x#-y")),
+])
+def test_build_refuses_a_name_that_starts_a_comment(capsys, name, argv):
+    # the written system would read back without the rest of the line
+    code, out, err = run(capsys, "build", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"geothue: error: bad letter name '{name}'\n"
+
+
 def test_build_amalgam_from_files(capsys):
     code, out, _ = run(capsys, "build", "amalgam",
                        "--group-a", fixture_path("z4.grp"),
@@ -417,7 +429,10 @@ def test_example_conflicts_with_file_options(capsys, name):
 
 MALFORMED = "# second line is bad\nbogus directive\n"
 # a file holds MALFORMED unless its text is given here
-MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\n"}
+MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\n",
+                  "equal_sides.rws": "alphabet a b\nrule a b <-> a b\n",
+                  "equal_sides_directed.rws": "alphabet a b\nrule a b -> a b\n",
+                  "arrow.pg": "pregroup\nelements 1 -> b\neps 1\ninv -> ->\n"}
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -432,6 +447,9 @@ MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\
     (("weights", "{bad}"), "bad.rules"),
     (("resolve", "{bad}"), "bad.rules"),
     (("check-gp", "{bad}"), "repeated_letter.rws"),
+    (("check-gp", "{bad}"), "equal_sides.rws"),
+    (("check-gp", "{bad}"), "equal_sides_directed.rws"),
+    (("pregroup", "to-system", "{bad}"), "arrow.pg"),
 ])
 def test_format_errors_name_the_file(capsys, tmp_path, argv, bad):
     path = tmp_path / bad

@@ -509,36 +509,48 @@ def _counting(monkeypatch, name):
 
 def _closing(monkeypatch):
     """List the start word of each descendant closure that confluence
-    runs."""
-    closed = []
+    runs, and of each that _Signatures.descendants runs for a side whose
+    closure it does not hold."""
+    closed, again = [], []
 
     def counted(w, steps, max_nodes, what, *args, **kwargs):
         if what == "descendant closure":
             closed.append(w)
         return _closure(w, steps, max_nodes, what, *args, **kwargs)
 
+    descendants = confluence._Signatures.descendants
+
+    def asked(sigs, w):
+        if w not in sigs.desc:
+            again.append(w)
+        return descendants(sigs, w)
+
     monkeypatch.setattr(confluence, "_closure", counted)
-    return closed
+    monkeypatch.setattr(confluence._Signatures, "descendants", asked)
+    return closed, again
+
+
+def _closed_once_per_signature(closed, again, sides):
+    """Each closed word is a side, closed once for its signature and at
+    most once more for the pairwise test or the witness."""
+    assert set(closed) <= sides
+    assert len(again) == len(set(again))
+    assert set((Counter(closed) - Counter(again)).values()) == {1}
 
 
 @pytest.mark.parametrize("same_rule, pairs", [(False, 10), (True, 12)])
 def test_capped_gp_check_holds_without_the_classes_it_skips(
         same_rule, pairs, monkeypatch):
     S = RewriteSystem(CAPPED.alphabet, CAPPED.rules)
-    listed = _counting(monkeypatch, "_children")
-    closed = _closing(monkeypatch)
+    closed, again = _closing(monkeypatch)
     v = check_geodesically_perfect(S, same_rule, max_nodes=5)
     monkeypatch.undo()
     assert v.holds and v.pairs_checked == pairs
-    # each word's children are listed once, and a side is closed exactly
-    # at most once, once the check has listed more than max_nodes words
-    # or for the pairwise test
+    # every side goes to the signatures, and the pairs of a side whose
+    # descendants have a class over the budget close the other side again
     sides = {w for cp in iter_critical_pairs(S, same_rule) for w in (cp.x, cp.y)}
-    assert max(Counter(listed).values()) == 1
-    assert set(listed) <= {d for w in sides for d in descendant_closure(
-        w, sub_system(S, S.reducing))}
-    assert closed and max(Counter(closed).values()) == 1
-    assert set(closed) <= sides
+    assert set(closed) == sides and again
+    _closed_once_per_signature(closed, again, sides)
 
 
 @pytest.mark.parametrize("same_rule, pairs", [(False, 3991), (True, 4006)])
@@ -546,7 +558,7 @@ def test_gp_check_walks_groups_and_settles_pairs_by_normal_forms(
         same_rule, pairs, amalgam_pregroup, monkeypatch):
     S = universal_system(amalgam_pregroup)
     walked = _counting(monkeypatch, "_placements")
-    listed = _counting(monkeypatch, "_children")
+    closed, _ = _closing(monkeypatch)
     reduced = _counting(monkeypatch, "_reduce_lr")
     assert check_geodesically_perfect(S, same_rule) == GpVerdict(True, pairs, None)
     monkeypatch.undo()
@@ -558,8 +570,9 @@ def test_gp_check_walks_groups_and_settles_pairs_by_normal_forms(
     assert {(cp.rule1.lhs, cp.rule2.lhs, cp.pos1, cp.pos2) for cp in stream} <= \
         {(l1, group.lhs, pos1, pos2) for l1, (group, pos1, pos2) in walked}
     # every pair is settled by the normal forms of its sides, each word
-    # reduced once: the 536 sides and the x of one group without a pair
-    assert listed == []
+    # reduced once: the 536 sides and the x of one group without a pair;
+    # no descendant closure is run
+    assert closed == []
     sides = {w for cp in stream for w in (cp.x, cp.y)}
     assert len(reduced) == len(set(reduced)) == 537
     assert set(reduced) >= sides
@@ -569,33 +582,38 @@ def test_gp_check_walks_groups_and_settles_pairs_by_normal_forms(
 def test_gp_check_lists_descendants_once_where_no_side_fits(
         same_rule, pairs, amalgam_pregroup, monkeypatch):
     # with 8 letters, 1 + 8 words of length at most 1 exceed a budget of
-    # 8, so only the empty word has its normal form taken and every other
-    # side goes to the signatures, as before the normal-form test
+    # 8, so only the empty word has its normal form taken and every side
+    # goes to the signatures, as before the normal-form test
     S = universal_system(amalgam_pregroup)
-    listed = _counting(monkeypatch, "_children")
+    closed, again = _closing(monkeypatch)
     reduced = _counting(monkeypatch, "_reduce_lr")
     assert check_geodesically_perfect(S, same_rule, max_nodes=8) == \
         GpVerdict(True, pairs, None)
     monkeypatch.undo()
     assert not any(reduced)
-    assert listed and len(listed) == len(set(listed))
+    sides = {w for cp in iter_critical_pairs(S, same_rule) for w in (cp.x, cp.y)}
+    assert set(closed) == sides
+    _closed_once_per_signature(closed, again, sides)
 
 
 @pytest.mark.parametrize("same_rule, pairs, fits", [(False, 2, 3), (True, 4, 4)])
-def test_a_side_is_closed_only_when_the_check_may_exceed_the_budget(
+def test_a_side_is_closed_once_and_raises_where_its_closure_raises(
         same_rule, pairs, fits, monkeypatch):
-    closed = _closing(monkeypatch)
+    closed, again = _closing(monkeypatch)
 
     def check(max_nodes):
         S = RewriteSystem(OVERCOUNTED.alphabet, OVERCOUNTED.rules)
         return check_geodesically_perfect(S, same_rule, max_nodes=max_nodes)
 
-    # every side that the normal forms leave open has a signature, and at
-    # most four words are listed
+    # every side that the normal forms leave open has a signature, from
+    # one closure of the side
+    sides = {w for cp in iter_critical_pairs(OVERCOUNTED, same_rule)
+             for w in (cp.x, cp.y)}
     for max_nodes in (4, 5):
         closed.clear()
         assert check(max_nodes) == GpVerdict(True, pairs, None)
-        assert closed == []
+        assert closed and again == []
+        _closed_once_per_signature(closed, again, sides)
     with pytest.raises(ResourceLimitError,
                        match="descendant closure exceeded its node budget") as err:
         check(fits - 1)

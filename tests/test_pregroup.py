@@ -75,6 +75,15 @@ def test_element_that_cannot_be_a_letter_is_rejected():
         parse_pregroup("# one comment\nelements 1 .\neps 1\ninv . .\n")
 
 
+@pytest.mark.parametrize("name", ["->", "<->"])
+def test_an_arrow_cannot_be_an_element(name):
+    # a rule line of the universal systems would split at it
+    with pytest.raises(FormatError,
+                       match=f"line 1: element '{name}' cannot be"):
+        parse_pregroup(f"elements 1 {name} b\neps 1\ninv {name} {name}\n"
+                       "inv b b\n")
+
+
 def test_axioms_pass_on_fixtures(amalgam_pregroup, hnn_pregroup):
     assert check_axioms(z4()).ok
     assert check_axioms(amalgam_pregroup).ok

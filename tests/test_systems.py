@@ -1,15 +1,15 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from geothue.errors import FormatError, StructureError
+from geothue.errors import AlphabetError, FormatError, StructureError
 from geothue.groups import parse_group, parse_map
 from geothue.pregroup import parse_pregroup
 from geothue.systems import (RewriteSystem, RuleKind, format_system,
                              parse_rule_pairs, parse_system, preserving,
                              reducing)
-from geothue.words import Alphabet
+from geothue.words import Alphabet, _is_letter_name
 
 
 def test_rule_constructors_enforce_lengths():
@@ -142,6 +142,31 @@ def test_parse_rejects_growing_rule():
 def test_parse_rejects_unbalanced_symmetric_rule():
     with pytest.raises(FormatError):
         parse_system("alphabet a\nrule a a <-> a\n")
+
+
+@pytest.mark.parametrize("arrow", ["->", "<->"])
+def test_parse_rejects_a_rule_with_equal_sides_on_its_line(arrow):
+    with pytest.raises(FormatError,
+                       match="^line 2: preserving rule with lhs = rhs$"):
+        parse_system(f"alphabet a b\nrule a b {arrow} a b\n")
+
+
+# one name of up to three characters, any but surrogates
+@given(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+               max_size=3))
+@example("a#")
+@example("->")
+@example("<->")
+def test_a_letter_name_is_accepted_only_when_its_file_reads_back(name):
+    assume(name != "b")
+    if not _is_letter_name(name):
+        with pytest.raises(AlphabetError):
+            Alphabet([name, "b"])
+        return
+    S = RewriteSystem(Alphabet([name, "b"]), [reducing((0, 1), ()),
+                                              preserving((0, 0), (1, 1))])
+    back = parse_system(format_system(S))
+    assert back.alphabet == S.alphabet and back.rules == S.rules
 
 
 def test_parse_rejects_unknown_directive():

@@ -20,6 +20,12 @@ def test_duplicate_names_rejected():
         Alphabet(["a", "a"])
 
 
+@pytest.mark.parametrize("name", ["", ".", "a b", "a#", "#", "->", "<->"])
+def test_names_that_no_file_can_hold_are_rejected(name):
+    with pytest.raises(AlphabetError, match="bad letter name"):
+        Alphabet(["x", name])
+
+
 def test_empty_alphabet_rejected():
     with pytest.raises(AlphabetError):
         Alphabet([])
