@@ -27,12 +27,13 @@ map files and from --example, malformed input files (an unknown
 directive in every format; a misshapen line and a conflicting entry in
 every format; a repeated letter and a rule with equal sides in a system;
 a repeated and a missing single line in a pregroup and a group; pregroup
-elements "." and "->", which cannot be letters), unusable and unread
-caps, integer options below their minimum, a wrong number of names for
-build coxeter, --example with a file option, letter names with "#" for
-build coxeter and build graph, a closed stdout, and --help for every
-subcommand.  Each line is the sha256 of exit code, stdout, stderr and any
-file written, followed by the command.
+elements "." and "->" and a group element "->", which cannot be
+letters), unusable and unread caps, integer options below their
+minimum, a wrong number of names for build coxeter, --example with a
+file option, letter names with "#" for build coxeter and build graph, a
+closed stdout, and --help for every subcommand.  Each line is the
+sha256 of exit code, stdout, stderr and any file written, followed by
+the command.
 
     python scripts/cli_outputs.py > new.txt
     python scripts/cli_outputs.py --src ../other/src > old.txt
@@ -177,7 +178,7 @@ MALFORMED = "# the second line is not a directive\nbogus directive\n"
 # more malformed files, by suffix: a misshapen line and a conflicting
 # entry in every format, a repeated letter and a rule with equal sides
 # in a system, a repeated and a missing single line in a pregroup and a
-# group, and two pregroup elements that cannot be letters
+# group, two pregroup elements and a group element that cannot be letters
 Z2_GROUP = "elements 1 h\nmult 1 1 = 1\nmult 1 h = h\nmult h 1 = h\nmult h h = 1\n"
 MALFORMED_MORE = {
     "rws": {"misshapen": "alphabet a A\ninverse a\nrule a A -> .\n",
@@ -197,7 +198,9 @@ MALFORMED_MORE = {
     "grp": {"misshapen": "identity\n" + Z2_GROUP,
             "conflicting": "identity 1\n" + Z2_GROUP + "mult h h = h\n",
             "repeated": "identity 1\nidentity h\n" + Z2_GROUP,
-            "missing": Z2_GROUP},
+            "missing": Z2_GROUP,
+            "arrow-element": (FIXTURES / "z6.grp").read_text(
+                encoding="utf-8").replace(" s5", " ->")},
     "map": {"misshapen": "map 1 1\n",
             "conflicting": "map 1 -> 1\nmap 1 -> r2\n"},
 }

@@ -10,8 +10,9 @@ and a pregroup on the elements of syllable length at most one.  All
 three read one derivation of the stable-letter data (_StableLetter):
 the input checks, the alphabet, the isomorphism on the subgroup images
 both ways, the right transversals, the products of the base group and
-the inverse of every letter.  The pregroup derives it once and reads
-the program's normal forms.  A program evaluates leftmost first
+the inverse of every letter.  The pregroup derives it once, looks the
+normal form of each product up among its carrier words, and reads the
+inverses off the finished table.  A program evaluates leftmost first
 (normal_form) only; the tests rewrite it at random matches.  A Coxeter
 system needs one name per generator, or takes a, b, ... up to rank 26.
 """
@@ -194,7 +195,8 @@ def build_amalgam_system(A: FiniteGroup, B: FiniteGroup,
     pull the subgroup part of the right letter across to the left.
 
     Mixed rules preserve length in general; they enter the Thue
-    resolution, symmetric by default.  symmetrize=False keeps only the
+    resolution, symmetric by default, which drops the trivial pairs and
+    keeps the first of repeated rules.  symmetrize=False keeps only the
     indicated direction of each length-preserving rule.
     """
     letters, a_name, b_name = _amalgam_letters(A, B, embA, embB)
@@ -205,27 +207,14 @@ def build_amalgam_system(A: FiniteGroup, B: FiniteGroup,
     def wrd(*names) -> Word:
         return tuple(alphabet.id(n) for n in names if n is not None)
 
+    factors = ((A, a_name), (B, b_name))
     pairs: List[Tuple[Word, Word]] = []
-    seen = set()
-
-    def add(lhs: Word, rhs: Word):
-        if lhs == rhs:
-            return
-        if (lhs, rhs) in seen:
-            return
-        seen.add((lhs, rhs))
-        pairs.append((lhs, rhs))
-
-    for x in A.elements:
-        for y in A.elements:
-            if x == A.identity or y == A.identity:
-                continue
-            add(wrd(a_name[x], a_name[y]), wrd(a_name[A.mult(x, y)]))
-    for x in B.elements:
-        for y in B.elements:
-            if x == B.identity or y == B.identity:
-                continue
-            add(wrd(b_name[x], b_name[y]), wrd(b_name[B.mult(x, y)]))
+    for F, name in factors:
+        for x in F.elements:
+            for y in F.elements:
+                if x != F.identity and y != F.identity:
+                    pairs.append((wrd(name[x], name[y]),
+                                  wrd(name[F.mult(x, y)])))
 
     X = transversal(A, embA)
     Y = transversal(B, embB)
@@ -237,20 +226,15 @@ def build_amalgam_system(A: FiniteGroup, B: FiniteGroup,
                 continue
             h_b, y = coset_decompose(B, embB, b, Y)
             h_in_A = embA.map[embB.preimage[h_b]]
-            add(wrd(a_name[a], b_name[b]),
-                wrd(a_name[A.mult(a, h_in_A)], b_name[y]))
+            pairs.append((wrd(a_name[a], b_name[b]),
+                          wrd(a_name[A.mult(a, h_in_A)], b_name[y])))
             h_a, x = coset_decompose(A, embA, a, X)
             h_in_B = embB.map[embA.preimage[h_a]]
-            add(wrd(b_name[b], a_name[a]),
-                wrd(b_name[B.mult(b, h_in_B)], a_name[x]))
+            pairs.append((wrd(b_name[b], a_name[a]),
+                          wrd(b_name[B.mult(b, h_in_B)], a_name[x])))
 
-    pairing = {}
-    for a in A.elements:
-        if a != A.identity:
-            pairing[alphabet.id(a_name[a])] = alphabet.id(a_name[A.inverse(a)])
-    for b in B.elements:
-        if b != B.identity:
-            pairing[alphabet.id(b_name[b])] = alphabet.id(b_name[B.inverse(b)])
+    pairing = {alphabet.id(name[g]): alphabet.id(name[F.inverse(g)])
+               for F, name in factors for g in F.elements if g != F.identity}
     return thue_resolution(alphabet, pairs, inverse_pairing=pairing,
                            symmetrize=symmetrize)
 
@@ -448,13 +432,13 @@ def build_hnn_pregroup(G: FiniteGroup, embA: SubgroupEmbedding,
     """Elements of syllable length at most one, i.e. G together with the
     formal products g t y and g t' x over the two transversals.
 
-    The table is read off normal forms of the convergent program: a
-    product is defined exactly when its normal form stays at syllable
-    length at most one.  The axiom check then arbitrates the result.
+    Each carrier element has a word that the convergent program leaves
+    fixed.  A product is defined exactly when the normal form of the
+    two words is one of these words, and the inverse of u is the v with
+    u*v the identity.  The axiom check then arbitrates the result.
     """
     d = _StableLetter(G, embA, embB, phi)
     program = _hnn_program(d)
-    alphabet, t, T = d.alphabet, d.t, d.T
 
     names: List[str] = list(G.elements)
     denote: Dict[str, Word] = {g: d.word(g) for g in G.elements}
@@ -463,46 +447,21 @@ def build_hnn_pregroup(G: FiniteGroup, embA: SubgroupEmbedding,
             for rep in reps:
                 name = f"{g}.{mark}.{rep}"
                 names.append(name)
-                denote[name] = d.word(g) + (alphabet.id(mark),) + d.word(rep)
+                denote[name] = d.word(g) + (d.alphabet.id(mark),) + d.word(rep)
     if len(set(names)) != len(names):
         raise StructureError("carrier names collide; rename the base group")
-
-    y_set, x_set = set(d.Y), set(d.X)
-
-    def elem_of(nf: Word) -> Optional[str]:
-        marks = [i for i, l in enumerate(nf) if l in (t, T)]
-        if not marks:
-            if not nf:
-                return G.identity
-            return alphabet.name(nf[0]) if len(nf) == 1 else None
-        if len(marks) > 1:
-            return None
-        i = marks[0]
-        head, tail = nf[:i], nf[i + 1:]
-        if len(head) > 1 or len(tail) > 1:
-            return None
-        g = alphabet.name(head[0]) if head else G.identity
-        s = alphabet.name(tail[0]) if tail else G.identity
-        if nf[i] == t:
-            return f"{g}.t.{s}" if s in y_set else None
-        return f"{g}.T.{s}" if s in x_set else None
+    # every carrier word is a normal form, so a product lies in the
+    # carrier exactly when its normal form is one of them
+    carrier = {w: u for u, w in denote.items()}
 
     mult: Dict[Tuple[str, str], str] = {}
     for u in names:
         for v in names:
-            nf = program.normal_form(denote[u] + denote[v])
-            w = elem_of(nf)
+            w = carrier.get(program.normal_form(denote[u] + denote[v]))
             if w is not None:
                 mult[(u, v)] = w
 
-    inv: Dict[str, str] = {}
-    for u in names:
-        rev = tuple(d.inverse[l] for l in reversed(denote[u]))
-        w = elem_of(program.normal_form(rev))
-        if w is None:
-            raise StructureError(f"inverse of {u!r} left the carrier")
-        inv[u] = w
-
+    inv = {u: v for (u, v), w in mult.items() if w == G.identity}
     result = Pregroup(names, G.identity, inv, mult)
     report = check_axioms(result)
     if not report.ok:

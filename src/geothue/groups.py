@@ -15,8 +15,8 @@ import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import FormatError, StructureError
-from .words import (_directive_shapes, _directive_table, _read_directives,
-                    _single_directive)
+from .words import (_directive_shapes, _directive_table, _element_letters,
+                    _read_directives, _single_directive)
 
 
 class FiniteGroup:
@@ -226,8 +226,14 @@ _MAP_LINES = _directive_shapes("map <x> -> <y>")
 
 
 def parse_group(text: str) -> FiniteGroup:
+    """Parse the line format: elements, identity, mult directives.
+
+    Elements become the letters of the amalgam and stable-letter
+    constructions, so a name that cannot be a letter is a FormatError
+    naming the elements line.
+    """
     lines = _read_directives(text, _GROUP_LINES)
-    elements = _single_directive(lines, "elements")
+    elements = _element_letters(lines)
     (identity,) = _single_directive(lines, "identity")
     table = _directive_table(lines["mult"], "product")
     try:

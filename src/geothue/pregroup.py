@@ -35,7 +35,7 @@ from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
 from .rewriting import _check_budget, _closure
 from .systems import RewriteSystem, _step_set, preserving, reducing
 from .words import (Alphabet, _directive_shapes, _directive_table,
-                    _is_letter_name, _read_directives, _single_directive)
+                    _element_letters, _read_directives, _single_directive)
 
 Seq = Tuple[str, ...]
 
@@ -181,59 +181,38 @@ class AxiomReport:
                 "p5": self.p5.to_dict()}
 
 
+def _first(counterexamples: Iterable[Tuple[str, ...]]) -> AxiomCheck:
+    """The check failed by the first counterexample, or passed."""
+    for bad in counterexamples:
+        return AxiomCheck(False, bad)
+    return AxiomCheck(True)
+
+
 def check_axioms(P: Pregroup) -> AxiomReport:
-    """Verify the five conditions, reporting the first counterexample each."""
-    eps, inv, mult = P.eps, P.inv, P.mult
+    """Verify the five conditions, reporting the first counterexample each.
 
-    p1 = AxiomCheck(True)
-    for a in P.elements:
-        if mult.get((eps, a)) != a or mult.get((a, eps)) != a:
-            p1 = AxiomCheck(False, (a,))
-            break
-
-    p2 = AxiomCheck(True)
-    for a in P.elements:
-        if mult.get((a, inv[a])) != eps or mult.get((inv[a], a)) != eps:
-            p2 = AxiomCheck(False, (a,))
-            break
-
-    p3 = AxiomCheck(True)
-    for (a, b), c in mult.items():
-        if mult.get((inv[b], inv[a])) != inv[c]:
-            p3 = AxiomCheck(False, (a, b))
-            break
-
-    # associativity where both sides are grounded in defined pairs
-    p4 = AxiomCheck(True)
-    for (a, b), ab in mult.items():
-        if not p4.ok:
-            break
-        for c in P.right_factors(b):
-            bc = mult[(b, c)]
-            lhs = mult.get((ab, c))
-            rhs = mult.get((a, bc))
-            if (lhs is None) != (rhs is None) or (lhs is not None and lhs != rhs):
-                p4 = AxiomCheck(False, (a, b, c))
-                break
-
-    # one of the two outer triples must associate
-    p5 = AxiomCheck(True)
-    for (a, b), ab in mult.items():
-        if not p5.ok:
-            break
-        for c in P.right_factors(b):
-            if not p5.ok:
-                break
-            bc = mult[(b, c)]
-            for d in P.right_factors(c):
-                cd = mult[(c, d)]
-                abc = (ab, c) in mult or (a, bc) in mult
-                bcd = (bc, d) in mult or (b, cd) in mult
-                if not (abc or bcd):
-                    p5 = AxiomCheck(False, (a, b, c, d))
-                    break
-
-    return AxiomReport(p1, p2, p3, p4, p5)
+    Each condition is one search: over the elements for P1 and P2, and
+    over the defined products a*b in table order for P3-P5, extended by
+    the right factors c of b and then d of c in element order.
+    """
+    eps, inv, mult, right = P.eps, P.inv, P.mult, P.right_factors
+    return AxiomReport(
+        _first((a,) for a in P.elements
+               if mult.get((eps, a)) != a or mult.get((a, eps)) != a),
+        _first((a,) for a in P.elements
+               if mult.get((a, inv[a])) != eps
+               or mult.get((inv[a], a)) != eps),
+        _first((a, b) for (a, b), c in mult.items()
+               if mult.get((inv[b], inv[a])) != inv[c]),
+        # associativity where both sides are grounded in defined pairs
+        _first((a, b, c) for (a, b), ab in mult.items() for c in right(b)
+               if mult.get((ab, c)) != mult.get((a, mult[(b, c)]))),
+        # one of the two outer triples must associate
+        _first((a, b, c, d) for (a, b), ab in mult.items() for c in right(b)
+               if (ab, c) not in mult and (a, mult[(b, c)]) not in mult
+               for d in right(c)
+               if (mult[(b, c)], d) not in mult
+               and (b, mult[(c, d)]) not in mult))
 
 
 def _sorted_products(P: Pregroup):
@@ -418,29 +397,13 @@ def table_isomorphic(P: Pregroup, Q: Pregroup) -> bool:
                     return False
             return len(P.mult) == len(Q.mult)
         a = order[k]
-        if a in mapping:  # placed together with its inverse earlier
-            return extend(k + 1)
         for b in candidates[a]:
-            if b in used:
-                continue
-            if not consistent(a, b):
+            if b in used or not consistent(a, b):
                 continue
             mapping[a] = b
             used.add(b)
-            ia, ib = P.inv[a], Q.inv[b]
-            forced_inv = ia not in mapping
-            if forced_inv:
-                if ib in used:
-                    mapping.pop(a)
-                    used.discard(b)
-                    continue
-                mapping[ia] = ib
-                used.add(ib)
             if extend(k + 1):
                 return True
-            if forced_inv:
-                mapping.pop(ia)
-                used.discard(ib)
             mapping.pop(a)
             used.discard(b)
         return False
@@ -462,11 +425,7 @@ def parse_pregroup(text: str) -> Pregroup:
     cannot be a letter is a FormatError naming the elements line.
     """
     lines = _read_directives(text, _PREGROUP_LINES)
-    elements = _single_directive(lines, "elements")
-    for name in elements:
-        if not _is_letter_name(name):
-            raise FormatError(f"element {name!r} cannot be a letter name",
-                              lines["elements"][0][0])
+    elements = _element_letters(lines)
     (eps,) = _single_directive(lines, "eps")
     inv = _directive_table(lines["inv"], "inverse", symmetric=True)
     mult = _directive_table(lines["mult"], "product")

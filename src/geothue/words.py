@@ -182,6 +182,17 @@ def _single_directive(lines, head: str) -> Sequence[str]:
     return found[0][1]
 
 
+def _element_letters(lines) -> Sequence[str]:
+    """The names of the one elements line, which become letters: a name
+    that cannot be a letter is a FormatError naming the line."""
+    elements = _single_directive(lines, "elements")
+    for name in elements:
+        if not _is_letter_name(name):
+            raise FormatError(f"element {name!r} cannot be a letter name",
+                              lines["elements"][0][0])
+    return elements
+
+
 def _directive_table(lines, what: str, symmetric: bool = False) -> dict:
     """{key: value} of lines whose last name is a value and the names
     before it its key (one name stands for itself); symmetric also maps

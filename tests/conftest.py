@@ -44,14 +44,20 @@ def _cyclic_amalgam(m, n, k):
                                            _cyclic_embedding(H, B))
 
 
-def _cyclic_hnn(n, k, e):
-    """The HNN extension of Z/n whose stable letter acts on its subgroup
-    Z/k as x -> x**e, for k dividing n and e prime to k."""
+def _cyclic_hnn_data(n, k, e):
+    """(G, embA, embB, phi) of the HNN extension of Z/n whose stable
+    letter acts on its subgroup Z/k as x -> x**e, for k dividing n and e
+    prime to k."""
     G, H = cyclic_group(n, "r"), cyclic_group(k, "h")
     emb = _cyclic_embedding(H, G)
     phi = GroupIso(H, H, {h: H.elements[i * e % k]
                           for i, h in enumerate(H.elements)})
-    return builders.build_hnn_pregroup(G, emb, emb, phi)
+    return G, emb, emb, phi
+
+
+def _cyclic_hnn(n, k, e):
+    """The pregroup of that HNN extension."""
+    return builders.build_hnn_pregroup(*_cyclic_hnn_data(n, k, e))
 
 
 # Generated pregroups: Z/m *_{Z/k} Z/n, free products (k = 1) included,

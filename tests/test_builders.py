@@ -19,7 +19,8 @@ from geothue.pregroup import (check_axioms, table_isomorphic,
 from geothue.rewriting import dehn_wp, reduce_lr
 from geothue.systems import RuleKind
 from geothue.triangular import pregroup_from_system, reducing_part
-from tests.conftest import (fixture_path, program_is_irreducible,
+from tests.conftest import (GENERATED, _cyclic_hnn, _cyclic_hnn_data,
+                            fixture_path, program_is_irreducible,
                             program_reduce_random)
 
 
@@ -202,6 +203,44 @@ def test_hnn_pregroup_carrier(hnn_data, hnn_pregroup):
     # group part multiplies as in S3, syllables compose when defined
     assert P.prod("12", "13") == "132"
     assert P.inverse("1.t.1") == "1.T.1"
+
+
+def _hnn_cases():
+    d = builders.example_hnn()
+    yield "example_hnn", (d.G, d.embA, d.embB, d.phi)
+    for name, (build, *args) in GENERATED.items():
+        if build is _cyclic_hnn:
+            yield name, _cyclic_hnn_data(*args)
+
+
+HNN_CASES = dict(_hnn_cases())
+
+
+def _carrier_word(d, u):
+    """The word of the carrier element named g or g.t.y or g.T.x."""
+    g, *rest = u.split(".")
+    if not rest:
+        return d.word(g)
+    mark, rep = rest
+    return d.word(g) + (d.alphabet.id(mark),) + d.word(rep)
+
+
+@pytest.mark.parametrize("name", sorted(HNN_CASES))
+def test_hnn_carrier_words_are_distinct_normal_forms(name):
+    # build_hnn_pregroup names a product by looking its normal form up
+    # among the carrier words, and reads inverses off its table
+    data = HNN_CASES[name]
+    d = builders._StableLetter(*data)
+    program = builders._hnn_program(d)
+    P = build_hnn_pregroup(*data)
+    words = {u: _carrier_word(d, u) for u in P.elements}
+    for u, w in words.items():
+        assert program.normal_form(w) == w, u
+    carrier = {w: u for u, w in words.items()}
+    assert len(carrier) == len(words)
+    for u, w in words.items():
+        rev = tuple(d.inverse[x] for x in reversed(w))
+        assert P.inv[u] == carrier[program.normal_form(rev)], u
 
 
 def test_stable_letter_name_clash():

@@ -432,7 +432,9 @@ MALFORMED = "# second line is bad\nbogus directive\n"
 MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\n",
                   "equal_sides.rws": "alphabet a b\nrule a b <-> a b\n",
                   "equal_sides_directed.rws": "alphabet a b\nrule a b -> a b\n",
-                  "arrow.pg": "pregroup\nelements 1 -> b\neps 1\ninv -> ->\n"}
+                  "arrow.pg": "pregroup\nelements 1 -> b\neps 1\ninv -> ->\n",
+                  "arrow.grp": fixture_path("z6.grp").read_text(
+                      encoding="utf-8").replace(" s5", " ->")}
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -441,6 +443,10 @@ MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\
       "--group-b", "{bad}", "--subgroup", fixture_path("z2h.grp"),
       "--map-a", fixture_path("amalgam_a.map"),
       "--map-b", fixture_path("amalgam_b.map")), "bad.grp"),
+    (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
+      "--group-b", "{bad}", "--subgroup", fixture_path("z2h.grp"),
+      "--map-a", fixture_path("amalgam_a.map"),
+      "--map-b", fixture_path("amalgam_b.map")), "arrow.grp"),
     (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
       "--group-b", fixture_path("z6.grp"), "--subgroup", fixture_path("z2h.grp"),
       "--map-a", fixture_path("amalgam_a.map"), "--map-b", "{bad}"), "bad.map"),

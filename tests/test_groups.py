@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from geothue.errors import StructureError
+from geothue.errors import FormatError, StructureError
 from geothue.groups import (FiniteGroup, GroupIso, SubgroupEmbedding,
                             coset_decompose, cyclic_group, format_group,
                             format_map, parse_group, parse_map,
@@ -36,6 +38,18 @@ def test_parse_format_roundtrip():
     H = parse_group(format_group(G))
     assert H == G
     assert H.mult("12", "23") == G.mult("12", "23")
+
+
+@pytest.mark.parametrize("name", [".", "->", "<->"])
+def test_element_that_cannot_be_a_letter_is_rejected(name):
+    # group elements become letters of the amalgam and stable-letter
+    # systems
+    text = (f"group\nelements 1 {name}\nidentity 1\nmult 1 1 = 1\n"
+            f"mult 1 {name} = {name}\nmult {name} 1 = {name}\n"
+            f"mult {name} {name} = 1\n")
+    with pytest.raises(FormatError, match=f"line 2: element "
+                       f"'{re.escape(name)}' cannot be a letter name"):
+        parse_group(text)
 
 
 def test_parse_map_roundtrip():

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from geothue import builders
 from geothue.errors import (FormatError, PreconditionError, ResourceLimitError,
                             StructureError)
-from geothue.pregroup import (Pregroup, check_axioms, format_pregroup,
-                              interleave_equivalent, is_reduced, load_pregroup,
-                              p_reduce, parse_pregroup, table_isomorphic,
+from geothue.pregroup import (AxiomCheck, Pregroup, check_axioms,
+                              format_pregroup, interleave_equivalent,
+                              is_reduced, load_pregroup, p_reduce,
+                              parse_pregroup, table_isomorphic,
                               universal_system, universal_system_prime, up_wp)
 from geothue.systems import RewriteSystem, Rule, preserving
 from tests.conftest import (GENERATED, _cyclic_amalgam, _cyclic_hnn,
@@ -102,6 +105,140 @@ def test_axiom_p4_failure_detected():
     rep = check_axioms(P)
     assert not rep.ok
     assert not rep.p4.ok
+
+
+def test_axiom_p3_first_counterexample():
+    # x*y = z, but y^-1 * x^-1 is undefined
+    P = parse_pregroup("""
+    elements 1 x X y Y z Z
+    eps 1
+    inv x X
+    inv y Y
+    inv z Z
+    mult x y = z
+    """)
+    assert check_axioms(P).p3 == AxiomCheck(False, ("x", "y"))
+
+
+def test_axiom_p5_first_counterexample():
+    # x y and y x are defined, but no product of three letters of
+    # x y x y is
+    P = parse_pregroup("""
+    elements 1 x X y Y z Z w W
+    eps 1
+    inv x X
+    inv y Y
+    inv z Z
+    inv w W
+    mult x y = z
+    mult Y X = Z
+    mult y x = w
+    mult X Y = W
+    """)
+    rep = check_axioms(P)
+    assert rep.p3.ok
+    assert rep.p5 == AxiomCheck(False, ("x", "y", "x", "y"))
+
+
+# each condition as a predicate on a tuple of elements, true when the
+# tuple violates it
+def _p1_fails(P, a):
+    return P.mult.get((P.eps, a)) != a or P.mult.get((a, P.eps)) != a
+
+
+def _p2_fails(P, a):
+    return (P.mult.get((a, P.inv[a])) != P.eps
+            or P.mult.get((P.inv[a], a)) != P.eps)
+
+
+def _p3_fails(P, a, b):
+    ab = P.mult.get((a, b))
+    return ab is not None and P.mult.get((P.inv[b], P.inv[a])) != P.inv[ab]
+
+
+def _p4_fails(P, a, b, c):
+    ab, bc = P.mult.get((a, b)), P.mult.get((b, c))
+    return (ab is not None and bc is not None
+            and P.mult.get((ab, c)) != P.mult.get((a, bc)))
+
+
+def _p5_fails(P, a, b, c, d):
+    ab, bc, cd = P.mult.get((a, b)), P.mult.get((b, c)), P.mult.get((c, d))
+    if None in (ab, bc, cd):
+        return False
+    return not any(key in P.mult
+                   for key in ((ab, c), (a, bc), (bc, d), (b, cd)))
+
+
+AXIOMS = {"p1": (_p1_fails, 1), "p2": (_p2_fails, 1), "p3": (_p3_fails, 2),
+          "p4": (_p4_fails, 3), "p5": (_p5_fails, 4)}
+
+
+def _small_pregroups():
+    """Real pregroups of at most 9 elements."""
+    yield z4()
+    yield free_pregroup()
+    for m, n, k in ((2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 2), (4, 4, 2)):
+        yield _cyclic_amalgam(m, n, k)
+    yield _cyclic_hnn(3, 3, -1)
+
+
+def _perturbed(P, rng):
+    """P with one to three products removed, changed or added (an added
+    one may be x*y = eps for y other than x^-1), or with one law
+    product, which the constructor supplies, deleted afterwards; None
+    when the constructor refuses the table."""
+    mult = dict(P.mult)
+    how = rng.randrange(5)
+    if how == 4:
+        Q = Pregroup(P.elements, P.eps, P.inv, mult)
+        a, b = rng.choice(sorted(Q.mult))
+        del Q.mult[(a, b)]
+        Q._right[a] = tuple(x for x in Q._right[a] if x != b)
+        return Q
+    free = sorted(k for k in mult if P.eps not in k and k[1] != P.inv[k[0]])
+    for _ in range(rng.randint(1, 3)):
+        if how == 0 and free:
+            mult.pop(rng.choice(free), None)
+        elif how == 1 and free:
+            mult[rng.choice(free)] = rng.choice(P.elements)
+        else:
+            key = (rng.choice(P.elements), rng.choice(P.elements))
+            value = P.eps if how == 3 else rng.choice(P.elements)
+            mult.setdefault(key, value)
+    try:
+        return Pregroup(P.elements, P.eps, P.inv, mult)
+    except StructureError:
+        return None
+
+
+def _perturbed_tables(seed, count):
+    rng = random.Random(seed)
+    bases = list(_small_pregroups())
+    tables = []
+    while len(tables) < count:
+        Q = _perturbed(rng.choice(bases), rng)
+        if Q is not None:
+            tables.append(Q)
+    return tables
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_axioms_matches_the_conditions_on_all_tuples(seed):
+    tables = list(_small_pregroups()) + _perturbed_tables(seed, 60)
+    failed = set()
+    for P in tables:
+        report = check_axioms(P)
+        for name, (fails, arity) in AXIOMS.items():
+            check = getattr(report, name)
+            broken = any(fails(P, *t)
+                         for t in itertools.product(P.elements, repeat=arity))
+            assert check.ok == (not broken), (name, P.mult)
+            if not check.ok:
+                failed.add(name)
+                assert fails(P, *check.counterexample), (name, P.mult)
+    # the perturbations break every condition somewhere
+    assert failed == set(AXIOMS)
 
 
 def test_format_parse_roundtrip(amalgam_pregroup, hnn_pregroup):
@@ -279,6 +416,79 @@ def test_table_isomorphic_rejects_different_tables():
 
 def test_table_isomorphic_identity(hnn_pregroup):
     assert table_isomorphic(hnn_pregroup, hnn_pregroup)
+
+
+def _brute_isomorphic(P, Q):
+    """Whether some bijection fixing the identity carries P's inverses
+    and table onto Q's, trying every one."""
+    if len(P) != len(Q) or len(P.mult) != len(Q.mult):
+        return False
+    rest = [a for a in P.elements if a != P.eps]
+    for images in itertools.permutations(b for b in Q.elements if b != Q.eps):
+        f = dict(zip(rest, images), **{P.eps: Q.eps})
+        if (all(Q.inv[f[a]] == f[P.inv[a]] for a in P.elements)
+                and all(Q.mult.get((f[x], f[y])) == f[z]
+                        for (x, y), z in P.mult.items())):
+            return True
+    return False
+
+
+def _relabelled(P, rng):
+    """P under fresh names, its elements and products in shuffled order."""
+    name = {a: f"e{i}" for i, a in enumerate(P.elements)}
+    elements = [name[a] for a in P.elements]
+    rng.shuffle(elements)
+    products = list(P.mult.items())
+    rng.shuffle(products)
+    return Pregroup(elements, name[P.eps],
+                    {name[a]: name[b] for a, b in P.inv.items()},
+                    {(name[x], name[y]): name[z] for (x, y), z in products})
+
+
+def _inverse_decoys():
+    """Tables with products x*y = eps for some y other than x^-1, where a
+    bijection may match the table yet not the inverses.  The last two
+    share one table, which only the identity map preserves, under two
+    inverse pairings: they are not isomorphic."""
+    texts = ["inv a a\ninv b c\nmult a b = 1",
+             "inv a a\ninv b c\nmult a c = 1",
+             "inv a a\ninv b c\nmult b a = 1",
+             "inv a a\ninv b b\ninv c c\nmult a b = 1",
+             "inv a a\ninv b c\nmult b b = 1",
+             "inv a a\ninv b c\nmult a b = 1\nmult b a = 1"]
+    decoys = [parse_pregroup(f"elements 1 a b c\neps 1\n{t}\n") for t in texts]
+    # the products around the cycle a b c d are eps; b b = a and a a = c
+    cycle = ("a b", "b c", "c d", "d a")
+    for pairs in (cycle[0::2], cycle[1::2]):
+        lines = ["elements 1 a b c d", "eps 1", "mult a a = c", "mult b b = a"]
+        lines += [f"inv {xy}" for xy in pairs]
+        lines += [f"mult {x} {y} = 1\nmult {y} {x} = 1"
+                  for x, y in (xy.split() for xy in cycle if xy not in pairs)]
+        decoys.append(parse_pregroup("\n".join(lines) + "\n"))
+    return decoys
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table_isomorphic_matches_every_bijection(seed):
+    rng = random.Random(seed)
+    small = [P for P in _small_pregroups() if len(P) <= 6]
+    tables = small + _inverse_decoys() + [
+        Q for Q in _perturbed_tables(seed, 120) if len(Q) <= 6]
+    tables += [_relabelled(P, rng) for P in rng.sample(tables, 30)]
+    agreed = Counter()
+    for P in tables:
+        for Q in tables:
+            if len(P) == len(Q):
+                want = _brute_isomorphic(P, Q)
+                assert table_isomorphic(P, Q) == want, (P.mult, Q.mult)
+                agreed[want] += 1
+    assert agreed[True] >= 30 and agreed[False] >= 30
+
+
+def test_table_isomorphic_matches_inverses_not_only_the_table():
+    P, Q = _inverse_decoys()[-2:]
+    assert P.mult == Q.mult and P.inv != Q.inv
+    assert not table_isomorphic(P, Q) and not table_isomorphic(Q, P)
 
 
 # ---------------------------------------------------------------------------
