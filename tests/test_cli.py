@@ -444,10 +444,6 @@ MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\
       "--map-a", fixture_path("amalgam_a.map"),
       "--map-b", fixture_path("amalgam_b.map")), "bad.grp"),
     (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
-      "--group-b", "{bad}", "--subgroup", fixture_path("z2h.grp"),
-      "--map-a", fixture_path("amalgam_a.map"),
-      "--map-b", fixture_path("amalgam_b.map")), "arrow.grp"),
-    (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
       "--group-b", fixture_path("z6.grp"), "--subgroup", fixture_path("z2h.grp"),
       "--map-a", fixture_path("amalgam_a.map"), "--map-b", "{bad}"), "bad.map"),
     (("weights", "{bad}"), "bad.rules"),
@@ -456,6 +452,10 @@ MALFORMED_TEXT = {"repeated_letter.rws": "alphabet a\nalphabet a\nrule a a -> .\
     (("check-gp", "{bad}"), "equal_sides.rws"),
     (("check-gp", "{bad}"), "equal_sides_directed.rws"),
     (("pregroup", "to-system", "{bad}"), "arrow.pg"),
+    (("build", "amalgam", "--group-a", fixture_path("z4.grp"),
+      "--group-b", "{bad}", "--subgroup", fixture_path("z2h.grp"),
+      "--map-a", fixture_path("amalgam_a.map"),
+      "--map-b", fixture_path("amalgam_b.map")), "arrow.grp"),
 ])
 def test_format_errors_name_the_file(capsys, tmp_path, argv, bad):
     path = tmp_path / bad
