@@ -310,6 +310,8 @@ class RuleProgram:
 
     def normal_form(self, word: Word, max_steps: int = 10 ** 6) -> Word:
         w = tuple(word)
+        for sym in w:
+            self.alphabet.name(sym)
         steps = 0
         i = 0
         while i < len(w):

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .confluence import CriticalPair, critical_pairs, sp_equivalent
-from .errors import DEFAULT_MAX_NODES, PreconditionError
-from .rewriting import _check_budget, _reduce_lr, reduce_lr_trace
+from .errors import DEFAULT_MAX_NODES, PreconditionError, _check_budget
+from .rewriting import _reduce_lr, reduce_lr_trace
 from .systems import Rule, RewriteSystem, preserving, reducing
 from .words import Word
 

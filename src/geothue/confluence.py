@@ -83,8 +83,8 @@ import enum
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
-from .errors import DEFAULT_MAX_NODES, ResourceLimitError
-from .rewriting import _check_budget, _closure, _reduce_lr
+from .errors import DEFAULT_MAX_NODES, ResourceLimitError, _check_budget
+from .rewriting import _closure, _reduce_lr
 from .systems import Rule, RewriteSystem, _OverlapKeys, _overlap_keys
 from .words import Word
 
@@ -266,9 +266,7 @@ def sp_equivalent(u: Word, v: Word, system: RewriteSystem,
     so a target reached within it is still answered.
     """
     _check_budget(max_nodes)
-    u, v = tuple(u), tuple(v)
-    system._check_symbols(u)
-    system._check_symbols(v)
+    u, v = system._word(u), system._word(v)
     if u == v:
         return True
     if len(u) != len(v):
@@ -284,9 +282,7 @@ def descendant_closure(word: Word, system: RewriteSystem,
                        max_nodes: int = DEFAULT_MAX_NODES) -> FrozenSet[Word]:
     """Everything reachable by forward steps of any rule, the word
     included, within the budget."""
-    w = tuple(word)
-    system._check_symbols(w)
-    return frozenset(_closure(w, system._all_steps, max_nodes,
+    return frozenset(_closure(system._word(word), system._all_steps, max_nodes,
                               "descendant closure"))
 
 
@@ -565,9 +561,7 @@ def preperfect_wp(u: Word, v: Word, system: RewriteSystem,
     the equal words d f c and f d c distinct.
     """
     du = descendant_closure(u, system, max_nodes)
-    w = tuple(v)
-    system._check_symbols(w)
-    met = _closure(w, system._all_steps, max_nodes,
+    met = _closure(system._word(v), system._all_steps, max_nodes,
                    "descendant closure", target=du)
     return not du.isdisjoint(met)
 

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the node budget of
+every bounded search with its one check, _check_budget.
 
 The CLI maps these onto exit codes: resource limits exit 2, everything
 else here exits 1.
@@ -31,6 +32,13 @@ class StructureError(GeothueError):
 
 
 DEFAULT_MAX_NODES = 10 ** 6  # node budget of every bounded search
+
+
+def _check_budget(max_nodes: int) -> None:
+    """Refuse a node budget below 1, which no closure fits."""
+    if max_nodes < 1:
+        raise PreconditionError(
+            f"node budget must be at least 1, got {max_nodes}")
 
 
 class ResourceLimitError(GeothueError):

@@ -6,9 +6,9 @@ explicit caps: a length horizon and a node budget.  "complete" means
 the closure is closed under every step that stays within the horizon and
 the node budget was not hit; verdicts derived from closures say so
 relative to those caps and never overclaim beyond them.  A budget counts
-the start word, so every entry point refuses one below 1, as the fast
-searches do, with a check of its own: the oracle stays independent of
-them, and imports only the errors, the systems and the words.  Its
+the start word, so every entry point refuses one below 1, with the
+fast searches' errors._check_budget; yet the oracle stays independent
+of them, and imports only the errors, the systems and the words.  Its
 semi-test of the geodesic property, geodesic_bounded_check, finds the
 words that no reducing rule matches in its own step tables.
 """
@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import DEFAULT_MAX_NODES, PreconditionError
+from .errors import DEFAULT_MAX_NODES, PreconditionError, _check_budget
 from .systems import RewriteSystem
 from .words import Word, lenlex_key
 
@@ -37,12 +37,6 @@ class ClassClosure:
     max_length: int
     # member -> (parent, direction, pos, rule); seed maps to None
     parents: Dict[Word, Optional[tuple]] = field(repr=False, default_factory=dict)
-
-
-def _check_budget(max_nodes: int) -> None:
-    if max_nodes < 1:
-        raise PreconditionError(
-            f"node budget must be at least 1, got {max_nodes}")
 
 
 def _step_tables(system: RewriteSystem):
@@ -94,8 +88,7 @@ def class_closure(word: Word, system: RewriteSystem,
     a truncated closure is reported incomplete.
     """
     _check_budget(max_nodes)
-    seed = tuple(word)
-    system._check_symbols(seed)
+    seed = system._word(word)
     if max_length is None:
         max_length = default_horizon(seed)
     if len(seed) > max_length:
@@ -164,9 +157,7 @@ def oracle_wp(u: Word, v: Word, system: RewriteSystem,
     they stay disjoint there.
     """
     _check_budget(max_nodes)
-    u, v = tuple(u), tuple(v)
-    system._check_symbols(u)
-    system._check_symbols(v)
+    u, v = system._word(u), system._word(v)
     if u == v:
         return WpVerdict.EQUAL
     if max_length is None:
@@ -189,7 +180,7 @@ def oracle_geodesics(word: Word, system: RewriteSystem,
                      max_nodes: int = DEFAULT_MAX_NODES):
     """Minimal-length members of the bounded class; certified iff complete."""
     _check_budget(max_nodes)
-    w = tuple(word)
+    w = system._word(word)
     if slack is None:
         slack = 2 * len(w) + 4
     closure = class_closure(w, system, max_length=len(w) + slack, max_nodes=max_nodes)

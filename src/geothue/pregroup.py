@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DEFAULT_MAX_NODES, FormatError, PreconditionError,
-                     StructureError)
-from .rewriting import _check_budget, _closure
+                     StructureError, _check_budget)
+from .rewriting import _closure
 from .systems import RewriteSystem, _step_set, preserving, reducing
 from .words import (Alphabet, _directive_shapes, _directive_table,
                     _element_letters, _read_directives, _single_directive)

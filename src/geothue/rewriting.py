@@ -11,11 +11,12 @@ is one transition, whatever the number of rules, and a contraction
 pops its states with its letters; the reduction is linear in |w| for a
 fixed system (Book's algorithm for length-reducing systems).
 reduce_lr_trace runs the same loop and also records the word before
-each contraction.  The two public entry points turn the word into a
-tuple and reject a symbol outside the system's alphabet; the loop
-itself, _reduce_lr, checks nothing, so completion calls it directly,
-once per distinct side in a phase, on the sides of critical pairs,
-which are built from the system's own rules.
+each contraction.  Like every entry point that takes a word, both read
+it through RewriteSystem._word, which makes it a tuple and refuses a
+symbol outside the system's alphabet; the loop itself, _reduce_lr,
+checks nothing, so completion calls it directly, once per distinct side
+in a phase, on the sides of critical pairs, which are built from the
+system's own rules.
 
 The closures (dehn_wp here, the descendant and preserving-class
 searches in ``confluence``, and the interleave search in ``pregroup``)
@@ -27,8 +28,9 @@ budget is an int; it applies to each closure on its own and counts the
 start word: a closure of N words passes at max_nodes=N, and
 ResourceLimitError(cap=max_nodes) is raised when a new word would make
 N + 1.  No closure fits a budget below 1, so every search refuses one
-with PreconditionError before it starts (_check_budget).  A search may
-be given a collection of stop words, its target: it stops at the first
+with PreconditionError before it starts (errors._check_budget, the one
+budget check of the package, the oracle's included).  A search may be
+given a collection of stop words, its target: it stops at the first
 word it reaches that lies in the target, and since that test comes
 before the budget, reaching a target word never raises.
 """
@@ -38,12 +40,14 @@ from __future__ import annotations
 import warnings
 from typing import Collection, Iterable, List, Optional, Set, Tuple
 
-from .errors import DEFAULT_MAX_NODES, PreconditionError, ResourceLimitError
+from .errors import (DEFAULT_MAX_NODES, PreconditionError, ResourceLimitError,
+                     _check_budget)
 from .systems import Rule, RuleKind, RewriteSystem, reducing, preserving
 from .words import EMPTY, Alphabet, Word
 
 
 def apply_rule(word: Word, pos: int, rule: Rule) -> Word:
+    word = tuple(word)
     L = len(rule.lhs)
     if word[pos:pos + L] != rule.lhs:
         raise PreconditionError(f"rule does not match at position {pos}")
@@ -60,6 +64,7 @@ def _picked_rules(system: RewriteSystem, kind: Optional[RuleKind]):
 
 def redexes(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None):
     """All (pos, rule) matches, by rule order then position."""
+    word = system._word(word)
     out = []
     n = len(word)
     for rule in _picked_rules(system, kind):
@@ -74,8 +79,7 @@ def redexes(word: Word, system: RewriteSystem, kind: Optional[RuleKind] = None):
 def is_irreducible(word: Word, system: RewriteSystem) -> bool:
     """True iff no reducing rule matches word: a walk of reduce_lr's
     automaton that stops at the first state naming a rule."""
-    word = tuple(word)
-    system._check_symbols(word)
+    word = system._word(word)
     delta, first = system._automaton
     s = 0
     for x in word:
@@ -87,6 +91,7 @@ def is_irreducible(word: Word, system: RewriteSystem) -> bool:
 
 def successors(word: Word, system: RewriteSystem) -> Tuple[Word, ...]:
     """One-step successors, deduplicated, in rule-then-position order."""
+    word = system._word(word)
     seen = dict()
     for pos, rule in redexes(word, system):
         v = word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
@@ -97,9 +102,7 @@ def successors(word: Word, system: RewriteSystem) -> Tuple[Word, ...]:
 
 def reduce_lr(word: Word, system: RewriteSystem) -> Word:
     """Reduce with S_R only, leftmost reduction point, first rule wins."""
-    word = tuple(word)
-    system._check_symbols(word)
-    return _reduce_lr(word, system, None)
+    return _reduce_lr(system._word(word), system, None)
 
 
 def reduce_lr_trace(word: Word, system: RewriteSystem):
@@ -111,10 +114,8 @@ def reduce_lr_trace(word: Word, system: RewriteSystem):
     earliest end position of any reducing match; ties between rules
     ending there go to system rule order.
     """
-    word = tuple(word)
-    system._check_symbols(word)
     steps: list = []
-    return _reduce_lr(word, system, steps), steps
+    return _reduce_lr(system._word(word), system, steps), steps
 
 
 def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word:
@@ -172,8 +173,7 @@ def _reduce_lr(word: Word, system: RewriteSystem, steps: Optional[list]) -> Word
 def reduce_random(word: Word, system: RewriteSystem, rng) -> Word:
     """Maximal reduction applying a uniformly random reducing redex each
     step."""
-    w = tuple(word)
-    system._check_symbols(w)
+    w = system._word(word)
     while True:
         hits = redexes(w, system, RuleKind.REDUCING)
         if not hits:
@@ -202,13 +202,6 @@ def thue_resolution(alphabet: Alphabet, pairs: Iterable[Tuple[Word, Word]],
             rules.append(preserving(lhs, rhs))
     return RewriteSystem(alphabet, rules, inverse_pairing=inverse_pairing,
                          symmetrize=symmetrize)
-
-
-def _check_budget(max_nodes: int) -> None:
-    """Refuse a node budget below 1, which no closure fits."""
-    if max_nodes < 1:
-        raise PreconditionError(
-            f"node budget must be at least 1, got {max_nodes}")
 
 
 def _closure(start: Word, steps, max_nodes: int, what: str,
@@ -263,8 +256,7 @@ def dehn_wp(word: Word, system: RewriteSystem,
     the empty word (Dehn systems).  Warns when preserving rules exist,
     since they are ignored here.
     """
-    w = tuple(word)
-    system._check_symbols(w)
+    w = system._word(word)
     if system.preserving:
         warnings.warn("dehn_wp ignores the preserving rules of this system",
                       stacklevel=2)

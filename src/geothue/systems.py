@@ -6,6 +6,10 @@ the mirror of a preserving rule right after it when the system lacks
 that mirror so far, and drops a rule it already has, unless the system
 is explicitly built with symmetrize=False (used only for the
 direction-only amalgam variant; such systems record sp_symmetric=False).
+A symmetric system so holds each preserving rule followed by its mirror
+(a new rule's mirror is never held already, or the rule would have come
+right after it), and format_system writes every other one.  Every entry
+point that takes a word reads it through RewriteSystem._word.
 
 An optional inverse pairing turns the system into a group system; the
 constructor then insists that x x^-1 -> 1 and x^-1 x -> 1 are present
@@ -196,10 +200,12 @@ class RewriteSystem:
         filled by confluence._sp_class and handed on by with_rules."""
         return {}, {}
 
-    def _check_symbols(self, word: Word) -> None:
-        """Reject a word with a symbol outside this system's alphabet."""
+    def _word(self, word: Sequence[int]) -> Word:
+        """word as a tuple; AlphabetError if it leaves the alphabet."""
+        word = tuple(word)
         if not self._symbols.issuperset(word):
             raise AlphabetError("word uses symbols outside the system alphabet")
+        return word
 
     def with_rules(self, extra: Iterable[Rule]) -> "RewriteSystem":
         new = RewriteSystem(
@@ -403,12 +409,11 @@ def format_system(system: RewriteSystem) -> str:
                 lines.append(f"inverse {alphabet.name(x)} {alphabet.name(y)}")
     for rule in system.reducing:
         lines.append(f"rule {alphabet.format(rule.lhs)} -> {alphabet.format(rule.rhs)}")
-    emitted = set()
-    for rule in system.preserving:
-        if (rule.rhs, rule.lhs) in emitted and system.sp_symmetric:
-            continue
-        emitted.add((rule.lhs, rule.rhs))
-        arrow = "<->" if system.sp_symmetric else "->"
+    if system.sp_symmetric:  # each preserving rule's mirror comes right after it
+        arrow, rules = "<->", system.preserving[::2]
+    else:
+        arrow, rules = "->", system.preserving
+    for rule in rules:
         lines.append(f"rule {alphabet.format(rule.lhs)} {arrow} {alphabet.format(rule.rhs)}")
     return "\n".join(lines) + "\n"
 

@@ -130,9 +130,6 @@ def weight_assignment(rules, alphabet_size: int,
     pairs = [(tuple(l), tuple(r)) for l, r in rules]
     n = alphabet_size
 
-    if not pairs:
-        return WeightResult(WeightStatus.FEASIBLE, {s: 1 for s in range(n)}, bound)
-
     uniform = {s: 1 for s in range(n)}
     if is_weight_reducing(pairs, uniform):
         return WeightResult(WeightStatus.FEASIBLE, uniform, bound)

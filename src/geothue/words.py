@@ -73,10 +73,9 @@ class Alphabet:
             raise AlphabetError(f"unknown letter {name!r}") from None
 
     def name(self, sym: int) -> str:
-        try:
+        if 0 <= sym < len(self.names):
             return self.names[sym]
-        except IndexError:
-            raise AlphabetError(f"symbol id {sym} out of range") from None
+        raise AlphabetError(f"symbol id {sym} out of range")
 
     def word(self, text: str) -> Word:
         """Parse a word.  "." is the empty word; tokens are letter names.

@@ -10,8 +10,8 @@ from geothue.builders import (CommutationGraph, CoxeterMatrix, RuleProgram,
                               build_tits_system, format_rule_program,
                               parse_rule_program)
 from geothue.confluence import check_geodesically_perfect
-from geothue.errors import (PreconditionError, ResourceLimitError,
-                            StructureError)
+from geothue.errors import (AlphabetError, PreconditionError,
+                            ResourceLimitError, StructureError)
 from geothue.groups import (GroupIso, SubgroupEmbedding, cyclic_group,
                             symmetric_group)
 from geothue.pregroup import (check_axioms, table_isomorphic,
@@ -145,6 +145,8 @@ def test_rule_program_validation():
         RuleProgram(ab, [((), (0,))])
     with pytest.raises(StructureError):
         RuleProgram(ab, [((0,), (0,))])
+    with pytest.raises(AlphabetError):
+        RuleProgram(ab, [((-1,), (0,))])
     prog = RuleProgram(ab, [((0,), (0, 1))])
     with pytest.raises(ResourceLimitError):
         prog.normal_form((0,), max_steps=10)

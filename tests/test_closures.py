@@ -6,6 +6,7 @@ every fast search takes: an int, DEFAULT_MAX_NODES by default, at
 least 1."""
 
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from geothue.errors import (DEFAULT_MAX_NODES, AlphabetError,
                             PreconditionError, ResourceLimitError)
 from geothue.oracle import class_closure, oracle_geodesics, oracle_wp
 from geothue.pregroup import interleave_equivalent, universal_system
-from geothue.rewriting import (dehn_wp, is_irreducible, reduce_lr_trace,
+from geothue.rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
+                               reduce_lr, reduce_lr_trace, reduce_random,
                                successors)
 from geothue.systems import (RewriteSystem, load_system, preserving,
                              reducing)
@@ -357,6 +359,54 @@ ENTRY_POINTS = {
 def test_out_of_alphabet_symbols_are_rejected(entry, free_ab):
     with pytest.raises(AlphabetError):
         ENTRY_POINTS[entry](free_ab)
+
+
+# Every public entry point that takes a word, called on tits_d3 (a a -> .,
+# b b -> ., a b a <-> b a b) with its words passed through as_word.
+ABAAB, ABA, BAB = (0, 1, 0, 0, 1), (0, 1, 0), (1, 0, 1)
+SORT_B_FIRST = builders.RuleProgram(Alphabet("ab"), [((0, 1), (1, 0))])
+WORD_ENTRY_POINTS = {
+    "apply_rule": lambda S, as_word: apply_rule(as_word(ABAAB), 2, S.rules[0]),
+    "redexes": lambda S, as_word: redexes(as_word(ABAAB), S),
+    "successors": lambda S, as_word: successors(as_word(ABAAB), S),
+    "is_irreducible": lambda S, as_word: is_irreducible(as_word(ABA), S),
+    "reduce_lr": lambda S, as_word: reduce_lr(as_word(ABAAB), S),
+    "reduce_lr_trace": lambda S, as_word: reduce_lr_trace(as_word(ABAAB), S),
+    "reduce_random": lambda S, as_word: reduce_random(as_word(ABAAB), S,
+                                                      random.Random(0)),
+    "dehn_wp": lambda S, as_word: dehn_wp(as_word(ABAAB), S),
+    "sp_equivalent": lambda S, as_word: sp_equivalent(as_word(ABA),
+                                                      as_word(BAB), S),
+    "descendant_closure": lambda S, as_word: descendant_closure(as_word(ABAAB),
+                                                                S),
+    "preperfect_wp": lambda S, as_word: preperfect_wp(as_word(ABAAB),
+                                                      as_word(BAB), S),
+    "geodesics_of": lambda S, as_word: geodesics_of(as_word(ABAAB), S),
+    "class_closure": lambda S, as_word: class_closure(as_word(ABA), S,
+                                                      max_length=5),
+    "oracle_wp": lambda S, as_word: oracle_wp(as_word(ABA), as_word(BAB), S),
+    "oracle_geodesics": lambda S, as_word: oracle_geodesics(as_word(ABA), S,
+                                                            slack=2),
+    "RuleProgram.normal_form":
+        lambda S, as_word: SORT_B_FIRST.normal_form(as_word(ABAAB)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:dehn_wp ignores the preserving rules")
+@pytest.mark.parametrize("entry", sorted(WORD_ENTRY_POINTS))
+def test_every_word_entry_point_reads_a_sequence_over_its_alphabet(entry):
+    call = WORD_ENTRY_POINTS[entry]
+    S = load_system(fixture_path("tits_d3.rws"))
+    assert call(S, list) == call(S, tuple)
+    if entry == "apply_rule":  # a rule alone has no alphabet
+        return
+    fresh = load_system(fixture_path("tits_d3.rws"))
+    for letter in (99, -1):
+        with pytest.raises(AlphabetError):
+            call(fresh, lambda word: word + (letter,))
+    # the system compiled no step set, automaton or table: no search began
+    assert vars(fresh).keys() == vars(load_system(
+        fixture_path("tits_d3.rws"))).keys()
 
 
 # Each fast search on z2z2 (a a -> ., b b -> ., no pair unless a rule

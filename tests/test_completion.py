@@ -12,10 +12,9 @@ from geothue.completion import (DEFAULT_MAX_PHASES, DEFAULT_MAX_RULES,
 from geothue.confluence import (check_geodesically_perfect, critical_pairs,
                                 sp_equivalent)
 from geothue.errors import (DEFAULT_MAX_NODES, PreconditionError,
-                            ResourceLimitError)
+                            ResourceLimitError, _check_budget)
 from geothue.oracle import class_partition
-from geothue.rewriting import (_check_budget, reduce_lr, reduce_lr_trace,
-                               successors)
+from geothue.rewriting import reduce_lr, reduce_lr_trace, successors
 from geothue.systems import (RewriteSystem, RuleKind, load_system,
                              parse_system, preserving, reducing)
 from tests.conftest import FIXTURES, overlapping_system
@@ -305,8 +304,8 @@ def _resolve_pair_twin(pair, system, max_nodes=DEFAULT_MAX_NODES):
     traces: the symbols checked first, the normal forms from reduce_lr,
     its own branches, and a chain from two more traced reductions."""
     _check_budget(max_nodes)
-    system._check_symbols(pair.x)
-    system._check_symbols(pair.y)
+    system._word(pair.x)
+    system._word(pair.y)
     x_hat = reduce_lr(pair.x, system)
     y_hat = reduce_lr(pair.y, system)
     if x_hat == y_hat:

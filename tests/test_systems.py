@@ -3,13 +3,17 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from geothue import builders
+from geothue.completion import kb_complete
 from geothue.errors import AlphabetError, FormatError, StructureError
 from geothue.groups import parse_group, parse_map
-from geothue.pregroup import parse_pregroup
+from geothue.pregroup import (load_pregroup, parse_pregroup, universal_system,
+                              universal_system_prime)
 from geothue.systems import (RewriteSystem, RuleKind, format_system,
-                             parse_rule_pairs, parse_system, preserving,
-                             reducing)
+                             load_system, parse_rule_pairs, parse_system,
+                             preserving, reducing)
 from geothue.words import Alphabet, _is_letter_name
+from tests.conftest import FIXTURES
 
 
 def test_rule_constructors_enforce_lengths():
@@ -119,6 +123,19 @@ def test_system_construction_matches_its_slow_twin(case, symmetrize):
     assert (S.reducing, S.preserving, S.sp_symmetric) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=_rule_lists())
+@example(case=(2, [AB_SWAP.mirror(), AB_SWAP, reducing((0, 0), ()),
+                   AB_SWAP.mirror(), preserving((0, 0), (1, 1))]))
+def test_a_symmetric_system_holds_each_preserving_rule_before_its_mirror(case):
+    n, rules = case
+    try:
+        S = RewriteSystem(Alphabet("abc"[:n]), rules)
+    except StructureError:  # a symbol outside the alphabet
+        assume(False)
+    assert [r.mirror() for r in S.preserving[::2]] == list(S.preserving[1::2])
+
+
 def test_parse_system_splits_and_pairs():
     text = """
     # comment
@@ -181,10 +198,39 @@ def test_parse_rejects_conflicting_inverses():
         parse_system(text)
 
 
-def test_format_parse_roundtrip(geoper_T, z2_graph, tits_d3):
-    for sys_ in (geoper_T, z2_graph, tits_d3):
-        back = parse_system(format_system(sys_))
-        assert back == sys_
+def _roundtrip_systems():
+    """Symmetric systems of each kind the package reads or builds: the
+    system fixtures, both universal systems of the pregroup fixtures,
+    one system of each builder, and completions of some fixtures."""
+    rws = {path.stem: load_system(path)
+           for path in sorted(FIXTURES.glob("*.rws"))}
+    yield from rws.values()
+    for path in sorted(FIXTURES.glob("*.pg")):
+        P = load_pregroup(path)
+        yield universal_system(P)
+        yield universal_system_prime(P)
+    yield builders.build_graph_group(builders.CommutationGraph(
+        ("a", "b", "c"), (("a", "b"), ("b", "c"))))
+    yield builders.build_tits_system(
+        builders.CoxeterMatrix(((1, 3, 2), (3, 1, 3), (2, 3, 1))))
+    d = builders.example_amalgam()
+    yield builders.build_amalgam_system(d.A, d.B, d.embA, d.embB)
+    d = builders.example_hnn()
+    yield builders.build_britton_system(d.G, d.embA, d.embB, d.phi)
+    for name in ("geoper_S", "gpex", "tits_d3", "z2_graph"):
+        yield kb_complete(rws[name], max_phases=3).system
+
+
+def test_format_parse_roundtrip():
+    rng = random.Random(0)
+    for sys_ in _roundtrip_systems():
+        rules = list(sys_.rules)
+        rng.shuffle(rules)
+        shuffled = RewriteSystem(sys_.alphabet, rules,
+                                 inverse_pairing=sys_.inverse_pairing)
+        for system in (sys_, shuffled):
+            assert system.sp_symmetric
+            assert parse_system(format_system(system)) == system
 
 
 def test_with_rules_extends_without_mutation(z2z2):

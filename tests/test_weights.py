@@ -33,6 +33,12 @@ def test_infeasible_symmetric_pair():
     assert res.status is WeightStatus.PROVABLY_INFEASIBLE
 
 
+def test_no_rules_get_all_ones():
+    res = weight_assignment([], alphabet_size=3)
+    assert res.status is WeightStatus.FEASIBLE
+    assert res.weights == {0: 1, 1: 1, 2: 1}
+
+
 def test_length_reducing_system_gets_all_ones(geoper_S):
     ps = [(r.lhs, r.rhs) for r in geoper_S.rules]
     res = weight_assignment(ps, alphabet_size=len(geoper_S.alphabet))

@@ -15,6 +15,12 @@ def test_alphabet_basics():
     assert "a" in ab and "z" not in ab
 
 
+@pytest.mark.parametrize("sym", [-1, 3])
+def test_a_symbol_id_outside_the_alphabet_has_no_name(sym):
+    with pytest.raises(AlphabetError, match="out of range"):
+        Alphabet(["a", "b", "c"]).name(sym)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(AlphabetError):
         Alphabet(["a", "a"])
