@@ -1,8 +1,9 @@
 """Regenerate everything under fixtures/.
 
-Literal systems are written as text; everything derived from a finite
-group goes through the builders so the files always match the code.
-Run from the repository root:
+Literal systems are written as text; every other file is the format_*
+text of what the builders make, so the files always match the code
+(tests/test_fixtures.py checks that they do).  Run from the repository
+root:
 
     python scripts/make_fixtures.py
 """
@@ -12,9 +13,10 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from geothue import builders, groups
-from geothue.pregroup import save_pregroup
-from geothue.systems import save_system
+from geothue import builders
+from geothue.groups import format_group, format_map
+from geothue.pregroup import format_pregroup
+from geothue.systems import format_system
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -99,46 +101,28 @@ def main() -> None:
     write(FIX / "z2z2_group.rws", Z2Z2_GROUP)
     write(FIX / "z2_convergent.rules", Z2_CONVERGENT)
 
-    tits = builders.build_tits_system(builders.CoxeterMatrix(((1, 3), (3, 1))))
-    save_system(tits, FIX / "tits_d3.rws")
-    print("wrote fixtures/tits_d3.rws")
-
-    free_ab = builders.build_graph_group(builders.CommutationGraph(("a", "b"), ()))
-    save_system(free_ab, FIX / "free_ab.rws")
-    print("wrote fixtures/free_ab.rws")
-
-    z2_graph = builders.build_graph_group(
-        builders.CommutationGraph(("a", "b"), (("a", "b"),)))
-    save_system(z2_graph, FIX / "z2_graph.rws")
-    print("wrote fixtures/z2_graph.rws")
+    write(FIX / "tits_d3.rws", format_system(
+        builders.build_tits_system(builders.CoxeterMatrix(((1, 3), (3, 1))))))
+    write(FIX / "free_ab.rws", format_system(
+        builders.build_graph_group(builders.CommutationGraph(("a", "b"), ()))))
+    write(FIX / "z2_graph.rws", format_system(builders.build_graph_group(
+        builders.CommutationGraph(("a", "b"), (("a", "b"),)))))
 
     # Finite groups and gluing data for the amalgam and HNN examples.
     am = builders.example_amalgam()
     hn = builders.example_hnn()
-    groups.save_group(am.A, FIX / "z4.grp")
-    groups.save_group(am.B, FIX / "z6.grp")
-    groups.save_group(am.H, FIX / "z2h.grp")
-    groups.save_group(hn.G, FIX / "s3.grp")
-    with open(FIX / "amalgam_a.map", "w", encoding="utf-8") as fh:
-        fh.write(groups.format_map(am.embA.map))
-    with open(FIX / "amalgam_b.map", "w", encoding="utf-8") as fh:
-        fh.write(groups.format_map(am.embB.map))
-    with open(FIX / "hnn_emb.map", "w", encoding="utf-8") as fh:
-        fh.write(groups.format_map(hn.embA.map))
-    with open(FIX / "hnn_phi.map", "w", encoding="utf-8") as fh:
-        fh.write(groups.format_map(hn.phi.map))
-    for name in ("z4.grp", "z6.grp", "z2h.grp", "s3.grp",
-                 "amalgam_a.map", "amalgam_b.map", "hnn_emb.map",
-                 "hnn_phi.map"):
-        print(f"wrote fixtures/{name}")
+    for name, G in (("z4.grp", am.A), ("z6.grp", am.B), ("z2h.grp", am.H),
+                    ("s3.grp", hn.G)):
+        write(FIX / name, format_group(G))
+    for name, mapping in (("amalgam_a.map", am.embA.map),
+                          ("amalgam_b.map", am.embB.map),
+                          ("hnn_emb.map", hn.embA.map), ("hnn_phi.map", hn.phi.map)):
+        write(FIX / name, format_map(mapping))
 
-    P_am = builders.build_amalgam_pregroup(am.A, am.B, am.embA, am.embB)
-    save_pregroup(P_am, FIX / "amalgam_z4z6.pg")
-    print(f"wrote fixtures/amalgam_z4z6.pg ({len(P_am.elements)} elements)")
-
-    P_hnn = builders.build_hnn_pregroup(hn.G, hn.embA, hn.embB, hn.phi)
-    save_pregroup(P_hnn, FIX / "hnn_s3.pg")
-    print(f"wrote fixtures/hnn_s3.pg ({len(P_hnn.elements)} elements)")
+    write(FIX / "amalgam_z4z6.pg", format_pregroup(
+        builders.build_amalgam_pregroup(am.A, am.B, am.embA, am.embB)))
+    write(FIX / "hnn_s3.pg", format_pregroup(
+        builders.build_hnn_pregroup(hn.G, hn.embA, hn.embB, hn.phi)))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .errors import (AlphabetError, FormatError, GeothueError,
 from .words import EMPTY, Alphabet, Word, lenlex_key
 from .systems import (Rule, RuleKind, RewriteSystem, format_system,
                       load_system, parse_rule_pairs, parse_system,
-                      preserving, reducing, save_system)
+                      preserving, reducing)
 from .rewriting import (apply_rule, dehn_wp, is_irreducible, redexes,
                         reduce_lr, reduce_lr_trace, reduce_random,
                         successors, thue_resolution)
@@ -35,14 +35,14 @@ from .completion import (CompletionResult, CompletionStatus, PhaseStats,
                          resolve_pair)
 from .pregroup import (AxiomCheck, AxiomReport, Pregroup, check_axioms,
                        format_pregroup, interleave_equivalent, is_reduced,
-                       load_pregroup, p_reduce, parse_pregroup, save_pregroup,
+                       load_pregroup, p_reduce, parse_pregroup,
                        table_isomorphic, universal_system,
                        universal_system_prime, up_wp)
 from .triangular import (LetterClasses, TriangularKind, classify_triangular,
                          letter_classes, pregroup_from_system, reducing_part)
 from .groups import (FiniteGroup, GroupIso, SubgroupEmbedding, coset_decompose,
                      cyclic_group, format_group, format_map, parse_group,
-                     parse_map, save_group, symmetric_group, transversal)
+                     parse_map, symmetric_group, transversal)
 from .builders import (AmalgamData, CommutationGraph, CoxeterMatrix, HnnData,
                        RuleProgram, build_amalgam_pregroup,
                        build_amalgam_system, build_britton_system,

@@ -78,13 +78,10 @@ def build_graph_group(graph: CommutationGraph) -> RewriteSystem:
         names.append(inv_name[v])
     alphabet = Alphabet(names)
     pairing = {}
-    for v in graph.vertices:
-        i, j = alphabet.id(v), alphabet.id(inv_name[v])
-        pairing[i] = j
-        pairing[j] = i
     rules = []
     for v in graph.vertices:
         i, j = alphabet.id(v), alphabet.id(inv_name[v])
+        pairing[i], pairing[j] = j, i
         rules.append(reducing((i, j), ()))
         rules.append(reducing((j, i), ()))
     for (u, v) in graph.edges:
@@ -155,16 +152,12 @@ def build_tits_system(M: CoxeterMatrix,
 # ---------------------------------------------------------------------------
 # amalgamated products
 
-def _check_shared_subgroup(embA: SubgroupEmbedding, embB: SubgroupEmbedding):
-    if embA.sub is not embB.sub and embA.sub != embB.sub:
-        raise StructureError("the two embeddings must share one subgroup")
-
-
 def _amalgam_letters(A: FiniteGroup, B: FiniteGroup,
                      embA: SubgroupEmbedding, embB: SubgroupEmbedding):
     """Non-identity elements of both factors, subgroup images identified
     and named after the first factor."""
-    _check_shared_subgroup(embA, embB)
+    if embA.sub != embB.sub:
+        raise StructureError("the two embeddings must share one subgroup")
     b_img = set(embB.image)
     a_name: Dict[str, Optional[str]] = {}
     b_name: Dict[str, Optional[str]] = {}
@@ -254,23 +247,16 @@ def build_amalgam_pregroup(A: FiniteGroup, B: FiniteGroup,
         return eps if table_name is None else table_name
 
     mult: Dict[Tuple[str, str], str] = {}
-    for x in A.elements:
-        for y in A.elements:
-            mult[(nm(a_name[x]), nm(a_name[y]))] = nm(a_name[A.mult(x, y)])
-    for x in B.elements:
-        for y in B.elements:
-            key = (nm(b_name[x]), nm(b_name[y]))
-            value = nm(b_name[B.mult(x, y)])
-            if mult.get(key, value) != value:
-                raise StructureError(
-                    f"factors disagree on the shared subgroup at {key}")
-            mult[key] = value
-
     inv: Dict[str, str] = {eps: eps}
-    for a in A.elements:
-        inv[nm(a_name[a])] = nm(a_name[A.inverse(a)])
-    for b in B.elements:
-        inv[nm(b_name[b])] = nm(b_name[B.inverse(b)])
+    for F, name in ((A, a_name), (B, b_name)):
+        for x in F.elements:
+            inv[nm(name[x])] = nm(name[F.inverse(x)])
+            for y in F.elements:
+                key = (nm(name[x]), nm(name[y]))
+                value = nm(name[F.mult(x, y)])
+                if mult.setdefault(key, value) != value:
+                    raise StructureError(
+                        f"factors disagree on the shared subgroup at {key}")
 
     result = Pregroup(elements, eps, inv, mult)
     report = check_axioms(result)
@@ -487,7 +473,6 @@ class AmalgamData:
 @dataclass(frozen=True)
 class HnnData:
     G: FiniteGroup
-    H: FiniteGroup
     embA: SubgroupEmbedding
     embB: SubgroupEmbedding
     phi: GroupIso
@@ -509,4 +494,4 @@ def example_hnn() -> HnnData:
     H = cyclic_group(2, "h")
     emb = SubgroupEmbedding(H, G, {"1": "1", "h": "12"})
     phi = GroupIso(H, H, {"1": "1", "h": "h"})
-    return HnnData(G, H, emb, emb, phi)
+    return HnnData(G, emb, emb, phi)

@@ -334,7 +334,7 @@ def _hnn_data(args) -> builders.HnnData:
     embA = SubgroupEmbedding(HA, G, args.map_a)
     embB = SubgroupEmbedding(HB, G, args.map_b)
     phi = GroupIso(HA, HB, args.iso)
-    return builders.HnnData(G, HA, embA, embB, phi)
+    return builders.HnnData(G, embA, embB, phi)
 
 
 def _cmd_build_hnn(args, caps) -> Tuple[str, int]:

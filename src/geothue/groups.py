@@ -100,7 +100,8 @@ def cyclic_group(n: int, gen: str = "a") -> FiniteGroup:
 
 
 def _perm_name(perm: Tuple[int, ...]) -> str:
-    # cycle notation without parentheses, 1-based; identity is "1"
+    # cycle notation, 1-based, identity "1"; a product of several cycles
+    # puts each in parentheses, as 12 and 34 would read as the cycle 1234
     seen = [False] * len(perm)
     parts = []
     for start in range(len(perm)):
@@ -115,7 +116,9 @@ def _perm_name(perm: Tuple[int, ...]) -> str:
             seen[nxt] = True
             nxt = perm[nxt]
         parts.append("".join(str(i + 1) for i in cycle))
-    return "".join(parts) if parts else "1"
+    if len(parts) > 1:
+        return "".join(f"({part})" for part in parts)
+    return parts[0] if parts else "1"
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -176,9 +179,8 @@ class GroupIso:
                  mapping: Dict[str, str]):
         if len(source) != len(target):
             raise StructureError("groups of different order cannot be isomorphic")
+        # an injective map between groups of one order is onto
         emb = SubgroupEmbedding(source, target, mapping)
-        if set(emb.image) != set(target.elements):
-            raise StructureError("map is not surjective")
         self.source = source
         self.target = target
         self.map = emb.map
@@ -256,8 +258,3 @@ def parse_map(text: str) -> Dict[str, str]:
 
 def format_map(mapping: Dict[str, str]) -> str:
     return "".join(f"map {x} -> {y}\n" for x, y in mapping.items())
-
-
-def save_group(G: FiniteGroup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_group(G))

@@ -5,9 +5,12 @@ forwards and backwards, so reversed reducing rules grow words) under two
 explicit caps: a length horizon and a node budget.  "complete" means
 the closure is closed under every step that stays within the horizon and
 the node budget was not hit; verdicts derived from closures say so
-relative to those caps and never overclaim beyond them.  A budget counts
-the start word, so every entry point refuses one below 1, with the
-fast searches' errors._check_budget; yet the oracle stays independent
+relative to those caps and never overclaim beyond them.  One step
+generator, _neighbors, serves both searches: a class closure is a plain
+breadth-first search over its steps, and class_partition joins each
+word with the neighbours it yields of no greater length.  A budget
+counts the start word, so every entry point refuses one below 1, with
+the fast searches' errors._check_budget; yet the oracle stays independent
 of them, and imports only the errors, the systems and the words.  Its
 semi-test of the geodesic property, geodesic_bounded_check, finds the
 words that no reducing rule matches in its own step tables.
@@ -82,10 +85,10 @@ def class_closure(word: Word, system: RewriteSystem,
                   max_length: Optional[int] = None,
                   max_nodes: int = DEFAULT_MAX_NODES,
                   stop_at: Optional[Word] = None) -> ClassClosure:
-    """BFS closure of the congruence class within the caps.
+    """Breadth-first closure of the congruence class within the caps.
 
-    stop_at truncates the search as soon as the target joins the class;
-    a truncated closure is reported incomplete.
+    The search returns as soon as the budget runs out or stop_at joins
+    the class; either way the closure is reported incomplete.
     """
     _check_budget(max_nodes)
     seed = system._word(word)
@@ -94,34 +97,23 @@ def class_closure(word: Word, system: RewriteSystem,
     if len(seed) > max_length:
         raise PreconditionError("seed longer than the closure horizon")
     parents: Dict[Word, Optional[tuple]] = {seed: None}
-    frontier: List[Word] = [seed]
-    complete = True
-    found_target = seed == stop_at
     tables = _step_tables(system)
-    while frontier and not found_target:
-        nxt: List[Word] = []
-        for v in frontier:
+
+    def explore() -> bool:
+        queue = [seed]
+        for v in queue:  # the loop reaches the children appended below
             for child, step in _neighbors(v, tables, max_length):
-                if len(child) > max_length or child in parents:
+                if child in parents:
                     continue
                 if len(parents) >= max_nodes:
-                    complete = False
-                    nxt = []
-                    frontier = []
-                    break
+                    return False
                 parents[child] = (v, *step)
-                nxt.append(child)
                 if child == stop_at:
-                    found_target = True
-                    break
-            if not complete or found_target:
-                break
-        else:
-            frontier = nxt
-            continue
-        break
-    if found_target:
-        complete = False
+                    return False
+                queue.append(child)
+        return True
+
+    complete = seed != stop_at and explore()
     return ClassClosure(seed, frozenset(parents), complete, max_length, parents)
 
 
@@ -256,8 +248,11 @@ def class_partition(system: RewriteSystem, horizon: int,
                     max_nodes: int = DEFAULT_MAX_NODES):
     """Partition all words of length <= horizon into congruence blocks.
 
-    Rules never increase length, so enumerating forward steps from every
-    word up to the horizon covers every symmetric step inside it.
+    Rules never increase length, so joining every word up to the horizon
+    with its neighbours of no greater length covers every symmetric step
+    inside it: the forward steps, and on a directed system the backward
+    steps of equal length, which only repeat the forward steps of their
+    targets.
     Returns (rep_of, capped): rep_of maps each word to the length-lex
     least member of its block, capped reports a hit node budget (blocks
     may then be too fine).
@@ -287,21 +282,15 @@ def class_partition(system: RewriteSystem, horizon: int,
         if ri != rj:
             parent[rj] = ri
 
-    fwd, fwd_lengths = _step_tables(system)[:2]
+    tables = _step_tables(system)
     for w in words:
-        n = len(w)
         wi = index[w]
-        for L in fwd_lengths:
-            if L > n:
-                break
-            for i in range(n - L + 1):
-                for rule in fwd.get(w[i:i + L], ()):
-                    child = w[:i] + rule.rhs + w[i + L:]
-                    ci = index.get(child)
-                    if ci is None:
-                        capped = True
-                    else:
-                        union(wi, ci)
+        for child, _ in _neighbors(w, tables, len(w)):
+            ci = index.get(child)
+            if ci is None:
+                capped = True
+            else:
+                union(wi, ci)
 
     # words_upto yields in length-lex order, so the first member seen
     # with a given root is the least one

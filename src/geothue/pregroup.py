@@ -439,14 +439,10 @@ def format_pregroup(P: Pregroup) -> str:
     """Inverse of parse_pregroup; entries implied by identity and inverse
     laws are left out."""
     lines = ["pregroup", "elements " + " ".join(P.elements), f"eps {P.eps}"]
-    done = set()
     for a in P.elements:
-        if a == P.eps or a in done:
-            continue
         b = P.inv[a]
-        done.add(a)
-        done.add(b)
-        lines.append(f"inv {a} {b}")
+        if a != P.eps and P.index[a] <= P.index[b]:  # the pair's first element
+            lines.append(f"inv {a} {b}")
     for (a, b), c in _sorted_products(P):
         if a == P.eps or b == P.eps or b == P.inv[a]:
             continue
@@ -457,8 +453,3 @@ def format_pregroup(P: Pregroup) -> str:
 def load_pregroup(path) -> Pregroup:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pregroup(fh.read())
-
-
-def save_pregroup(P: Pregroup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pregroup(P))

@@ -17,10 +17,11 @@ for every letter.
 
 The structures that the searches compile from the rules are lazy
 attributes of the system, each built on first use and kept with it:
-the step sets of the bounded closures (_reducing_steps, _all_steps and
-_undirected_steps), the automaton of the reducing left-hand sides
-behind reduce_lr (_automaton), and the left-hand sides by their factors
-behind the critical pairs, rule by rule (_rule_overlaps) and by
+the step sets of the bounded closures (_reducing_steps and _all_steps
+forwards, _undirected_steps each preserving rule both ways, whether the
+system is symmetric or not), the automaton of the reducing left-hand
+sides behind reduce_lr (_automaton), and the left-hand sides by their
+factors behind the critical pairs, rule by rule (_rule_overlaps) and by
 distinct lhs (_group_overlaps).  with_rules builds a system that
 compiles its own; it hands on only the preserving classes found so far.
 
@@ -159,9 +160,9 @@ class RewriteSystem:
     @cached_property
     def _undirected_steps(self) -> "_StepSet":
         """The preserving steps taken both ways, behind the preserving
-        classes; on a symmetric system the forward ones, in rule order."""
-        if self.sp_symmetric:
-            return _step_set((r.lhs, r.rhs) for r in self.preserving)
+        classes.  On a symmetric system each mirror follows its rule, so
+        the backward steps repeat forward ones and the table is that of
+        the forward steps, in rule order."""
         return _step_set(step for r in self.preserving
                          for step in ((r.lhs, r.rhs), (r.rhs, r.lhs)))
 
@@ -214,7 +215,7 @@ class RewriteSystem:
             inverse_pairing=self.inverse_pairing,
             symmetrize=self.sp_symmetric,
         )
-        # the classes depend only on the preserving rules and sp_symmetric
+        # the classes depend only on the preserving rules
         if new.preserving == self.preserving:
             new._sp_memo = self._sp_memo
         return new
@@ -421,11 +422,6 @@ def format_system(system: RewriteSystem) -> str:
 def load_system(path) -> RewriteSystem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_system(fh.read())
-
-
-def save_system(system: RewriteSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_system(system))
 
 
 def parse_rule_pairs(text: str):

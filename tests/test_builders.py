@@ -152,12 +152,17 @@ def test_rule_program_validation():
         prog.normal_form((0,), max_steps=10)
 
 
-def test_rule_program_file_roundtrip(hnn_data):
-    d = hnn_data
-    prog = build_hnn_system(d.G, d.embA, d.embB, d.phi)
-    back = parse_rule_program(format_rule_program(prog))
-    assert back.alphabet.names == prog.alphabet.names
-    assert back.rules == prog.rules
+def test_rule_program_file_roundtrip():
+    cases = [build_hnn_system(*data) for data in HNN_CASES.values()]
+    cases.append(parse_rule_program(
+        fixture_path("z2_convergent.rules").read_text(encoding="utf-8")))
+    for prog in cases:
+        text = format_rule_program(prog)
+        back = parse_rule_program(text)
+        assert back.alphabet.names == prog.alphabet.names
+        assert back.rules == prog.rules
+        assert back._longest_lhs == prog._longest_lhs
+        assert format_rule_program(back) == text
 
 
 def test_z2_convergent_fixture_program():

@@ -7,6 +7,8 @@ from geothue.groups import (FiniteGroup, GroupIso, SubgroupEmbedding,
                             coset_decompose, cyclic_group, format_group,
                             format_map, parse_group, parse_map,
                             symmetric_group, transversal)
+from tests.conftest import (FIXTURES, GENERATED, _cyclic_amalgam,
+                            _cyclic_embedding, _cyclic_hnn_data)
 
 
 def test_cyclic_group_laws():
@@ -27,17 +29,44 @@ def test_symmetric_group_s3():
     assert G.inverse("123") == "132"
 
 
+def test_symmetric_group_names_each_of_several_cycles_in_parentheses():
+    # without them (12)(34) and the 4-cycle 1234 would share a name
+    G = symmetric_group(4)
+    assert len(G.elements) == 24
+    assert G.mult("12", "34") == "(12)(34)"
+    assert "1234" in G.elements
+
+
 def test_group_table_laws_validated():
     with pytest.raises(StructureError):
         FiniteGroup(("e", "a"), "e", {("e", "e"): "e", ("e", "a"): "a",
                                       ("a", "e"): "a", ("a", "a"): "a"})
 
 
+def _generated_maps():
+    """The embedding and iso maps behind the generated pregroups."""
+    for build, *args in GENERATED.values():
+        if build is _cyclic_amalgam:
+            m, n, k = args
+            H = cyclic_group(k, "h")
+            for G in (cyclic_group(m, "r"), cyclic_group(n, "s")):
+                yield _cyclic_embedding(H, G).map
+        else:
+            _, embA, embB, phi = _cyclic_hnn_data(*args)
+            yield from (embA.map, embB.map, phi.map)
+
+
 def test_parse_format_roundtrip():
-    G = symmetric_group(3)
-    H = parse_group(format_group(G))
-    assert H == G
-    assert H.mult("12", "23") == G.mult("12", "23")
+    cases = [parse_group(path.read_text(encoding="utf-8"))
+             for path in sorted(FIXTURES.glob("*.grp"))]
+    cases += [cyclic_group(n) for n in range(1, 9)]
+    cases += [symmetric_group(n) for n in range(1, 5)]
+    for G in cases:
+        text = format_group(G)
+        H = parse_group(text)
+        for field in FiniteGroup.__slots__:
+            assert getattr(H, field) == getattr(G, field), (text, field)
+        assert format_group(H) == text
 
 
 @pytest.mark.parametrize("name", [".", "->", "<->"])
@@ -53,8 +82,14 @@ def test_element_that_cannot_be_a_letter_is_rejected(name):
 
 
 def test_parse_map_roundtrip():
-    m = {"1": "1", "h": "12"}
-    assert parse_map(format_map(m)) == m
+    cases = [parse_map(path.read_text(encoding="utf-8"))
+             for path in sorted(FIXTURES.glob("*.map"))]
+    assert len(cases) == 4
+    for m in cases + list(_generated_maps()):
+        text = format_map(m)
+        back = parse_map(text)
+        assert list(back.items()) == list(m.items())
+        assert format_map(back) == text
 
 
 def test_embedding_validation():
@@ -75,6 +110,9 @@ def test_group_iso_validation():
     K = cyclic_group(3, "k")
     with pytest.raises(StructureError):
         GroupIso(H, K, {"1": "1", "h": "k"})
+    # of equal order, so only injectivity stands between it and onto
+    with pytest.raises(StructureError, match="embedding is not injective"):
+        GroupIso(K, K, {k: "1" for k in K.elements})
 
 
 def test_transversal_covers_cosets():

@@ -1,5 +1,6 @@
 import pytest
 
+from geothue.builders import build_amalgam_system
 from geothue.errors import PreconditionError
 from geothue.oracle import (WpVerdict, _step_tables, class_closure,
                             class_partition, enumerate_quotient,
@@ -105,6 +106,48 @@ def test_class_partition_matches_closures(tits_d3):
         c = class_closure(w, tits_d3, max_length=5)
         block = {v for v, r in rep_of.items() if r == rep_of[w]}
         assert c.members == block
+
+
+@pytest.mark.parametrize("name", ["tits_d3", "z2_graph"])
+def test_class_closure_stops_at_its_target_or_its_budget(name, request):
+    S = request.getfixturevalue(name)
+    (seed,) = words_of(S.alphabet, "a b")
+    full = class_closure(seed, S, max_length=6)
+    assert full.complete
+    order = list(full.parents)  # the members in the order they joined
+    size = len(order)
+
+    def closure(max_nodes=10 ** 6, stop_at=None):
+        return class_closure(seed, S, 6, max_nodes, stop_at)
+
+    c = closure(stop_at=seed)
+    assert c.members == {seed} and not c.complete
+    for n in (2, size // 2, size):
+        target = order[n - 1]
+        c = closure(max_nodes=n, stop_at=target)
+        assert len(c.members) == n and not c.complete
+        assert replay_path(c, target)[-1][0] == target
+        c = closure(max_nodes=n - 1, stop_at=target)
+        assert len(c.members) == n - 1 and target not in c.members
+        assert not c.complete
+    c = closure(max_nodes=size)
+    assert c.complete and c.members == full.members
+    c = closure(max_nodes=size - 1)
+    assert len(c.members) == size - 1 and not c.complete
+
+
+def test_a_directed_system_partitions_as_its_undirected_twin(amalgam_data):
+    d = amalgam_data
+    directed = build_amalgam_system(d.A, d.B, d.embA, d.embB, symmetrize=False)
+    twin = build_amalgam_system(d.A, d.B, d.embA, d.embB)
+    # the directed system is where the neighbours hold backward steps
+    # that keep the length
+    assert any(len(rule.lhs) == len(rule.rhs)
+               for rules in _step_tables(directed)[2].values() for rule in rules)
+    for horizon, blocks in ((2, 16), (3, 28)):
+        rep_of, capped = class_partition(directed, horizon)
+        assert (rep_of, capped) == class_partition(twin, horizon)
+        assert not capped and len(set(rep_of.values())) == blocks
 
 
 def test_partition_reps_are_lenlex_least(z2z2):

@@ -14,6 +14,7 @@ from geothue.pregroup import (AxiomCheck, Pregroup, check_axioms,
                               parse_pregroup, table_isomorphic,
                               universal_system, universal_system_prime, up_wp)
 from geothue.systems import RewriteSystem, Rule, preserving
+from geothue.triangular import pregroup_from_system, reducing_part
 from tests.conftest import (GENERATED, _cyclic_amalgam, _cyclic_hnn,
                             fixture_path, reduce_random_seq)
 
@@ -241,13 +242,38 @@ def test_check_axioms_matches_the_conditions_on_all_tuples(seed):
     assert failed == set(AXIOMS)
 
 
-def test_format_parse_roundtrip(amalgam_pregroup, hnn_pregroup):
-    for P in (z4(), amalgam_pregroup, hnn_pregroup):
-        Q = parse_pregroup(format_pregroup(P))
-        assert Q.elements == P.elements
-        assert Q.eps == P.eps
-        assert Q.inv == P.inv
-        assert Q.mult == P.mult
+# Z/4 with its identity third, a self-inverse element first, and an
+# inverse pair whose later element is declared first
+Z4_SHUFFLED_TEXT = """
+elements r2 r3 1 r
+eps 1
+inv r r3
+inv r2 r2
+mult r r = r2
+mult r r2 = r3
+mult r2 r = r3
+mult r2 r3 = r
+mult r3 r2 = r
+mult r3 r3 = r2
+"""
+
+
+def test_format_parse_roundtrip():
+    shuffled = parse_pregroup(Z4_SHUFFLED_TEXT)
+    # one inv line per pair, at the pair's first element
+    assert [line for line in format_pregroup(shuffled).splitlines()
+            if line.startswith("inv ")] == ["inv r2 r2", "inv r3 r"]
+    bases = list(CARRY_PREGROUPS.values())
+    bases += [build(*args) for build, *args in GENERATED.values()]
+    cases = [z4(), shuffled] + bases
+    cases += [pregroup_from_system(reducing_part(universal_system_prime(P)))
+              for P in bases]
+    for P in cases:
+        text = format_pregroup(P)
+        Q = parse_pregroup(text)
+        for field in ("elements", "eps", "inv", "mult", "index", "_right"):
+            assert getattr(Q, field) == getattr(P, field), (text, field)
+        assert format_pregroup(Q) == text
 
 
 def test_universal_system_shapes(amalgam_pregroup):

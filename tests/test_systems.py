@@ -10,8 +10,8 @@ from geothue.groups import parse_group, parse_map
 from geothue.pregroup import (load_pregroup, parse_pregroup, universal_system,
                               universal_system_prime)
 from geothue.systems import (RewriteSystem, RuleKind, format_system,
-                             load_system, parse_rule_pairs, parse_system,
-                             preserving, reducing)
+                             _step_set, load_system, parse_rule_pairs,
+                             parse_system, preserving, reducing)
 from geothue.words import Alphabet, _is_letter_name
 from tests.conftest import FIXTURES
 
@@ -134,6 +134,10 @@ def test_a_symmetric_system_holds_each_preserving_rule_before_its_mirror(case):
     except StructureError:  # a symbol outside the alphabet
         assume(False)
     assert [r.mirror() for r in S.preserving[::2]] == list(S.preserving[1::2])
+    # so the backward preserving steps repeat forward ones
+    forward = _step_set((r.lhs, r.rhs) for r in S.preserving)
+    assert S._undirected_steps == forward
+    assert list(S._undirected_steps.rhs_of) == list(forward.rhs_of)
 
 
 def test_parse_system_splits_and_pairs():
